@@ -1,10 +1,12 @@
 """Hard caps for the bounded exhaustive searches.
 
-``DRTOOL_SEARCH_CAP`` overrides every cap at once; individual call sites
-also accept an explicit value.
+``DRTOOL_SEARCH_CAP`` overrides every cap at once.  Each search reads it
+when it is called, unless the call passes an explicit cap.
 """
 
 import os
+
+from .errors import InvalidSearchCap
 
 BI_FOREST_CAP = 25  # generators; the search is exhaustive over 2^n signs
 ZERO_ONE_CAP = 24  # corners; exhaustive over 2^n angles with pruning
@@ -18,4 +20,4 @@ def search_cap(default):
     try:
         return int(value)
     except ValueError:
-        return default
+        raise InvalidSearchCap(f"DRTOOL_SEARCH_CAP must be an integer, got {value!r}") from None

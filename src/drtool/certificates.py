@@ -20,7 +20,6 @@ from .complexes import (
     complex_from_jsonable,
     complex_to_jsonable,
     format_word,
-    link_graph,
     rotate_word,
     word_inverse,
 )
@@ -103,8 +102,7 @@ def check_dr2_weighted(X: TwoComplex, omega: AngleAssignment) -> CheckOutcome:
     wt = weight_test(X, omega)
     if not wt.passed:
         return CheckOutcome(witness={"reason": "weight_test", "witness": wt.witness})
-    v = X.vertices[0]
-    G = link_graph(X, v)
+    G = X.links[X.vertices[0]]
     edge_paths = []
     for e in X.edges:
         plus = LinkNode(e.id, 1)
@@ -347,8 +345,7 @@ def check_c4t4(X: TwoComplex) -> TestVerdict:
                     "decomposition": [format_word(p) for p in decomposition.witnesses[cell.id]],
                 },
             )
-    v = X.vertices[0]
-    G = link_graph(X, v)
+    G = X.links[X.vertices[0]]
     ones = AngleAssignment({c.key: 1 for c in G.corners})
     found = min_reduced_cycle(G, ones)
     girth = None if found is None else int(found[0])

@@ -12,7 +12,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .caps import DIAGRAM_FACE_CAP, ZERO_ONE_CAP, search_cap
 from .certificates import (
     Dr2Certificate,
     check_c4t4,
@@ -21,7 +20,6 @@ from .certificates import (
     check_dr2_zero_one,
     verify_dr2_certificate,
 )
-from .complexes import link_graph
 from .curvature import (
     AngleAssignment,
     ZeroOneAssignment,
@@ -32,10 +30,11 @@ from .curvature import (
 from .diagrams import (
     check_diagram,
     diagram_map_from_jsonable,
+    face_cap,
     search_reduced_diagram,
     sphere_from_jsonable,
 )
-from .errors import DrtoolError, InvariantViolation, ParseError
+from .errors import DrtoolError, InvalidSearchCap, InvariantViolation, ParseError
 from .lots import (
     LiCertificateTree,
     boundary_reducible_sub_lots,
@@ -158,7 +157,7 @@ def _cmd_complex_coloringtest(args):
     if args.angles:
         omega01 = _load_angles(args.angles, X)
     else:
-        omega01 = find_zero_one_structure(X, search_cap(ZERO_ONE_CAP))
+        omega01 = find_zero_one_structure(X)
         if omega01 is None:
             _emit({"pass": False, "witness": {"reason": "no zero/one structure found"}}, args.json)
             return 0
@@ -200,7 +199,7 @@ def _cmd_complex_dr2(args):
 
 def _maybe_dot(args, X, angles):
     if getattr(args, "dot", None):
-        blocks = [export_dot(link_graph(X, v), angles) for v in X.vertices]
+        blocks = [export_dot(X.links[v], angles) for v in X.vertices]
         _write_output(args.dot, "\n".join(blocks))
 
 
@@ -217,13 +216,14 @@ def _cmd_diagram_verify(args):
 def _cmd_diagram_search(args):
     X = parse_presentation(_read(args.path))
     found = search_reduced_diagram(X, args.max_faces)
+    max_faces = face_cap() if args.max_faces is None else args.max_faces
     if found is None:
-        _emit({"reduced_diagram": None, "max_faces": args.max_faces}, args.json)
+        _emit({"reduced_diagram": None, "max_faces": max_faces}, args.json)
     else:
         S, dmap = found
         _emit(
             {"reduced_diagram": {"sphere": S.to_jsonable(), "map": dmap.to_jsonable()},
-             "max_faces": args.max_faces},
+             "max_faces": max_faces},
             args.json,
         )
     return 0
@@ -271,6 +271,8 @@ def _cmd_corpus(args):
     def run(path):
         try:
             return path.name, analyze(path, options)
+        except InvalidSearchCap:
+            raise
         except DrtoolError as exc:
             return path.name, {"error": f"{type(exc).__name__}: {exc}"}
 
@@ -376,7 +378,7 @@ def build_parser():
     p.set_defaults(func=_cmd_diagram_verify)
     p = dg.add_parser("search", help="bounded search for a reduced spherical diagram")
     p.add_argument("path")
-    p.add_argument("--max-faces", type=int, default=search_cap(DIAGRAM_FACE_CAP))
+    p.add_argument("--max-faces", type=int, help="default: the search cap")
     common(p, dot=False)
     p.set_defaults(func=_cmd_diagram_search)
 

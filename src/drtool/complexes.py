@@ -9,6 +9,7 @@ are the corners cut out by consecutive boundary letters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import ComplexError, NotAWalk
@@ -78,15 +79,6 @@ class LinkNode(NamedTuple):
 
     def __str__(self):
         return self.edge + ("+" if self.end > 0 else "-")
-
-
-def parse_link_node(token):
-    token = token.strip()
-    if token.endswith("+"):
-        return LinkNode(token[:-1], 1)
-    if token.endswith("-"):
-        return LinkNode(token[:-1], -1)
-    raise ComplexError(f"link node {token!r} must end in + or -")
 
 
 def head_node(letter):
@@ -163,9 +155,11 @@ class TwoComplex:
     def is_single_vertex(self):
         return len(self.vertices) == 1
 
-    def letter_source(self, letter, emap=None):
-        e = (emap or self.edge_map())[letter.edge]
-        return e.source if letter.sign > 0 else e.target
+    @cached_property
+    def links(self):
+        """Vertex -> LinkGraph, built once per complex.  Looking up a vertex
+        that is not in the complex raises ComplexError."""
+        return _Links((v, link_graph(self, v)) for v in self.vertices)
 
     def letter_target(self, letter, emap=None):
         e = (emap or self.edge_map())[letter.edge]
@@ -299,8 +293,9 @@ def link_graph(X: TwoComplex, v) -> LinkGraph:
     return LinkGraph(base=v, nodes=tuple(sorted(nodes)), corners=tuple(corners))
 
 
-def all_links(X: TwoComplex):
-    return {v: link_graph(X, v) for v in X.vertices}
+class _Links(dict):
+    def __missing__(self, v):
+        raise ComplexError(f"vertex {v!r} not in complex")
 
 
 def is_reduced_path(path, G: LinkGraph, cyclic=False) -> bool:

@@ -13,7 +13,8 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .complexes import LinkGraph, TwoComplex, euler_characteristic, link_graph
+from . import caps
+from .complexes import LinkGraph, TwoComplex, euler_characteristic
 from .errors import (
     CapExceeded,
     ComplexError,
@@ -100,10 +101,6 @@ class AngleAssignment:
             if value < 0:
                 raise UnsupportedWeights(f"negative weight {value} at corner {key}")
 
-    @property
-    def is_zero_one(self):
-        return all(v in (0, 1) for _, v in self.items())
-
     def to_jsonable(self):
         return [
             {"cell": cell, "position": pos, "weight": str(value)}
@@ -168,8 +165,8 @@ class CurvatureReport:
         }
 
 
-def vertex_curvature(X: TwoComplex, omega: AngleAssignment, v, link=None):
-    G = link if link is not None else link_graph(X, v)
+def vertex_curvature(X: TwoComplex, omega: AngleAssignment, v):
+    G = X.links[v]
     total = sum((omega.weight(c) for c in G.corners), Fraction(0))
     return 2 - G.euler_characteristic() - total
 
@@ -361,8 +358,7 @@ def weight_test(X: TwoComplex, omega: AngleAssignment) -> TestVerdict:
                 notes,
             )
     for v in X.vertices:
-        G = link_graph(X, v)
-        found = min_reduced_cycle(G, omega)
+        found = min_reduced_cycle(X.links[v], omega)
         if found is not None and found[0] < 2:
             return TestVerdict(False, _cycle_witness(v, found), notes)
     return TestVerdict(True, None, notes)
@@ -374,33 +370,31 @@ def lk0_components(X: TwoComplex, v, omega01: ZeroOneAssignment):
     Every node is retained, so isolated nodes appear as singleton components.
     Components are returned sorted by their smallest node.
     """
-    G = link_graph(X, v)
-    uf = UnionFind(G.nodes)
-    for c in G.corners:
-        if omega01.weight(c) == 0:
-            uf.union(c.nodes[0], c.nodes[1])
+    uf, _ = _zero_forest(X.links[v], omega01)
     comps = [tuple(sorted(members)) for members in uf.components().values()]
     return tuple(sorted(comps))
 
 
-def _find_zero_cycle(G, omega01):
-    """Locate a cycle in the angle-0 subgraph: the first 0-corner closing one,
-    plus the tree path it closes."""
-    adj = {}  # node -> list of (neighbor, corner)
+def _zero_forest(G, omega01):
+    """Union-find of the angle-0 subgraph of G, and its first cycle: the first
+    0-corner closing one plus the tree path it closes, or None."""
+    adj = {}  # node -> list of (neighbor, corner) over the forest's corners
     uf = UnionFind(G.nodes)
+    cycle = None
     for c in G.corners:
         if omega01.weight(c) != 0:
             continue
         a, b = c.nodes
-        if a == b or not uf.union(a, b):
-            # recover the path a..b through the partial forest
+        if uf.union(a, b):
+            adj.setdefault(a, []).append((b, c))
+            adj.setdefault(b, []).append((a, c))
+        elif cycle is None:
             path = _forest_path(adj, a, b)
-            cycle_nodes = [str(n) for n, _ in path] + [str(b)]
-            cycle_corners = [list(cor.key) for _, cor in path] + [list(c.key)]
-            return {"cycle_nodes": cycle_nodes, "cycle_corners": cycle_corners}
-        adj.setdefault(a, []).append((b, c))
-        adj.setdefault(b, []).append((a, c))
-    return None
+            cycle = {
+                "cycle_nodes": [str(n) for n, _ in path] + [str(b)],
+                "cycle_corners": [list(cor.key) for _, cor in path] + [list(c.key)],
+            }
+    return uf, cycle
 
 
 def _forest_path(adj, a, b):
@@ -435,19 +429,13 @@ def coloring_test(X: TwoComplex, omega01: ZeroOneAssignment) -> TestVerdict:
             return TestVerdict(
                 False, {"condition": 1, "cell": cell.id, "curvature": str(k)}
             )
+    forests = {}
     for v in X.vertices:
-        G = link_graph(X, v)
-        cycle = _find_zero_cycle(G, omega01)
+        forests[v], cycle = _zero_forest(X.links[v], omega01)
         if cycle is not None:
-            witness = {"condition": 2, "vertex": v}
-            witness.update(cycle)
-            return TestVerdict(False, witness)
-    for v in X.vertices:
-        G = link_graph(X, v)
-        uf = UnionFind(G.nodes)
-        for c in G.corners:
-            if omega01.weight(c) == 0:
-                uf.union(c.nodes[0], c.nodes[1])
+            return TestVerdict(False, {"condition": 2, "vertex": v, **cycle})
+    for v, uf in forests.items():
+        G = X.links[v]
         for c in G.corners:
             if omega01.weight(c) == 1 and uf.together(c.nodes[0], c.nodes[1]):
                 members = [m for m in G.nodes if uf.together(m, c.nodes[0])]
@@ -463,20 +451,18 @@ def coloring_test(X: TwoComplex, omega01: ZeroOneAssignment) -> TestVerdict:
     return TestVerdict(True, None)
 
 
-def find_zero_one_structure(X: TwoComplex, cap=24):
+def find_zero_one_structure(X: TwoComplex, cap=None):
     """Exhaustive search for a zero/one structure passing the coloring test.
 
     Backtracks over corners, pruning choices that break the forest condition,
     the per-cell curvature budget, or the component condition.  Refuses
-    complexes with more than ``cap`` corners; LOT complexes should use the
-    dedicated bi-forest search instead.
+    complexes with more than ``cap`` corners (default: the zero/one search
+    cap); LOT complexes should use the dedicated bi-forest search instead.
     """
-    corners = []
-    links = {}
-    for v in X.vertices:
-        G = link_graph(X, v)
-        links[v] = G
-        corners.extend((v, c) for c in G.corners)
+    if cap is None:
+        cap = caps.search_cap(caps.ZERO_ONE_CAP)
+    links = X.links
+    corners = [(v, c) for v in X.vertices for c in links[v].corners]
     if len(corners) > cap:
         raise CapExceeded(
             f"{len(corners)} corners exceeds the zero/one search cap {cap}; "

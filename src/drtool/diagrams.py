@@ -26,7 +26,6 @@ from .complexes import (
     Letter,
     TwoComplex,
     build_complex,
-    link_graph,
     word_inverse,
 )
 from .curvature import AngleAssignment, CurvatureReport, TestVerdict, check_gauss_bonnet
@@ -308,10 +307,7 @@ def check_diagram(S: SphereComplex, f: DiagramMap, X: TwoComplex) -> FoldingRepo
             )
         image_vertex[orbit_index] = images.pop()
 
-    links = {}
-    for v in set(image_vertex.values()):
-        G = link_graph(X, v)
-        links[v] = {c.key: c for c in G.corners}
+    links = {v: {c.key: c for c in X.links[v].corners} for v in set(image_vertex.values())}
 
     nonreduced = []
     for orbit_index, orbit in enumerate(orbits):
@@ -586,11 +582,19 @@ def _assemble(X, chosen, partner, side_letter, side_face, side_pos):
     return S, DiagramMap(labels, cellmap)
 
 
-def search_reduced_diagram(X: TwoComplex, max_faces, prune_isomorphs=True, cap=None):
+def face_cap():
+    """Most faces the diagram search accepts: ``DRTOOL_SEARCH_CAP`` if set,
+    else ``caps.DIAGRAM_FACE_CAP``."""
+    return caps.search_cap(caps.DIAGRAM_FACE_CAP)
+
+
+def search_reduced_diagram(X: TwoComplex, max_faces=None, prune_isomorphs=True, cap=None):
     """First reduced spherical diagram over X with at most ``max_faces``
-    faces, or None.  A bounded falsification oracle for DR."""
+    faces (default: the cap), or None.  A bounded falsification oracle for DR."""
     if cap is None:
-        cap = caps.search_cap(caps.DIAGRAM_FACE_CAP)
+        cap = face_cap()
+    if max_faces is None:
+        max_faces = cap
     if max_faces > cap:
         raise CapExceeded(f"max_faces {max_faces} exceeds the search cap {cap}")
     for S, f in enumerate_diagrams(

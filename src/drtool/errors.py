@@ -65,6 +65,10 @@ class GeneratorCountExceedsSearchCap(CapExceeded):
     """The bi-forest sign search is exhaustive over 2^n; n is capped."""
 
 
+class InvalidSearchCap(DrtoolError):
+    """``DRTOOL_SEARCH_CAP`` is set to something that is not an integer."""
+
+
 class IllFormedMap(DrtoolError):
     """A diagram map does not commute with boundary words or vertex images."""
 

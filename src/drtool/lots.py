@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from . import caps
 from .certificates import Dr2Certificate, check_dr2_zero_one, verify_dr2_certificate
-from .complexes import Letter, TwoComplex, build_complex, link_graph
+from .complexes import Letter, TwoComplex, build_complex
 from .curvature import ZeroOneAssignment
 from .errors import (
     AmbiguousCollapseVertex,
@@ -74,12 +74,6 @@ class Lot:
         for e in self.edges:
             uf.union(e.source, e.target)
         return uf.count == 1
-
-    def edge_by_id(self, eid):
-        for e in self.edges:
-            if e.id == eid:
-                return e
-        raise ComplexError(f"unknown LOT edge {eid!r}")
 
 
 def build_lot(vertices, edges) -> Lot:
@@ -462,46 +456,44 @@ class BiForestStructure:
         }
 
 
-def _split_corners(link, epsilon):
-    """Classify corners by the sides of the orientation choice.
+def _bi_forest(link, epsilon):
+    """The bi-forest structure of the orientation choice ``epsilon`` on the
+    link, or None when one of its two sides is not a forest.
 
-    A corner lies in a side when both endpoints do; side membership of a
-    node (x, end) is epsilon[x] == end for side 1 and the complement for
-    side 2.  Returns (side1_corners, side2_corners, mixed)."""
-    side1, side2, mixed = [], [], []
+    A node (x, end) lies in side 1 when epsilon[x] == end and in side 2
+    otherwise.  A corner with both ends in one side gets angle 0, any other
+    corner angle 1.  Angle-0 corners never join the two sides, so one
+    union-find over all of them is a forest exactly when both sides are."""
+    side = {n: epsilon[n.edge] * n.end for n in link.nodes}
+    uf = UnionFind(link.nodes)
+    zeros = {1: [], -1: []}
+    table = {}
     for c in link.corners:
-        in1 = all(epsilon[n.edge] == n.end for n in c.nodes)
-        in2 = all(epsilon[n.edge] == -n.end for n in c.nodes)
-        if in1:
-            side1.append(c)
-        elif in2:
-            side2.append(c)
-        else:
-            mixed.append(c)
-    return side1, side2, mixed
-
-
-def _is_forest(nodes, corners):
-    uf = UnionFind(nodes)
-    for c in corners:
         a, b = c.nodes
-        if a == b or not uf.union(a, b):
-            return False
-    return True
+        if side[a] != side[b]:
+            table[c.key] = 1
+        elif uf.union(a, b):
+            table[c.key] = 0
+            zeros[side[a]].append(c.key)
+        else:
+            return None
+    return BiForestStructure(
+        epsilon=epsilon,
+        lambda1_nodes=tuple(n for n in link.nodes if side[n] > 0),
+        lambda2_nodes=tuple(n for n in link.nodes if side[n] < 0),
+        lambda1_corners=tuple(zeros[1]),
+        lambda2_corners=tuple(zeros[-1]),
+        assignment=ZeroOneAssignment(table),
+    )
 
 
 def zero_one_assignment_from_epsilon(lot: Lot, epsilon):
     """Angle 0 on corners with both ends in one side, angle 1 on mixed corners."""
-    K = lot_complex(lot)
-    link = link_graph(K, BASE_VERTEX)
-    table = {}
-    for c in link.corners:
-        same_side = (
-            all(epsilon[n.edge] == n.end for n in c.nodes)
-            or all(epsilon[n.edge] == -n.end for n in c.nodes)
-        )
-        table[c.key] = 0 if same_side else 1
-    return ZeroOneAssignment(table)
+    link = lot_complex(lot).links[BASE_VERTEX]
+    side = {n: epsilon[n.edge] * n.end for n in link.nodes}
+    return ZeroOneAssignment(
+        {c.key: int(side[c.nodes[0]] != side[c.nodes[1]]) for c in link.corners}
+    )
 
 
 def bi_forest_orientation(lot: Lot, cap=None):
@@ -520,23 +512,11 @@ def bi_forest_orientation(lot: Lot, cap=None):
         raise GeneratorCountExceedsSearchCap(
             f"{len(generators)} generators exceeds the bi-forest search cap {cap}"
         )
-    K = lot_complex(lot)
-    link = link_graph(K, BASE_VERTEX)
+    link = lot_complex(lot).links[BASE_VERTEX]
     for signs in itertools.product((1, -1), repeat=len(generators)):
-        epsilon = dict(zip(generators, signs))
-        side1, side2, _ = _split_corners(link, epsilon)
-        nodes1 = tuple(n for n in link.nodes if epsilon[n.edge] == n.end)
-        nodes2 = tuple(n for n in link.nodes if epsilon[n.edge] == -n.end)
-        if _is_forest(nodes1, side1) and _is_forest(nodes2, side2):
-            assignment = zero_one_assignment_from_epsilon(lot, epsilon)
-            return BiForestStructure(
-                epsilon=epsilon,
-                lambda1_nodes=nodes1,
-                lambda2_nodes=nodes2,
-                lambda1_corners=tuple(c.key for c in side1),
-                lambda2_corners=tuple(c.key for c in side2),
-                assignment=assignment,
-            )
+        structure = _bi_forest(link, dict(zip(generators, signs)))
+        if structure is not None:
+            return structure
     return None
 
 
@@ -772,20 +752,16 @@ def _verify_node(tree: LiCertificateTree, problems, path):
             problem("HUCK_ROSE_BASE trigger violated: a proper sub-LOT exists")
         epsilon = {g: (1 if s == "+" else -1) for g, s in tree.evidence["epsilon"].items()}
         K = lot_complex(lot)
-        link = link_graph(K, BASE_VERTEX)
-        side1, side2, _ = _split_corners(link, epsilon)
-        nodes1 = tuple(n for n in link.nodes if epsilon[n.edge] == n.end)
-        nodes2 = tuple(n for n in link.nodes if epsilon[n.edge] == -n.end)
-        if not (_is_forest(nodes1, side1) and _is_forest(nodes2, side2)):
+        structure = _bi_forest(K.links[BASE_VERTEX], epsilon)
+        if structure is None:
             problem("recorded orientation does not give two forests")
-        assignment = zero_one_assignment_from_epsilon(lot, epsilon)
-        if assignment.to_jsonable() != tree.evidence["zero_one"]:
+        elif structure.assignment.to_jsonable() != tree.evidence["zero_one"]:
             problem("recorded zero/one structure disagrees with the orientation")
         cert = Dr2Certificate.from_jsonable(tree.evidence["dr2_certificate"])
         ok, cert_problems = verify_dr2_certificate(cert)
         if not ok:
             problem(f"embedded DR(2) certificate fails: {cert_problems}")
-        if cert.complex != lot_complex(lot):
+        if cert.complex != K:
             problem("embedded DR(2) certificate is about a different complex")
         if tree.certified != True:  # noqa: E712 - explicit tri-state check
             problem("verified base node must conclude certified")

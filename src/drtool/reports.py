@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .caps import ZERO_ONE_CAP, search_cap
 from .certificates import check_dr2_c4t4, check_dr2_weighted, check_dr2_zero_one
 from .complexes import euler_characteristic
 from .curvature import (
@@ -25,7 +24,7 @@ from .curvature import (
     weight_test,
 )
 from .diagrams import search_reduced_diagram
-from .errors import DrtoolError
+from .errors import DrtoolError, InvalidSearchCap
 from .lots import (
     Lot,
     bi_forest_orientation,
@@ -80,6 +79,8 @@ def _resolve_weights(option, X):
 def _attempt(diagnostics, label, func, *args):
     try:
         return func(*args)
+    except InvalidSearchCap:
+        raise  # an input error of the whole run, not of one check
     except DrtoolError as exc:
         diagnostics.append({"check": label, "error": f"{type(exc).__name__}: {exc}"})
         return None
@@ -187,10 +188,7 @@ def analyze_text(text, options: AnalyzeOptions = None, name=None) -> dict:
         angles = options.angles
         if angles is None:
             # searched structures back the coloring test report only
-            searched = _attempt(
-                diagnostics, "zero_one_search", find_zero_one_structure,
-                X, search_cap(ZERO_ONE_CAP),
-            )
+            searched = _attempt(diagnostics, "zero_one_search", find_zero_one_structure, X)
             section, tests = _complex_section(X, weights, searched, diagnostics)
         else:
             section, tests = _complex_section(X, weights, angles, diagnostics)

@@ -5,15 +5,17 @@ import pytest
 from drtool import build_complex, build_lot
 
 FIXTURES = Path(__file__).parent / "fixtures"
+CORPUS = FIXTURES / "corpus"  # the presentations and LOTs the tests read
 
 
 def fixture_text(name):
-    return (FIXTURES / name).read_text(encoding="utf-8")
+    return (CORPUS / name).read_text(encoding="utf-8")
 
 
-@pytest.fixture
-def fixtures_dir():
-    return FIXTURES
+@pytest.fixture(autouse=True)
+def no_search_cap_override(monkeypatch):
+    """Run every test under the built-in search caps, whatever the shell exports."""
+    monkeypatch.delenv("DRTOOL_SEARCH_CAP", raising=False)
 
 
 def make_torus():

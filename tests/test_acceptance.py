@@ -44,7 +44,7 @@ from drtool.diagrams import diagram_map_from_jsonable, sphere_from_jsonable
 from drtool.lots import KIND_HUCK_ROSE_BASE, KIND_QUOTIENT_STEP, KIND_SINGLE_VERTEX, lot_from_jsonable
 from drtool.reports import AnalyzeOptions, analyze, canonical_json
 
-from conftest import FIXTURES, make_m2, make_torus, make_trefoil, make_w5
+from conftest import CORPUS, FIXTURES, make_m2, make_torus, make_trefoil, make_w5
 from genutil import (
     oracle_min_pieces,
     oracle_min_reduced_cycle_weight,
@@ -96,7 +96,7 @@ def test_criterion_1_gauss_bonnet_identity():
 
 def test_criterion_2_trefoil_pipeline():
     start = time.monotonic()
-    lot = parse_lot((FIXTURES / "trefoil.lot").read_text())
+    lot = parse_lot((CORPUS / "trefoil.lot").read_text())
     bf = bi_forest_orientation(lot)
     assert bf.epsilon == {"a": 1, "b": 1, "c": 1}
     K = lot_complex(lot)
@@ -116,7 +116,7 @@ def test_criterion_2_trefoil_pipeline():
 
 def test_criterion_3_w5_quotient_step():
     start = time.monotonic()
-    lot = parse_lot((FIXTURES / "w5.lot").read_text())
+    lot = parse_lot((CORPUS / "w5.lot").read_text())
     tree = decide_locally_indicable(lot)
     assert tree.kind == KIND_QUOTIENT_STEP
     quotient = lot_from_jsonable(tree.evidence["quotient"])
@@ -136,7 +136,7 @@ def test_criterion_3_w5_quotient_step():
 
 def test_criterion_4_torus_tests():
     start = time.monotonic()
-    X = parse_presentation((FIXTURES / "torus.pres").read_text())
+    X = parse_presentation((CORPUS / "torus.pres").read_text())
     half = AngleAssignment.uniform(X, Fraction(1, 2))
     assert weight_test(X, half).passed
 
@@ -188,7 +188,7 @@ def test_criterion_6_piece_oracle_equality():
     presentations = []
     fixture_names = ("torus.pres", "genus2.pres", "power4.pres", "ktrefoil.pres", "m2.pres")
     for name in fixture_names:
-        presentations.append(parse_presentation((FIXTURES / name).read_text()))
+        presentations.append(parse_presentation((CORPUS / name).read_text()))
     while len(presentations) < 30:
         names = ["a", "b", "c"][: rng.randint(2, 3)]
         cells = []
@@ -267,7 +267,7 @@ def test_criterion_8_small_lot_sweep():
 
 def test_criterion_9_reduction_semantics():
     start = time.monotonic()
-    lot = parse_lot((FIXTURES / "collapse.lot").read_text())
+    lot = parse_lot((CORPUS / "collapse.lot").read_text())
     reduced, log = reduce_lot_with_log(lot)
     assert reduced == build_lot("a", [])
     assert replay_reduction(lot, log) == reduced
@@ -282,7 +282,7 @@ def test_criterion_9_reduction_semantics():
 
 def test_criterion_10_determinism_and_round_trip():
     start = time.monotonic()
-    corpus = sorted((FIXTURES / "corpus").iterdir())
+    corpus = sorted(CORPUS.iterdir())
     for path in corpus:
         options = AnalyzeOptions(max_faces=2)
         first = canonical_json(analyze(path, options))

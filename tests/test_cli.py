@@ -10,7 +10,7 @@ import drtool
 from drtool.cli import main
 from drtool.reports import AnalyzeOptions, analyze, canonical_json
 
-from conftest import FIXTURES
+from conftest import CORPUS, FIXTURES
 
 
 # The directory holding the drtool package this process imported, so the
@@ -38,7 +38,7 @@ def run_cli(*args, env=None):
 
 
 def test_lot_check_json(capsys):
-    assert main(["lot", "check", str(FIXTURES / "trefoil.lot"), "--json"]) == 0
+    assert main(["lot", "check", str(CORPUS / "trefoil.lot"), "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["properties"]["reduced"] is True
 
@@ -46,7 +46,7 @@ def test_lot_check_json(capsys):
 def test_lot_decide_emits_verifiable_certificate(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     code = main(
-        ["lot", "decide", str(FIXTURES / "w5.lot"), "--emit-cert", str(cert), "--json"]
+        ["lot", "decide", str(CORPUS / "w5.lot"), "--emit-cert", str(cert), "--json"]
     )
     assert code == 0
     capsys.readouterr()
@@ -59,14 +59,14 @@ def test_lot_decide_emits_verifiable_certificate(tmp_path, capsys):
 
 def test_weighttest_uniform(capsys):
     code = main(
-        ["complex", "weighttest", str(FIXTURES / "torus.pres"), "--weights", "1/2", "--json"]
+        ["complex", "weighttest", str(CORPUS / "torus.pres"), "--weights", "1/2", "--json"]
     )
     assert code == 0
     assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
 def test_coloringtest_search(capsys):
-    code = main(["complex", "coloringtest", str(FIXTURES / "torus.pres"), "--json"])
+    code = main(["complex", "coloringtest", str(CORPUS / "torus.pres"), "--json"])
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["pass"] is True
@@ -74,14 +74,14 @@ def test_coloringtest_search(capsys):
 
 
 def test_c4t4(capsys):
-    assert main(["complex", "c4t4", str(FIXTURES / "genus2.pres"), "--json"]) == 0
+    assert main(["complex", "c4t4", str(CORPUS / "genus2.pres"), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
 def test_complex_dr2_certificate_round_trip(tmp_path, capsys):
     cert = tmp_path / "dr2.json"
     code = main(
-        ["complex", "dr2", str(FIXTURES / "torus.pres"), "--weights", "uniform:1/2",
+        ["complex", "dr2", str(CORPUS / "torus.pres"), "--weights", "uniform:1/2",
          "--emit-cert", str(cert), "--json"]
     )
     assert code == 0
@@ -96,7 +96,7 @@ def test_complex_dr2_certificate_round_trip(tmp_path, capsys):
 def test_diagram_verify(capsys):
     code = main(
         ["diagram", "verify", str(FIXTURES / "diagrams" / "torus_pillow.json"),
-         "--complex", str(FIXTURES / "torus.pres"), "--json"]
+         "--complex", str(CORPUS / "torus.pres"), "--json"]
     )
     assert code == 0
     out = json.loads(capsys.readouterr().out)
@@ -106,15 +106,21 @@ def test_diagram_verify(capsys):
 
 def test_diagram_search(capsys):
     code = main(
-        ["diagram", "search", str(FIXTURES / "m2.pres"), "--max-faces", "2", "--json"]
+        ["diagram", "search", str(CORPUS / "m2.pres"), "--max-faces", "2", "--json"]
     )
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["reduced_diagram"] is not None
 
 
+def test_diagram_search_prints_the_cap_it_defaults_to(monkeypatch, capsys):
+    monkeypatch.setenv("DRTOOL_SEARCH_CAP", "3")
+    assert main(["diagram", "search", str(CORPUS / "m2.pres"), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["max_faces"] == 3
+
+
 def test_analyze_exit_zero_even_with_unknown(capsys):
-    assert main(["analyze", str(FIXTURES / "noforest.lot"), "--json"]) == 0
+    assert main(["analyze", str(CORPUS / "noforest.lot"), "--json"]) == 0
 
 
 def test_parse_error_exit_one(tmp_path, capsys):
@@ -129,14 +135,14 @@ def test_missing_file_exit_one():
 
 def test_dot_export(tmp_path):
     dot = tmp_path / "out.dot"
-    assert main(["lot", "check", str(FIXTURES / "trefoil.lot"), "--dot", str(dot)]) == 0
+    assert main(["lot", "check", str(CORPUS / "trefoil.lot"), "--dot", str(dot)]) == 0
     text = dot.read_text()
     assert text.startswith("digraph")
     assert '"a" -> "b"' in text
 
 
 def test_corpus_subprocess():
-    result = run_cli("corpus", str(FIXTURES / "corpus"), "--json")
+    result = run_cli("corpus", str(CORPUS), "--json")
     assert result.returncode == 0
     data = json.loads(result.stdout)
     assert data["summary"]["files"] == 11
@@ -145,8 +151,8 @@ def test_corpus_subprocess():
 
 
 def test_corpus_deterministic():
-    a = run_cli("corpus", str(FIXTURES / "corpus"), "--json").stdout
-    b = run_cli("corpus", str(FIXTURES / "corpus"), "--json").stdout
+    a = run_cli("corpus", str(CORPUS), "--json").stdout
+    b = run_cli("corpus", str(CORPUS), "--json").stdout
     assert a == b
 
 
@@ -164,14 +170,32 @@ def test_invariant_violation_exit_two(monkeypatch):
         raise InvariantViolation("synthetic")
 
     monkeypatch.setattr(cli, "_cmd_lot_check", boom)
-    assert cli.main(["lot", "check", str(FIXTURES / "trefoil.lot")]) == 2
+    assert cli.main(["lot", "check", str(CORPUS / "trefoil.lot")]) == 2
 
 
 def test_search_cap_env_override():
     # 4 faces is under the built-in cap of 8, so only the override refuses it.
-    args = ("diagram", "search", str(FIXTURES / "m2.pres"), "--max-faces", "4")
+    args = ("diagram", "search", str(CORPUS / "m2.pres"), "--max-faces", "4")
     result = run_cli(*args, env={"DRTOOL_SEARCH_CAP": "3"})
     assert result.returncode == 1
     assert "cap" in result.stderr
     assert "search cap 3" in result.stderr
     assert run_cli(*args).returncode == 0
+
+
+def test_non_integer_search_cap_is_an_input_error():
+    args = ("diagram", "search", str(CORPUS / "m2.pres"), "--max-faces", "2")
+    result = run_cli(*args, env={"DRTOOL_SEARCH_CAP": "abc"})
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: DRTOOL_SEARCH_CAP must be an integer")
+    assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["analyze", str(CORPUS / "trefoil.lot")],
+                                  ["analyze", str(CORPUS / "torus.pres")],
+                                  ["corpus", str(CORPUS)]])
+def test_non_integer_search_cap_fails_the_whole_analysis(argv, monkeypatch, capsys):
+    # the searches run inside per-check error capture, which must not absorb it
+    monkeypatch.setenv("DRTOOL_SEARCH_CAP", "abc")
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: DRTOOL_SEARCH_CAP")

@@ -1,4 +1,6 @@
+import itertools
 import random
+import warnings
 
 import pytest
 
@@ -40,6 +42,7 @@ from drtool.lots import (
     lot_from_jsonable,
     lot_to_jsonable,
 )
+from drtool.unionfind import UnionFind
 
 from conftest import make_chain6, make_trefoil, make_w5
 
@@ -146,6 +149,36 @@ def random_lot(rng, max_vertices=6):
         u, v = (names[i], other) if rng.random() < 0.5 else (other, names[i])
         edges.append((f"e{i}", u, v, rng.choice(names)))
     return build_lot(names, edges)
+
+
+def oracle_bi_forest(lot):
+    """Brute-force bi-forest search, independent of the library's link code.
+
+    The corners of the square ``s l t- l-`` are read off the LOT edge, and
+    each side's angle-0 subgraph is checked with its own union-find.
+    Returns (epsilon, side1 nodes, side2 nodes, side1 corners, side2
+    corners, angle table) for the first orientation, or None."""
+    corners = []
+    for e in lot.edges:
+        s, l, t = e.source, e.label, e.target
+        ends = [((s, 1), (l, -1)), ((l, 1), (t, 1)), ((t, -1), (l, 1)), ((l, -1), (s, -1))]
+        corners += [((e.id, i), pair) for i, pair in enumerate(ends)]
+    nodes = sorted((x, end) for x in lot.vertices for end in (1, -1))
+    for signs in itertools.product((1, -1), repeat=len(lot.vertices)):
+        epsilon = dict(zip(lot.vertices, signs))
+        sides = []
+        for in_side_1 in (True, False):
+            members = [n for n in nodes if (epsilon[n[0]] == n[1]) == in_side_1]
+            inside = [(key, (a, b)) for key, (a, b) in corners if a in members and b in members]
+            uf = UnionFind(members)
+            if not all(a != b and uf.union(a, b) for _, (a, b) in inside):
+                break
+            sides.append((tuple(members), tuple(key for key, _ in inside)))
+        else:
+            zeros = set(sides[0][1] + sides[1][1])
+            table = {key: 0 if key in zeros else 1 for key, _ in corners}
+            return epsilon, sides[0][0], sides[1][0], sides[0][1], sides[1][1], table
+    return None
 
 
 class TestSubLots:
@@ -259,6 +292,26 @@ class TestBiForest:
                     )
                     assert zeros == 2
 
+    def test_search_matches_brute_force_oracle(self):
+        rng = random.Random(2026)
+        found = 0
+        for _ in range(150):
+            lot = random_lot(rng)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # most random LOTs are not reduced
+                bf = bi_forest_orientation(lot)
+            expected = oracle_bi_forest(lot)
+            if expected is None:
+                assert bf is None
+                continue
+            found += 1
+            epsilon, nodes1, nodes2, corners1, corners2, table = expected
+            assert bf.epsilon == epsilon
+            assert bf.lambda1_nodes == nodes1 and bf.lambda2_nodes == nodes2
+            assert bf.lambda1_corners == corners1 and bf.lambda2_corners == corners2
+            assert dict(bf.assignment.items()) == table
+        assert 0 < found < 150
+
     def test_zero_one_from_biforest_passes_everything(self):
         lot = make_trefoil()
         bf = bi_forest_orientation(lot)
@@ -330,6 +383,13 @@ class TestDecide:
         data["evidence"]["collapsed_vertex"] = "e"
         ok, problems = verify_li_tree(LiCertificateTree.from_jsonable(data))
         assert not ok
+
+    def test_verifier_rejects_orientation_without_two_forests(self):
+        data = decide_locally_indicable(make_trefoil()).to_jsonable()
+        data["evidence"]["epsilon"] = {"a": "+", "b": "+", "c": "-"}
+        ok, problems = verify_li_tree(LiCertificateTree.from_jsonable(data))
+        assert not ok
+        assert problems == ["root: recorded orientation does not give two forests"]
 
     def test_unknown_never_claims(self):
         # an injective LOT that is reduced but has no bi-forest split would be

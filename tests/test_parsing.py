@@ -9,7 +9,7 @@ from drtool import (
 from drtool.errors import ParseError
 from drtool.parsing import sniff_kind
 
-from conftest import FIXTURES, fixture_text, make_torus, make_trefoil
+from conftest import fixture_text, make_torus, make_trefoil
 
 
 class TestPresentationGrammar:

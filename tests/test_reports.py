@@ -14,12 +14,12 @@ from drtool.reports import (
     parse_weight_value,
 )
 
-from conftest import FIXTURES, make_trefoil
+from conftest import CORPUS, make_trefoil
 
 
 class TestAnalyze:
     def test_trefoil_report(self):
-        rep = analyze(FIXTURES / "trefoil.lot")
+        rep = analyze(CORPUS / "trefoil.lot")
         assert rep["lot"]["properties"]["reduced"] is True
         assert rep["lot"]["properties"]["injective"] is True
         li = rep["certificates"]["local_indicability"]
@@ -29,13 +29,13 @@ class TestAnalyze:
         assert methods["ZERO_ONE"] is True
 
     def test_w5_report_embeds_quotient_certificate(self):
-        rep = analyze(FIXTURES / "w5.lot")
+        rep = analyze(CORPUS / "w5.lot")
         li = rep["certificates"]["local_indicability"]
         assert li["kind"] == "QUOTIENT_STEP"
         assert li["evidence"]["dr2_certificate"]["method"] == "ZERO_ONE"
 
     def test_torus_with_weights(self):
-        rep = analyze(FIXTURES / "torus.pres", AnalyzeOptions(weights=Fraction(1, 2)))
+        rep = analyze(CORPUS / "torus.pres", AnalyzeOptions(weights=Fraction(1, 2)))
         assert rep["tests"]["weight_test"]["pass"] is True
         methods = {a["method"]: a for a in rep["certificates"]["dr2"]}
         assert methods["C4T4"]["ok"] is True
@@ -45,29 +45,29 @@ class TestAnalyze:
         assert rep["complex"]["gauss_bonnet"]["total"] == "0"
 
     def test_searched_coloring_structure_reported(self):
-        rep = analyze(FIXTURES / "torus.pres")
+        rep = analyze(CORPUS / "torus.pres")
         assert rep["tests"]["coloring_test"]["pass"] is True
 
     def test_dh_flags_surface(self):
-        rep = analyze(FIXTURES / "dh.pres")
+        rep = analyze(CORPUS / "dh.pres")
         assert any("non-reduced" in f for f in rep["complex"]["validation_flags"])
 
     def test_diagram_search_section(self):
-        rep = analyze(FIXTURES / "m2.pres", AnalyzeOptions(max_faces=2))
+        rep = analyze(CORPUS / "m2.pres", AnalyzeOptions(max_faces=2))
         assert rep["diagram_search"]["reduced_diagram"] is not None
 
     def test_timestamp_only_on_request(self):
-        rep = analyze(FIXTURES / "trefoil.lot")
+        rep = analyze(CORPUS / "trefoil.lot")
         assert "timestamp" not in rep
-        rep = analyze(FIXTURES / "trefoil.lot", AnalyzeOptions(timestamp=True))
+        rep = analyze(CORPUS / "trefoil.lot", AnalyzeOptions(timestamp=True))
         assert "timestamp" in rep
 
     def test_hash_is_of_canonical_form(self):
-        rep = analyze(FIXTURES / "trefoil.lot")
+        rep = analyze(CORPUS / "trefoil.lot")
         assert rep["input"]["sha256"] == input_sha256(rep["input"]["canonical"])
 
     def test_reports_byte_identical(self):
-        paths = sorted((FIXTURES / "corpus").iterdir())
+        paths = sorted(CORPUS.iterdir())
         for path in paths:
             assert canonical_json(analyze(path)) == canonical_json(analyze(path))
 
