@@ -27,8 +27,7 @@ from .curvature import (
     AngleAssignment,
     TestVerdict,
     ZeroOneAssignment,
-    coloring_test,
-    lk0_components,
+    coloring_forests,
     min_reduced_cycle,
     min_reduced_path,
     weight_test,
@@ -142,11 +141,10 @@ def check_dr2_zero_one(X: TwoComplex, omega01: ZeroOneAssignment) -> CheckOutcom
     """Zero/one component criterion: coloring test plus, per edge, the two
     edge-ends in different components of the angle-0 subgraph."""
     _require_single_vertex(X)
-    ct = coloring_test(X, omega01)
+    ct, forests = coloring_forests(X, omega01)
     if not ct.passed:
         return CheckOutcome(witness={"reason": "coloring_test", "witness": ct.witness})
-    v = X.vertices[0]
-    comps = lk0_components(X, v, omega01)
+    comps = forests[X.vertices[0]].components()
     comp_index = {}
     for i, comp in enumerate(comps):
         for node in comp:

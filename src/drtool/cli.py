@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .certificates import (
@@ -98,7 +97,7 @@ def _load_weights(value, X):
     return AngleAssignment.from_jsonable(data)
 
 
-def _load_angles(value, X):
+def _load_angles(value):
     data = json.loads(_read(value))
     return ZeroOneAssignment.from_jsonable(data)
 
@@ -155,7 +154,7 @@ def _cmd_complex_weighttest(args):
 def _cmd_complex_coloringtest(args):
     X = _complex_from_args(args)
     if args.angles:
-        omega01 = _load_angles(args.angles, X)
+        omega01 = _load_angles(args.angles)
     else:
         omega01 = find_zero_one_structure(X)
         if omega01 is None:
@@ -181,7 +180,7 @@ def _cmd_complex_dr2(args):
     X = _complex_from_args(args)
     attempts = []
     if args.angles:
-        omega01 = _load_angles(args.angles, X)
+        omega01 = _load_angles(args.angles)
         attempts.append(("ZERO_ONE", check_dr2_zero_one(X, omega01)))
     attempts.append(("C4T4", check_dr2_c4t4(X)))
     if args.weights:
@@ -237,7 +236,7 @@ def _options_from_args(args):
         except ValueError:
             options.weights = AngleAssignment.from_jsonable(json.loads(_read(args.weights)))
     if getattr(args, "angles", None):
-        options.angles = ZeroOneAssignment.from_jsonable(json.loads(_read(args.angles)))
+        options.angles = _load_angles(args.angles)
     if getattr(args, "max_faces", None) is not None:
         options.max_faces = args.max_faces
     if getattr(args, "timestamp", False):
@@ -276,9 +275,7 @@ def _cmd_corpus(args):
         except DrtoolError as exc:
             return path.name, {"error": f"{type(exc).__name__}: {exc}"}
 
-    with ThreadPoolExecutor() as pool:
-        rows = list(pool.map(run, paths))
-    rows.sort(key=lambda pair: pair[0])
+    rows = [run(path) for path in paths]
     summary = summarize_corpus(rows)
     payload = {"summary": summary, "reports": {name: rep for name, rep in rows}}
     if args.json:
@@ -311,7 +308,7 @@ def _cmd_verify_cert(args):
     else:
         raise ParseError(f"unknown certificate format {fmt!r}")
     _emit({"ok": ok, "problems": problems}, args.json)
-    return 0 if ok else 0  # verification completing is exit 0 either way
+    return 0  # verification completing is exit 0 either way
 
 
 def build_parser():

@@ -119,10 +119,6 @@ class ZeroOneAssignment(AngleAssignment):
             if value not in (0, 1):
                 raise ComplexError(f"angle at corner {key} is {value}, not 0 or 1")
 
-    @classmethod
-    def from_jsonable(cls, data):
-        return cls({(row["cell"], row["position"]): Fraction(row["weight"]) for row in data})
-
 
 @dataclass(frozen=True)
 class TestVerdict:
@@ -371,8 +367,7 @@ def lk0_components(X: TwoComplex, v, omega01: ZeroOneAssignment):
     Components are returned sorted by their smallest node.
     """
     uf, _ = _zero_forest(X.links[v], omega01)
-    comps = [tuple(sorted(members)) for members in uf.components().values()]
-    return tuple(sorted(comps))
+    return uf.components()
 
 
 def _zero_forest(G, omega01):
@@ -422,18 +417,24 @@ def _forest_path(adj, a, b):
 def coloring_test(X: TwoComplex, omega01: ZeroOneAssignment) -> TestVerdict:
     """Three conditions: non-positive cell curvature, angle-0 subgraph a forest
     at every vertex, and no angle-1 corner with both ends in one component of it."""
+    return coloring_forests(X, omega01)[0]
+
+
+def coloring_forests(X: TwoComplex, omega01: ZeroOneAssignment):
+    """The coloring test's verdict, and when it passes the angle-0 union-find
+    of every vertex link (vertex -> UnionFind); None when it fails."""
     omega01.validate_total(X)
     for cell in X.cells:
         k = cell_curvature(X, omega01, cell.id)
         if k > 0:
             return TestVerdict(
                 False, {"condition": 1, "cell": cell.id, "curvature": str(k)}
-            )
+            ), None
     forests = {}
     for v in X.vertices:
         forests[v], cycle = _zero_forest(X.links[v], omega01)
         if cycle is not None:
-            return TestVerdict(False, {"condition": 2, "vertex": v, **cycle})
+            return TestVerdict(False, {"condition": 2, "vertex": v, **cycle}), None
     for v, uf in forests.items():
         G = X.links[v]
         for c in G.corners:
@@ -447,8 +448,8 @@ def coloring_test(X: TwoComplex, omega01: ZeroOneAssignment) -> TestVerdict:
                         "corner": list(c.key),
                         "component": [str(m) for m in sorted(members)],
                     },
-                )
-    return TestVerdict(True, None)
+                ), None
+    return TestVerdict(True, None), forests
 
 
 def find_zero_one_structure(X: TwoComplex, cap=None):

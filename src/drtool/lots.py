@@ -13,10 +13,16 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from . import caps
-from .certificates import Dr2Certificate, check_dr2_zero_one, verify_dr2_certificate
+from .certificates import (
+    Dr2Certificate,
+    check_dr2_c4t4,
+    check_dr2_zero_one,
+    verify_dr2_certificate,
+)
 from .complexes import Letter, TwoComplex, build_complex
 from .curvature import ZeroOneAssignment
 from .errors import (
@@ -74,6 +80,11 @@ class Lot:
         for e in self.edges:
             uf.union(e.source, e.target)
         return uf.count == 1
+
+    @cached_property
+    def complex(self) -> TwoComplex:
+        """The presentation complex, built once per LOT."""
+        return lot_complex(self)
 
 
 def build_lot(vertices, edges) -> Lot:
@@ -334,10 +345,9 @@ def enumerate_sub_lots(lot: Lot):
     for mask in range(1, 1 << m):
         chosen = [lot.edges[i] for i in range(m) if mask >> i & 1]
         spanned = sorted({v for e in chosen for v in (e.source, e.target)})
-        uf = UnionFind(spanned)
-        for e in chosen:
-            uf.union(e.source, e.target)
-        if uf.count != 1 or len(chosen) != len(spanned) - 1:
+        # edges of a tree never close a cycle, so they span one subtree
+        # exactly when they number one fewer than their vertices
+        if len(chosen) != len(spanned) - 1:
             continue
         if any(e.label not in spanned for e in chosen):
             continue
@@ -351,18 +361,13 @@ def enumerate_sub_lots(lot: Lot):
 def maximal_proper_sub_lot(lot: Lot):
     """A maximal proper sub-LOT, ties broken by the smallest vertex tuple;
     None when there is no proper sub-LOT."""
-    proper = [sub for sub, is_proper in enumerate_sub_lots(lot) if is_proper]
-    if not proper:
-        return None
-    maximal = []
-    for cand in proper:
-        cand_edges = set(e.id for e in cand.edges)
-        if not any(
-            cand_edges < set(e.id for e in other.edges) for other in proper if other != cand
-        ):
-            maximal.append(cand)
-    maximal.sort(key=lambda sub: sub.vertices)
-    return maximal[0]
+    proper = [(sub, frozenset(e.id for e in sub.edges))
+              for sub, is_proper in enumerate_sub_lots(lot) if is_proper]
+    return min(
+        (sub for sub, ids in proper if not any(ids < other for _, other in proper)),
+        key=lambda sub: sub.vertices,
+        default=None,
+    )
 
 
 def boundary_reducible_sub_lots(lot: Lot):
@@ -487,15 +492,6 @@ def _bi_forest(link, epsilon):
     )
 
 
-def zero_one_assignment_from_epsilon(lot: Lot, epsilon):
-    """Angle 0 on corners with both ends in one side, angle 1 on mixed corners."""
-    link = lot_complex(lot).links[BASE_VERTEX]
-    side = {n: epsilon[n.edge] * n.end for n in link.nodes}
-    return ZeroOneAssignment(
-        {c.key: int(side[c.nodes[0]] != side[c.nodes[1]]) for c in link.corners}
-    )
-
-
 def bi_forest_orientation(lot: Lot, cap=None):
     """First orientation choice (lexicographic over sorted generators, ``+``
     before ``-``) whose two spanned link subgraphs are both forests, or None.
@@ -512,7 +508,7 @@ def bi_forest_orientation(lot: Lot, cap=None):
         raise GeneratorCountExceedsSearchCap(
             f"{len(generators)} generators exceeds the bi-forest search cap {cap}"
         )
-    link = lot_complex(lot).links[BASE_VERTEX]
+    link = lot.complex.links[BASE_VERTEX]
     for signs in itertools.product((1, -1), repeat=len(generators)):
         structure = _bi_forest(link, dict(zip(generators, signs)))
         if structure is not None:
@@ -520,17 +516,22 @@ def bi_forest_orientation(lot: Lot, cap=None):
     return None
 
 
-def zero_one_from_biforest(lot: Lot, structure: BiForestStructure) -> ZeroOneAssignment:
-    """Induced zero/one structure; asserted to pass the coloring test and the
-    per-edge component condition, which the two disjoint forests guarantee."""
-    assignment = zero_one_assignment_from_epsilon(lot, structure.epsilon)
-    K = lot_complex(lot)
-    outcome = check_dr2_zero_one(K, assignment)
+def _zero_one_certificate(lot: Lot, structure: BiForestStructure) -> Dr2Certificate:
+    """ZERO_ONE certificate of the structure's zero/one angles on the LOT
+    complex.  The two disjoint forests guarantee the coloring test and the
+    per-edge component condition, so a failure is an invariant violation."""
+    outcome = check_dr2_zero_one(lot.complex, structure.assignment)
     if not outcome.ok:
         raise InvariantViolation(
-            f"bi-forest zero/one structure failed its guaranteed checks: {outcome.witness}"
+            f"bi-forest structure failed the zero/one criterion: {outcome.witness}"
         )
-    return assignment
+    return outcome.certificate
+
+
+def zero_one_from_biforest(lot: Lot, structure: BiForestStructure) -> ZeroOneAssignment:
+    """Induced zero/one structure, checked to pass the zero/one criterion."""
+    _zero_one_certificate(lot, structure)
+    return structure.assignment
 
 
 # ---------------------------------------------------------------------------
@@ -584,23 +585,15 @@ def _unknown(lot, reason, extra=None, children=()):
 
 
 def _seek_dr2_for_quotient(quotient_lot: Lot):
-    """DR(2) certificate for a quotient complex: zero/one route via the
-    bi-forest search first, the C(4)-T(4) route second."""
-    from .certificates import check_dr2_c4t4
-
-    K = lot_complex(quotient_lot)
+    """DR(2) certificate for a quotient complex, or None: zero/one route via
+    the bi-forest search first, the C(4)-T(4) route second."""
     structure = bi_forest_orientation(quotient_lot)
     if structure is not None:
-        outcome = check_dr2_zero_one(K, structure.assignment)
-        if outcome.ok:
-            return outcome.certificate, structure
-    outcome = check_dr2_c4t4(K)
-    if outcome.ok:
-        return outcome.certificate, None
-    return None, None
+        return _zero_one_certificate(quotient_lot, structure)
+    return check_dr2_c4t4(quotient_lot.complex).certificate
 
 
-def _amalgam_split(lot: Lot, sub: Lot, quotient_lot: Lot, y):
+def _amalgam_split(lot: Lot, sub: Lot):
     """Split into the collapsed part and the literal outside subtree.
 
     The outside part meets the sub-LOT in the single attachment vertex and
@@ -637,21 +630,15 @@ def _decide(lot: Lot) -> LiCertificateTree:
             conclusion={"locally_indicable": "certified"},
         )
 
-    subs = [sub for sub, is_proper in enumerate_sub_lots(lot) if is_proper]
-    if not subs:
+    sub = maximal_proper_sub_lot(lot)
+    if sub is None:
         structure = bi_forest_orientation(lot)
         if structure is None:
             return _unknown(lot, "bi_forest_search_failed",
                             {"trigger": "no_proper_sub_lot"})
-        K = lot_complex(lot)
-        outcome = check_dr2_zero_one(K, structure.assignment)
-        if not outcome.ok:
-            raise InvariantViolation(
-                f"bi-forest structure failed the zero/one criterion: {outcome.witness}"
-            )
         evidence = {"trigger": "no_proper_sub_lot"}
         evidence.update(structure.to_jsonable())
-        evidence["dr2_certificate"] = outcome.certificate.to_jsonable()
+        evidence["dr2_certificate"] = _zero_one_certificate(lot, structure).to_jsonable()
         return LiCertificateTree(
             kind=KIND_HUCK_ROSE_BASE,
             lot=lot,
@@ -659,7 +646,6 @@ def _decide(lot: Lot) -> LiCertificateTree:
             conclusion={"locally_indicable": "certified"},
         )
 
-    sub = maximal_proper_sub_lot(lot)
     quotient_lot, y = quotient(lot, sub)
     qprops = check_properties(quotient_lot)
     if not (qprops.injective and qprops.compressed and qprops.interior_reduced):
@@ -669,7 +655,7 @@ def _decide(lot: Lot) -> LiCertificateTree:
         )
 
     if not qprops.boundary_reduced:
-        part1, part2, x = _amalgam_split(lot, sub, quotient_lot, y)
+        part1, part2, x = _amalgam_split(lot, sub)
         child1 = _decide(reduce_lot(part1))
         child2 = _decide(reduce_lot(part2))
         certified = child1.certified and child2.certified
@@ -687,7 +673,7 @@ def _decide(lot: Lot) -> LiCertificateTree:
             conclusion={"locally_indicable": "certified" if certified else "unknown"},
         )
 
-    dr2_cert, _ = _seek_dr2_for_quotient(quotient_lot)
+    dr2_cert = _seek_dr2_for_quotient(quotient_lot)
     child = _decide(reduce_lot(sub))
     if dr2_cert is None:
         return _unknown(
@@ -751,7 +737,7 @@ def _verify_node(tree: LiCertificateTree, problems, path):
         if any(is_proper for _, is_proper in enumerate_sub_lots(lot)):
             problem("HUCK_ROSE_BASE trigger violated: a proper sub-LOT exists")
         epsilon = {g: (1 if s == "+" else -1) for g, s in tree.evidence["epsilon"].items()}
-        K = lot_complex(lot)
+        K = lot.complex
         structure = _bi_forest(K.links[BASE_VERTEX], epsilon)
         if structure is None:
             problem("recorded orientation does not give two forests")
@@ -782,7 +768,7 @@ def _verify_node(tree: LiCertificateTree, problems, path):
             ok, cert_problems = verify_dr2_certificate(cert)
             if not ok:
                 problem(f"embedded DR(2) certificate fails: {cert_problems}")
-            if cert.complex != lot_complex(qlot):
+            if cert.complex != qlot.complex:
                 problem("DR(2) certificate is not about the quotient complex")
             if len(tree.children) != 1:
                 problem("quotient step needs exactly one child")

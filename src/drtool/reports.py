@@ -30,7 +30,6 @@ from .lots import (
     bi_forest_orientation,
     check_properties,
     decide_locally_indicable,
-    lot_complex,
     reduce_lot_with_log,
 )
 from .parsing import (
@@ -64,7 +63,6 @@ class AnalyzeOptions:
     weights: object = None  # AngleAssignment, or a Fraction for a uniform assignment
     angles: ZeroOneAssignment = None
     max_faces: int = None
-    decide: bool = True
     timestamp: bool = False
 
 
@@ -146,7 +144,7 @@ def analyze_text(text, options: AnalyzeOptions = None, name=None) -> dict:
         canonical = serialize_lot(lot)
         reduced, log = reduce_lot_with_log(lot)
         props = check_properties(lot)
-        X = lot_complex(reduced)
+        X = reduced.complex
         weights = _resolve_weights(options.weights, X)
 
         angles = options.angles
@@ -160,7 +158,7 @@ def analyze_text(text, options: AnalyzeOptions = None, name=None) -> dict:
         attempts = _dr2_attempts(X, weights, angles, diagnostics)
 
         li_tree = None
-        if options.decide and lot.is_injective:
+        if lot.is_injective:
             tree = _attempt(diagnostics, "decide", decide_locally_indicable, lot)
             if tree is not None:
                 li_tree = tree.to_jsonable()

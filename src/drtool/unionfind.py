@@ -41,11 +41,12 @@ class UnionFind:
         return self.find(a) == self.find(b)
 
     def components(self):
-        """Partition as a dict root -> members, members in insertion order."""
+        """Partition as a tuple of classes, each a sorted tuple, ordered by
+        their smallest member; items must be mutually comparable."""
         comps = {}
         for item in self.parent:
             comps.setdefault(self.find(item), []).append(item)
-        return comps
+        return tuple(sorted(tuple(sorted(members)) for members in comps.values()))
 
 
 class RollbackUnionFind:

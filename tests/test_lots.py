@@ -23,10 +23,12 @@ from drtool import (
     verify_li_tree,
     zero_one_from_biforest,
 )
-from drtool.certificates import check_dr2_zero_one
+from drtool import complexes, lots
+from drtool.certificates import CheckOutcome, check_dr2_zero_one
 from drtool.complexes import format_word
 from drtool.errors import (
     AmbiguousCollapseVertex,
+    InvariantViolation,
     NotInjective,
     NotSubLot,
 )
@@ -38,6 +40,7 @@ from drtool.lots import (
     KIND_SINGLE_VERTEX,
     KIND_UNKNOWN,
     LiCertificateTree,
+    _bi_forest,
     boundary_reducible_sub_lots,
     lot_from_jsonable,
     lot_to_jsonable,
@@ -151,18 +154,26 @@ def random_lot(rng, max_vertices=6):
     return build_lot(names, edges)
 
 
-def oracle_bi_forest(lot):
-    """Brute-force bi-forest search, independent of the library's link code.
-
-    The corners of the square ``s l t- l-`` are read off the LOT edge, and
-    each side's angle-0 subgraph is checked with its own union-find.
-    Returns (epsilon, side1 nodes, side2 nodes, side1 corners, side2
-    corners, angle table) for the first orientation, or None."""
+def lot_corners(lot):
+    """The link corners of the LOT complex read off the LOT edges, as
+    (corner key, (node, node)) pairs: the square ``s l t- l-`` of an edge
+    has its corners in that order."""
     corners = []
     for e in lot.edges:
         s, l, t = e.source, e.label, e.target
         ends = [((s, 1), (l, -1)), ((l, 1), (t, 1)), ((t, -1), (l, 1)), ((l, -1), (s, -1))]
         corners += [((e.id, i), pair) for i, pair in enumerate(ends)]
+    return corners
+
+
+def oracle_bi_forest(lot):
+    """Brute-force bi-forest search, independent of the library's link code.
+
+    The corners are read off the LOT (``lot_corners``), and each side's
+    angle-0 subgraph is checked with its own union-find.  Returns (epsilon,
+    side1 nodes, side2 nodes, side1 corners, side2 corners, angle table)
+    for the first orientation, or None."""
+    corners = lot_corners(lot)
     nodes = sorted((x, end) for x in lot.vertices for end in (1, -1))
     for signs in itertools.product((1, -1), repeat=len(lot.vertices)):
         epsilon = dict(zip(lot.vertices, signs))
@@ -181,7 +192,54 @@ def oracle_bi_forest(lot):
     return None
 
 
+def oracle_sub_lots(lot):
+    """Brute-force sub-LOTs as (vertices, edge ids, is_proper) rows in the
+    library's order: each edge subset is checked to be one tree with its own
+    union-find, and to carry its labels among its vertices."""
+    rows = []
+    m = len(lot.edges)
+    for mask in range(1, 1 << m):
+        chosen = [e for i, e in enumerate(lot.edges) if mask >> i & 1]
+        spanned = sorted({v for e in chosen for v in (e.source, e.target)})
+        uf = UnionFind(spanned)
+        if not all(uf.union(e.source, e.target) for e in chosen) or uf.count != 1:
+            continue
+        if all(e.label in spanned for e in chosen):
+            rows.append((tuple(spanned), tuple(e.id for e in chosen), len(chosen) != m))
+    rows.sort(key=lambda row: (len(row[1]), row[0], row[1]))
+    return rows
+
+
+def oracle_maximal_proper(rows):
+    """The proper row whose edge set lies in no other proper row's, with the
+    smallest vertex tuple; None without a proper row."""
+    proper = [row for row in rows if row[2]]
+    maximal = [
+        row for row in proper
+        if not any(set(row[1]) < set(other[1]) for other in proper)
+    ]
+    return min(maximal, key=lambda row: row[0], default=None)
+
+
 class TestSubLots:
+    def test_enumeration_matches_brute_force_oracle(self):
+        rng = random.Random(909)
+        proper_seen = 0
+        for _ in range(100):
+            lot = random_lot(rng, max_vertices=8)
+            for candidate in (lot, reduce_lot(lot)):
+                rows = oracle_sub_lots(candidate)
+                subs = enumerate_sub_lots(candidate)
+                assert [(s.vertices, tuple(edge_ids(s)), p) for s, p in subs] == rows
+                expected = oracle_maximal_proper(rows)
+                maximal = maximal_proper_sub_lot(candidate)
+                if expected is None:
+                    assert maximal is None
+                else:
+                    proper_seen += 1
+                    assert (maximal.vertices, tuple(edge_ids(maximal))) == expected[:2]
+        assert proper_seen > 20
+
     def test_trefoil_has_no_proper_sub_lot(self):
         subs = enumerate_sub_lots(make_trefoil())
         assert [(edge_ids(s), p) for s, p in subs] == [(["e1", "e2"], False)]
@@ -273,24 +331,25 @@ class TestBiForest:
             assert bi_forest_orientation(lot) is None
 
     def test_every_square_gets_two_zero_corners(self):
-        import itertools
-
         rng = random.Random(17)
         for _ in range(20):
             lot = random_lot(rng)
             if not lot.edges:
                 continue
-            K = lot_complex(lot)
+            corners = lot_corners(lot)
+            link = lot_complex(lot).links[BASE_VERTEX]
+            assert [(c.key, c.nodes) for c in link.corners] == corners
             for signs in itertools.product((1, -1), repeat=len(lot.vertices)):
                 epsilon = dict(zip(lot.vertices, signs))
-                from drtool.lots import zero_one_assignment_from_epsilon
-
-                w01 = zero_one_assignment_from_epsilon(lot, epsilon)
-                for cell in K.cells:
-                    zeros = sum(
-                        1 for i in range(4) if w01.weight((cell.id, i)) == 0
-                    )
-                    assert zeros == 2
+                table = {
+                    key: int(epsilon[a[0]] * a[1] != epsilon[b[0]] * b[1])
+                    for key, (a, b) in corners
+                }
+                for e in lot.edges:
+                    assert sum(1 for i in range(4) if table[(e.id, i)] == 0) == 2
+                structure = _bi_forest(link, epsilon)
+                if structure is not None:
+                    assert dict(structure.assignment.items()) == table
 
     def test_search_matches_brute_force_oracle(self):
         rng = random.Random(2026)
@@ -368,6 +427,38 @@ class TestDecide:
         lot = build_lot("abc", [("e1", "a", "b", "c"), ("e2", "b", "c", "c")])
         with pytest.raises(NotInjective):
             decide_locally_indicable(lot)
+
+    @pytest.mark.parametrize("make, links", [(make_trefoil, 1), (make_w5, 2), (make_chain6, 2)])
+    def test_one_link_per_lot_node(self, monkeypatch, make, links):
+        # a base node needs the complex of its own LOT, a quotient step that
+        # of its quotient; each is built, with its link, once
+        built = []
+        original = complexes.link_graph
+        monkeypatch.setattr(complexes, "link_graph",
+                            lambda X, v: built.append(X) or original(X, v))
+        tree = decide_locally_indicable(make())
+
+        def lot_nodes(node):
+            own = {KIND_HUCK_ROSE_BASE: 1, KIND_QUOTIENT_STEP: 1}.get(node.kind, 0)
+            return own + sum(lot_nodes(child) for child in node.children)
+
+        assert len(built) == lot_nodes(tree) == links
+
+    def test_quotient_bi_forest_failing_zero_one_is_an_invariant_violation(self, monkeypatch):
+        # the first zero/one check of w5 is its quotient's; it must not fall
+        # back to C(4)-T(4)
+        calls = []
+
+        def fail_first(X, omega01):
+            calls.append(X)
+            if len(calls) == 1:
+                return CheckOutcome(witness={"reason": "forced"})
+            return check_dr2_zero_one(X, omega01)
+
+        monkeypatch.setattr(lots, "check_dr2_zero_one", fail_first)
+        with pytest.raises(InvariantViolation, match="forced"):
+            decide_locally_indicable(make_w5())
+        assert len(calls) == 1
 
     def test_deterministic(self):
         t1 = decide_locally_indicable(make_chain6()).to_jsonable()
