@@ -8,7 +8,7 @@ import os
 
 from .errors import InvalidSearchCap
 
-BI_FOREST_CAP = 25  # generators; the search is exhaustive over 2^n signs
+BI_FOREST_CAP = 25  # generators; backtracks over up to 2^n signs, pruning cycles
 ZERO_ONE_CAP = 24  # corners; exhaustive over 2^n angles with pruning
 DIAGRAM_FACE_CAP = 8  # faces per spherical diagram in the gluing search
 

@@ -41,7 +41,7 @@ from .lots import (
     decide_locally_indicable,
     verify_li_tree,
 )
-from .parsing import parse_lot, parse_presentation
+from .parsing import parse_lot, parse_presentation, read_text
 from .reports import (
     AnalyzeOptions,
     analyze,
@@ -53,8 +53,13 @@ from .reports import (
 from .version import VERSION
 
 
-def _read(path):
-    return Path(path).read_text(encoding="utf-8")
+def _decode(what, build, data):
+    """``build(data)`` on JSON read from a file: a value of the wrong shape
+    is an input error, reported in one line like any other."""
+    try:
+        return build(data)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{what} has the wrong shape: {type(exc).__name__}: {exc}") from None
 
 
 def _emit(data, json_mode, out=None):
@@ -93,13 +98,15 @@ def _load_weights(value, X):
         return AngleAssignment.uniform(X, parse_weight_value(value))
     except ValueError:
         pass
-    data = json.loads(_read(value))
-    return AngleAssignment.from_jsonable(data)
+    return _load_weight_file(value)
+
+
+def _load_weight_file(path):
+    return _decode("weights", AngleAssignment.from_jsonable, json.loads(read_text(path)))
 
 
 def _load_angles(value):
-    data = json.loads(_read(value))
-    return ZeroOneAssignment.from_jsonable(data)
+    return _decode("angles", ZeroOneAssignment.from_jsonable, json.loads(read_text(value)))
 
 
 def _write_output(path, text):
@@ -107,7 +114,7 @@ def _write_output(path, text):
 
 
 def _cmd_lot_check(args):
-    lot = parse_lot(_read(args.path))
+    lot = parse_lot(read_text(args.path))
     props = check_properties(lot)
     result = {"properties": props.to_jsonable(), "is_tree": lot.is_tree}
     if args.huck_rose_hypothesis:
@@ -123,7 +130,7 @@ def _cmd_lot_check(args):
 
 
 def _cmd_lot_decide(args):
-    lot = parse_lot(_read(args.path))
+    lot = parse_lot(read_text(args.path))
     tree = decide_locally_indicable(lot)
     payload = tree.to_jsonable()
     if args.emit_cert:
@@ -137,7 +144,7 @@ def _cmd_lot_decide(args):
 
 
 def _complex_from_args(args):
-    return parse_presentation(_read(args.path))
+    return parse_presentation(read_text(args.path))
 
 
 def _cmd_complex_weighttest(args):
@@ -203,17 +210,17 @@ def _maybe_dot(args, X, angles):
 
 
 def _cmd_diagram_verify(args):
-    data = json.loads(_read(args.path))
-    S = sphere_from_jsonable(data)
-    dmap = diagram_map_from_jsonable(data)
-    X = parse_presentation(_read(args.complex))
+    data = json.loads(read_text(args.path))
+    S = _decode("diagram", sphere_from_jsonable, data)
+    dmap = _decode("diagram", diagram_map_from_jsonable, data)
+    X = parse_presentation(read_text(args.complex))
     report = check_diagram(S, dmap, X)
     _emit(report.to_jsonable(), args.json)
     return 0
 
 
 def _cmd_diagram_search(args):
-    X = parse_presentation(_read(args.path))
+    X = parse_presentation(read_text(args.path))
     found = search_reduced_diagram(X, args.max_faces)
     max_faces = face_cap() if args.max_faces is None else args.max_faces
     if found is None:
@@ -234,7 +241,7 @@ def _options_from_args(args):
         try:
             options.weights = parse_weight_value(args.weights)
         except ValueError:
-            options.weights = AngleAssignment.from_jsonable(json.loads(_read(args.weights)))
+            options.weights = _load_weight_file(args.weights)
     if getattr(args, "angles", None):
         options.angles = _load_angles(args.angles)
     if getattr(args, "max_faces", None) is not None:
@@ -297,13 +304,15 @@ def _cmd_corpus(args):
 
 
 def _cmd_verify_cert(args):
-    data = json.loads(_read(args.path))
-    fmt = data.get("format", "")
+    data = json.loads(read_text(args.path))
+    if not isinstance(data, dict):
+        raise ParseError(f"a certificate is a JSON object, not {type(data).__name__}")
+    fmt = str(data.get("format", ""))
     if fmt.startswith("dr2-certificate"):
-        cert = Dr2Certificate.from_jsonable(data)
+        cert = _decode("DR(2) certificate", Dr2Certificate.from_jsonable, data)
         ok, problems = verify_dr2_certificate(cert)
     elif fmt.startswith("li-certificate"):
-        tree = LiCertificateTree.from_jsonable(data)
+        tree = _decode("LI certificate", LiCertificateTree.from_jsonable, data)
         ok, problems = verify_li_tree(tree)
     else:
         raise ParseError(f"unknown certificate format {fmt!r}")

@@ -62,7 +62,7 @@ class CapExceeded(DrtoolError):
 
 
 class GeneratorCountExceedsSearchCap(CapExceeded):
-    """The bi-forest sign search is exhaustive over 2^n; n is capped."""
+    """The bi-forest sign search backtracks over up to 2^n signs; n is capped."""
 
 
 class InvalidSearchCap(DrtoolError):

@@ -34,7 +34,7 @@ from .errors import (
     NotInjective,
     NotSubLot,
 )
-from .unionfind import UnionFind
+from .unionfind import RollbackUnionFind, UnionFind
 
 BASE_VERTEX = "*"
 
@@ -358,16 +358,50 @@ def enumerate_sub_lots(lot: Lot):
     return out
 
 
+def _pruned_components(vertices, edges):
+    """The largest sub-LOTs among ``edges`` of a tree, as edge lists in the
+    order given.
+
+    Drop every edge whose label lies outside its component and repeat until
+    nothing is dropped.  A sub-LOT within ``edges`` keeps its labels inside
+    its own component, so none of its edges is ever dropped; every component
+    that keeps an edge carries all its labels, so it is a sub-LOT."""
+    while True:
+        uf = UnionFind(vertices)
+        for e in edges:
+            uf.union(e.source, e.target)
+        kept = [e for e in edges if uf.together(e.label, e.source)]
+        if len(kept) == len(edges):
+            break
+        edges = kept
+    components = {}
+    for e in edges:
+        components.setdefault(uf.find(e.source), []).append(e)
+    return components.values()
+
+
 def maximal_proper_sub_lot(lot: Lot):
     """A maximal proper sub-LOT, ties broken by the smallest vertex tuple;
-    None when there is no proper sub-LOT."""
-    proper = [(sub, frozenset(e.id for e in sub.edges))
-              for sub, is_proper in enumerate_sub_lots(lot) if is_proper]
-    return min(
-        (sub for sub, ids in proper if not any(ids < other for _, other in proper)),
-        key=lambda sub: sub.vertices,
-        default=None,
+    None when there is no proper sub-LOT.
+
+    A proper sub-LOT avoids some edge e, so it lies in one of the largest
+    sub-LOTs of the tree without e (``_pruned_components``); the maximal
+    proper sub-LOTs are the maximal ones among those, over every e.  Its
+    edges are in LOT order, as in ``enumerate_sub_lots``.
+    """
+    if not lot.is_tree:
+        raise NotATree("sub-LOT search requires a tree")
+    found = {}
+    for skip in lot.edges:
+        rest = [e for e in lot.edges if e is not skip]
+        for edges in _pruned_components(lot.vertices, rest):
+            found[frozenset(e.id for e in edges)] = edges
+    maximal = (
+        Lot(tuple(sorted({v for e in edges for v in (e.source, e.target)})), tuple(edges))
+        for ids, edges in found.items()
+        if not any(ids < other for other in found)
     )
+    return min(maximal, key=lambda sub: sub.vertices, default=None)
 
 
 def boundary_reducible_sub_lots(lot: Lot):
@@ -492,11 +526,46 @@ def _bi_forest(link, epsilon):
     )
 
 
+def _first_bi_forest_signs(link, generators):
+    """The first signs (lexicographic over ``generators``, ``+`` before
+    ``-``) under which the angle-0 corners of the link form a forest, or
+    None.
+
+    Backtracks over the generators with one rollback union-find: a corner is
+    added once both of its generators have a sign, and a branch ends as soon
+    as an angle-0 corner closes a cycle.  Signs s and -s give the same
+    angle-0 corners, so the first hit starts with ``+``, the only first sign
+    tried."""
+    position = {g: i for i, g in enumerate(generators)}
+    ready = [[] for _ in generators]  # corners by the later of their generators
+    for c in link.corners:
+        a, b = c.nodes
+        i, j = position[a.edge], position[b.edge]
+        ready[max(i, j)].append((i, a.end, j, b.end, a, b))
+    signs = [1] * len(generators)
+    uf = RollbackUnionFind(link.nodes)
+
+    def extend(level):
+        if level == len(generators):
+            return True
+        for sign in (1, -1) if level else (1,):
+            signs[level] = sign
+            mark = uf.mark()
+            if all(signs[i] * end_a != signs[j] * end_b or uf.union(a, b)
+                   for i, end_a, j, end_b, a, b in ready[level]) and extend(level + 1):
+                return True
+            uf.rollback(mark)
+        return False
+
+    return dict(zip(generators, signs)) if extend(0) else None
+
+
 def bi_forest_orientation(lot: Lot, cap=None):
     """First orientation choice (lexicographic over sorted generators, ``+``
     before ``-``) whose two spanned link subgraphs are both forests, or None.
 
-    Exhaustive over the 2^n sign choices with union-find forest checks.
+    Found by ``_first_bi_forest_signs``, a backtracking search that prunes
+    each sign prefix whose angle-0 corners already close a cycle.
     """
     if cap is None:
         cap = caps.search_cap(caps.BI_FOREST_CAP)
@@ -509,11 +578,8 @@ def bi_forest_orientation(lot: Lot, cap=None):
             f"{len(generators)} generators exceeds the bi-forest search cap {cap}"
         )
     link = lot.complex.links[BASE_VERTEX]
-    for signs in itertools.product((1, -1), repeat=len(generators)):
-        structure = _bi_forest(link, dict(zip(generators, signs)))
-        if structure is not None:
-            return structure
-    return None
+    epsilon = _first_bi_forest_signs(link, generators)
+    return None if epsilon is None else _bi_forest(link, epsilon)
 
 
 def _zero_one_certificate(lot: Lot, structure: BiForestStructure) -> Dr2Certificate:
@@ -734,7 +800,7 @@ def _verify_node(tree: LiCertificateTree, problems, path):
         if not tree.certified:
             problem("single vertex concludes local indicability")
     elif tree.kind == KIND_HUCK_ROSE_BASE:
-        if any(is_proper for _, is_proper in enumerate_sub_lots(lot)):
+        if maximal_proper_sub_lot(lot) is not None:
             problem("HUCK_ROSE_BASE trigger violated: a proper sub-LOT exists")
         epsilon = {g: (1 if s == "+" else -1) for g, s in tree.evidence["epsilon"].items()}
         K = lot.complex

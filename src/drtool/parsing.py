@@ -24,6 +24,16 @@ from .errors import ComplexError, ParseError
 from .lots import Lot, build_lot
 
 
+def read_text(path) -> str:
+    """The text of the file at ``path``; bytes that are not UTF-8 are a
+    ParseError, like any other malformed input."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def _logical_lines(text):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

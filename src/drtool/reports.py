@@ -10,6 +10,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from .lots import (
 from .parsing import (
     parse_lot,
     parse_presentation,
+    read_text,
     serialize_lot,
     serialize_presentation,
     sniff_kind,
@@ -219,11 +221,7 @@ def analyze_text(text, options: AnalyzeOptions = None, name=None) -> dict:
 
 
 def analyze(path, options: AnalyzeOptions = None) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    import os
-
-    return analyze_text(text, options, name=os.path.basename(path))
+    return analyze_text(read_text(path), options, name=os.path.basename(path))
 
 
 # ---------------------------------------------------------------------------

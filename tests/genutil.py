@@ -280,6 +280,32 @@ def tree_shapes(n):
     return shapes
 
 
+def random_reduced_injective_lot(rng, n):
+    """A random reduced injective LOT on ``n >= 3`` vertices, by rejection:
+    a random tree with a random injective labeling, kept once it is
+    compressed and boundary reduced (injective LOTs are interior reduced)."""
+    names = [chr(ord("a") + i) for i in range(n)]
+    while True:
+        ends = []
+        for i in range(1, n):
+            other = rng.randrange(i)
+            ends.append((i, other) if rng.random() < 0.5 else (other, i))
+        labels = rng.sample(range(n), n - 1)
+        if any(label in pair for label, pair in zip(labels, ends)):
+            continue  # not compressed
+        degree = [0] * n
+        for u, v in ends:
+            degree[u] += 1
+            degree[v] += 1
+        if any(degree[v] == 1 and v not in labels for v in range(n)):
+            continue  # not boundary reduced
+        return build_lot(
+            names,
+            [(f"e{i + 1}", names[s], names[t], names[l])
+             for i, ((s, t), l) in enumerate(zip(ends, labels))],
+        )
+
+
 def reduced_injective_lots(max_vertices=6):
     """All reduced injective LOTs with at most ``max_vertices`` vertices,
     one per isomorphism class.

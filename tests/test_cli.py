@@ -7,10 +7,11 @@ from pathlib import Path
 import pytest
 
 import drtool
+from drtool import decide_locally_indicable
 from drtool.cli import main
 from drtool.reports import AnalyzeOptions, analyze, canonical_json
 
-from conftest import CORPUS, FIXTURES
+from conftest import CORPUS, FIXTURES, fixture_text, make_w5
 
 
 # The directory holding the drtool package this process imported, so the
@@ -35,6 +36,15 @@ def run_cli(*args, env=None):
         text=True,
         env=child_env,
     )
+
+
+def assert_one_error_line(result, start="error: "):
+    assert result.returncode == 1
+    assert result.stderr.startswith(start)
+    assert result.stderr.count("\n") == 1
+
+
+NOT_UTF8 = b"lot\nvertex a b\xff\n"
 
 
 def test_lot_check_json(capsys):
@@ -186,9 +196,7 @@ def test_search_cap_env_override():
 def test_non_integer_search_cap_is_an_input_error():
     args = ("diagram", "search", str(CORPUS / "m2.pres"), "--max-faces", "2")
     result = run_cli(*args, env={"DRTOOL_SEARCH_CAP": "abc"})
-    assert result.returncode == 1
-    assert result.stderr.startswith("error: DRTOOL_SEARCH_CAP must be an integer")
-    assert result.stderr.count("\n") == 1
+    assert_one_error_line(result, "error: DRTOOL_SEARCH_CAP must be an integer")
 
 
 @pytest.mark.parametrize("argv", [["analyze", str(CORPUS / "trefoil.lot")],
@@ -199,3 +207,41 @@ def test_non_integer_search_cap_fails_the_whole_analysis(argv, monkeypatch, caps
     monkeypatch.setenv("DRTOOL_SEARCH_CAP", "abc")
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: DRTOOL_SEARCH_CAP")
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["lot", "decide"]])
+def test_text_that_is_not_utf8_is_an_input_error(tmp_path, command):
+    bad = tmp_path / "bad.lot"
+    bad.write_bytes(NOT_UTF8)
+    assert_one_error_line(run_cli(*command, str(bad)), "error: not UTF-8 text")
+
+
+def test_corpus_reports_a_file_that_is_not_utf8_and_goes_on(tmp_path):
+    (tmp_path / "bad.lot").write_bytes(NOT_UTF8)
+    (tmp_path / "trefoil.lot").write_text(fixture_text("trefoil.lot"), encoding="utf-8")
+    result = run_cli("corpus", str(tmp_path), "--json")
+    assert result.returncode == 0
+    data = json.loads(result.stdout)
+    assert data["summary"]["files"] == 2
+    assert data["summary"]["parse_errors"] == 1
+    assert data["reports"]["bad.lot"]["error"].startswith("ParseError: not UTF-8 text")
+    assert data["summary"]["local_indicability"]["certified"] == 1
+
+
+def li_certificate_without_lot():
+    data = decide_locally_indicable(make_w5()).to_jsonable()
+    data["lot"] = None
+    return data
+
+
+# each case builds its JSON when it runs, under the built-in search caps
+@pytest.mark.parametrize("command, make_data", [
+    (["verify-cert"], lambda: [1, 2]),
+    (["verify-cert"], lambda: {"format": "li-certificate/1"}),
+    (["verify-cert"], li_certificate_without_lot),
+    (["diagram", "verify", "--complex", str(CORPUS / "torus.pres")], lambda: {"faces": 1}),
+], ids=["not-an-object", "li-without-kind", "li-lot-null", "diagram-faces-int"])
+def test_json_of_the_wrong_shape_is_an_input_error(tmp_path, command, make_data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(make_data()), encoding="utf-8")
+    assert_one_error_line(run_cli(*command, str(path)))

@@ -48,6 +48,7 @@ from drtool.lots import (
 from drtool.unionfind import UnionFind
 
 from conftest import make_chain6, make_trefoil, make_w5
+from genutil import random_reduced_injective_lot, tree_shapes
 
 
 def edge_ids(lot):
@@ -210,6 +211,44 @@ def oracle_sub_lots(lot):
     return rows
 
 
+def injective_lots(n):
+    """Every injective LOT on the first ``n`` letters whose tree is one of
+    the ``tree_shapes(n)``: each orientation and each injective labeling,
+    reduced or not."""
+    names = [chr(ord("a") + i) for i in range(n)]
+    for shape in tree_shapes(n):
+        for flips in itertools.product((False, True), repeat=n - 1):
+            ends = [(v, u) if flip else (u, v) for (u, v), flip in zip(shape, flips)]
+            for labels in itertools.permutations(range(n), n - 1):
+                yield build_lot(names, [
+                    (f"e{i + 1}", names[s], names[t], names[l])
+                    for i, ((s, t), l) in enumerate(zip(ends, labels))
+                ])
+
+
+def sign_scan(lot):
+    """The first bi-forest of the 2^n sign vectors in ``itertools.product``
+    order, each checked by ``_bi_forest``; None when there is none."""
+    link = lot_complex(lot).links[BASE_VERTEX]
+    for signs in itertools.product((1, -1), repeat=len(lot.vertices)):
+        structure = _bi_forest(link, dict(zip(lot.vertices, signs)))
+        if structure is not None:
+            return structure
+    return None
+
+
+def bi_forest_quietly(lot):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # most of these LOTs are not reduced
+        return bi_forest_orientation(lot)
+
+
+def maximal_row(lot):
+    """``maximal_proper_sub_lot`` as a (vertices, edge ids) row, or None."""
+    sub = maximal_proper_sub_lot(lot)
+    return None if sub is None else (sub.vertices, tuple(edge_ids(sub)))
+
+
 def oracle_maximal_proper(rows):
     """The proper row whose edge set lies in no other proper row's, with the
     smallest vertex tuple; None without a proper row."""
@@ -239,6 +278,30 @@ class TestSubLots:
                     proper_seen += 1
                     assert (maximal.vertices, tuple(edge_ids(maximal))) == expected[:2]
         assert proper_seen > 20
+
+    def test_maximal_matches_enumeration_at_decide_sizes(self):
+        rng = random.Random(1113)
+        found = 0
+        for k in range(30):
+            lot = random_reduced_injective_lot(rng, 9 + k % 5)
+            rows = [(sub.vertices, tuple(edge_ids(sub)), is_proper)
+                    for sub, is_proper in enumerate_sub_lots(lot)]
+            expected = oracle_maximal_proper(rows)
+            assert maximal_row(lot) == (expected and expected[:2])
+            found += expected is not None
+        assert 0 < found < 30
+
+    def test_every_small_injective_lot(self):
+        # the small-LOT sweep runs thousands of 3- and 4-vertex LOTs
+        count = 0
+        for lot in itertools.chain(injective_lots(3), injective_lots(4)):
+            expected = oracle_maximal_proper(oracle_sub_lots(lot))
+            assert maximal_row(lot) == (expected and expected[:2])
+            bf = bi_forest_quietly(lot)
+            expected_bf = oracle_bi_forest(lot)
+            assert (bf and bf.epsilon) == (expected_bf and expected_bf[0])
+            count += 1
+        assert count == 24 + 384
 
     def test_trefoil_has_no_proper_sub_lot(self):
         subs = enumerate_sub_lots(make_trefoil())
@@ -356,9 +419,7 @@ class TestBiForest:
         found = 0
         for _ in range(150):
             lot = random_lot(rng)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # most random LOTs are not reduced
-                bf = bi_forest_orientation(lot)
+            bf = bi_forest_quietly(lot)
             expected = oracle_bi_forest(lot)
             if expected is None:
                 assert bf is None
@@ -370,6 +431,21 @@ class TestBiForest:
             assert bf.lambda1_corners == corners1 and bf.lambda2_corners == corners2
             assert dict(bf.assignment.items()) == table
         assert 0 < found < 150
+
+    def test_search_matches_sign_scan_up_to_12_generators(self):
+        rng = random.Random(4242)
+        lots_ = [random_reduced_injective_lot(rng, 6 + k % 7) for k in range(35)]
+        lots_ += [random_lot(rng, max_vertices=12) for _ in range(10)]
+        missing = 0
+        for lot in lots_:
+            expected = sign_scan(lot)
+            bf = bi_forest_quietly(lot)
+            if expected is None:
+                assert bf is None
+                missing += 1
+            else:
+                assert bf.to_jsonable() == expected.to_jsonable()
+        assert 0 < missing < len(lots_)
 
     def test_zero_one_from_biforest_passes_everything(self):
         lot = make_trefoil()
@@ -481,6 +557,28 @@ class TestDecide:
         ok, problems = verify_li_tree(LiCertificateTree.from_jsonable(data))
         assert not ok
         assert problems == ["root: recorded orientation does not give two forests"]
+
+    @pytest.mark.parametrize("make", [make_w5, make_chain6])
+    def test_verifier_rejects_base_node_with_a_proper_sub_lot(self, make):
+        # a HUCK_ROSE_BASE node forged on a LOT that has a proper sub-LOT
+        lot = make()
+        evidence = dict(decide_locally_indicable(make_trefoil()).evidence)
+        evidence["epsilon"] = {g: "+" for g in lot.vertices}
+        structure = bi_forest_orientation(lot)
+        if structure is not None:  # w5: evidence right in all but the trigger
+            evidence.update(structure.to_jsonable())
+            evidence["dr2_certificate"] = lots._zero_one_certificate(lot, structure).to_jsonable()
+        forged = LiCertificateTree(
+            kind=KIND_HUCK_ROSE_BASE,
+            lot=lot,
+            evidence=evidence,
+            conclusion={"locally_indicable": "certified"},
+        )
+        ok, problems = verify_li_tree(forged)
+        trigger = "root: HUCK_ROSE_BASE trigger violated: a proper sub-LOT exists"
+        assert not ok and trigger in problems
+        if structure is not None:
+            assert problems == [trigger]
 
     def test_unknown_never_claims(self):
         # an injective LOT that is reduced but has no bi-forest split would be
