@@ -1,7 +1,7 @@
 """Hard caps for the bounded exhaustive searches.
 
 ``DRTOOL_SEARCH_CAP`` overrides every cap at once.  Each search reads it
-when it is called, unless the call passes an explicit cap.
+when it is called.
 """
 
 import os

@@ -32,7 +32,13 @@ from .curvature import (
     min_reduced_path,
     weight_test,
 )
-from .errors import MultiVertexError, NonReducedRelator
+from .errors import (
+    _WRONG_SHAPE,
+    DrtoolError,
+    InvariantViolation,
+    MultiVertexError,
+    NonReducedRelator,
+)
 
 METHOD_WEIGHTED = "WEIGHTED"
 METHOD_ZERO_ONE = "ZERO_ONE"
@@ -424,8 +430,21 @@ def check_dr2_c4t4(X: TwoComplex) -> CheckOutcome:
 
 
 def verify_dr2_certificate(cert: Dr2Certificate):
-    """Re-derive the certificate's hypothesis conditions; returns (ok, problems)."""
+    """Re-derive the certificate's hypothesis conditions; returns (ok, problems).
+
+    A hypothesis that is missing, of the wrong type or that the
+    re-derivation refuses is a problem."""
     problems = []
+    try:
+        _check_dr2_hypotheses(cert, problems)
+    except InvariantViolation:
+        raise
+    except (DrtoolError, *_WRONG_SHAPE) as exc:
+        problems.append(f"hypotheses do not re-check: {type(exc).__name__}: {exc}")
+    return (not problems), problems
+
+
+def _check_dr2_hypotheses(cert: Dr2Certificate, problems):
     X = cert.complex
     if cert.method == METHOD_WEIGHTED:
         omega = AngleAssignment.from_jsonable(cert.hypotheses["weights"])
@@ -458,4 +477,3 @@ def verify_dr2_certificate(cert: Dr2Certificate):
         problems.append(f"unknown certificate method {cert.method!r}")
     if not cert.conclusion.get("dr2"):
         problems.append("certificate does not claim dr2")
-    return (not problems), problems

@@ -33,7 +33,7 @@ from .diagrams import (
     search_reduced_diagram,
     sphere_from_jsonable,
 )
-from .errors import DrtoolError, InvalidSearchCap, InvariantViolation, ParseError
+from .errors import _WRONG_SHAPE, DrtoolError, InvalidSearchCap, InvariantViolation, ParseError
 from .lots import (
     LiCertificateTree,
     boundary_reducible_sub_lots,
@@ -58,7 +58,7 @@ def _decode(what, build, data):
     is an input error, reported in one line like any other."""
     try:
         return build(data)
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+    except _WRONG_SHAPE as exc:
         raise ParseError(f"{what} has the wrong shape: {type(exc).__name__}: {exc}") from None
 
 

@@ -161,10 +161,6 @@ class TwoComplex:
         that is not in the complex raises ComplexError."""
         return _Links((v, link_graph(self, v)) for v in self.vertices)
 
-    def letter_target(self, letter, emap=None):
-        e = (emap or self.edge_map())[letter.edge]
-        return e.target if letter.sign > 0 else e.source
-
 
 def build_complex(edges, cells, vertices=None) -> TwoComplex:
     """Validate raw data and build a TwoComplex.

@@ -452,16 +452,15 @@ def coloring_forests(X: TwoComplex, omega01: ZeroOneAssignment):
     return TestVerdict(True, None), forests
 
 
-def find_zero_one_structure(X: TwoComplex, cap=None):
+def find_zero_one_structure(X: TwoComplex):
     """Exhaustive search for a zero/one structure passing the coloring test.
 
     Backtracks over corners, pruning choices that break the forest condition,
     the per-cell curvature budget, or the component condition.  Refuses
-    complexes with more than ``cap`` corners (default: the zero/one search
-    cap); LOT complexes should use the dedicated bi-forest search instead.
+    complexes with more than the zero/one search cap of corners; LOT
+    complexes should use the dedicated bi-forest search instead.
     """
-    if cap is None:
-        cap = caps.search_cap(caps.ZERO_ONE_CAP)
+    cap = caps.search_cap(caps.ZERO_ONE_CAP)
     links = X.links
     corners = [(v, c) for v in X.vertices for c in links[v].corners]
     if len(corners) > cap:

@@ -121,21 +121,17 @@ def _paired_occurrences(S: SphereComplex):
     return pairs, None
 
 
-def _partner_table(S: SphereComplex, pairs):
-    partner = {}
-    for plus, minus in pairs.values():
-        partner[plus] = minus
-        partner[minus] = plus
-    return partner
-
-
-def _slot_orbits(S: SphereComplex, partner):
+def _slot_orbits(S: SphereComplex, pairs):
     """Orbits of corner slots under the rotation around sphere vertices.
 
     The slot after corner (f, p) is the corner of the partner of side
     (f, p + 1); orbits are the sphere vertices, listed in order of their
     smallest slot.
     """
+    partner = {}
+    for plus, minus in pairs.values():
+        partner[plus] = minus
+        partner[minus] = plus
     lengths = {f.id: len(f.word) for f in S.faces}
     slots = [(f.id, p) for f in S.faces for p in range(len(f.word))]
     nxt = {}
@@ -157,31 +153,37 @@ def _slot_orbits(S: SphereComplex, partner):
     return orbits
 
 
-def validate_sphere(S: SphereComplex) -> TestVerdict:
-    """Pass iff edges pair up with opposite signs, the gluing is connected,
-    and the Euler characteristic is 2."""
+def _check_sphere(S: SphereComplex):
+    """validate_sphere's verdict, and when it passes the side pairs
+    (edge -> (plus, minus)) and the vertex orbits; both None when it fails."""
     if not S.faces:
-        return TestVerdict(False, {"reason": "empty"})
+        return TestVerdict(False, {"reason": "empty"}), None, None
     ids = [f.id for f in S.faces]
     if len(set(ids)) != len(ids):
-        return TestVerdict(False, {"reason": "duplicate_face_id"})
+        return TestVerdict(False, {"reason": "duplicate_face_id"}), None, None
     pairs, witness = _paired_occurrences(S)
     if witness is not None:
-        return TestVerdict(False, witness)
+        return TestVerdict(False, witness), None, None
     uf = UnionFind(f.id for f in S.faces)
     for plus, minus in pairs.values():
         uf.union(plus[0], minus[0])
     if uf.count != 1:
-        return TestVerdict(False, {"reason": "disconnected", "components": uf.count})
-    partner = _partner_table(S, pairs)
-    orbits = _slot_orbits(S, partner)
+        return TestVerdict(False, {"reason": "disconnected", "components": uf.count}), None, None
+    orbits = _slot_orbits(S, pairs)
     V = len(orbits)
     E = len(pairs)
     F = len(S.faces)
     chi = V - E + F
     if chi != 2:
-        return TestVerdict(False, {"reason": "euler", "chi": chi, "V": V, "E": E, "F": F})
-    return TestVerdict(True, None, notes={"V": V, "E": E, "F": F})
+        witness = {"reason": "euler", "chi": chi, "V": V, "E": E, "F": F}
+        return TestVerdict(False, witness), None, None
+    return TestVerdict(True, None, notes={"V": V, "E": E, "F": F}), pairs, orbits
+
+
+def validate_sphere(S: SphereComplex) -> TestVerdict:
+    """Pass iff edges pair up with opposite signs, the gluing is connected,
+    and the Euler characteristic is 2."""
+    return _check_sphere(S)[0]
 
 
 def sphere_to_complex(S: SphereComplex) -> TwoComplex:
@@ -189,8 +191,7 @@ def sphere_to_complex(S: SphereComplex) -> TwoComplex:
     pairs, witness = _paired_occurrences(S)
     if witness is not None:
         raise IllFormedMap(f"sphere is not glued coherently: {witness}")
-    partner = _partner_table(S, pairs)
-    orbits = _slot_orbits(S, partner)
+    orbits = _slot_orbits(S, pairs)
     slot_class = {}
     for i, orbit in enumerate(orbits):
         for slot in orbit:
@@ -213,27 +214,19 @@ def sphere_to_complex(S: SphereComplex) -> TwoComplex:
 # diagram maps
 
 
-def _expected_letter(cell_word, rotation, orientation, p):
-    m = len(cell_word)
-    if orientation > 0:
-        return cell_word[(rotation + p) % m]
-    return cell_word[m - 1 - (rotation + p) % m].inverse()
+def _side_position(m, rotation, orientation, p):
+    """Cell position of face side p, for a face mapped to a cell of boundary
+    length m: a positive face reads the cell word forwards from ``rotation``,
+    a negative one reads it backwards, inverting each letter."""
+    q = (rotation + p) % m
+    return q if orientation > 0 else m - 1 - q
 
 
-def _side_cell_position(cell_len, rotation, orientation, p):
-    if orientation > 0:
-        return (rotation + p) % cell_len
-    return cell_len - 1 - (rotation + p) % cell_len
-
-
-def _slot_corner_step(cellmap_entry, cell_word_len, p, corner_lookup):
-    """Image of the face corner at position p as a directed corner traversal."""
-    cell_id, rotation, orientation = cellmap_entry
-    if orientation > 0:
-        q = (rotation + p) % cell_word_len
-        return CornerStep(corner_lookup[(cell_id, q)], False)
-    q = (_side_cell_position(cell_word_len, rotation, orientation, p) - 1) % cell_word_len
-    return CornerStep(corner_lookup[(cell_id, q)], True)
+def _corner_position(m, rotation, orientation, p):
+    """Cell corner of face corner p, the corner between sides p and p + 1.
+    A negative face crosses it backwards, from side p + 1 to side p, so the
+    cell corner sits after side p + 1's position."""
+    return _side_position(m, rotation, orientation, p if orientation > 0 else p + 1)
 
 
 def check_diagram(S: SphereComplex, f: DiagramMap, X: TwoComplex) -> FoldingReport:
@@ -243,7 +236,7 @@ def check_diagram(S: SphereComplex, f: DiagramMap, X: TwoComplex) -> FoldingRepo
     boundary position with opposite orientations; matching positions rather
     than cells alone keeps the criterion correct for periodic relators.
     """
-    sphere_check = validate_sphere(S)
+    sphere_check, pairs, orbits = _check_sphere(S)
     if not sphere_check.passed:
         raise IllFormedMap(f"sphere validation failed: {sphere_check.witness}")
     cmap = X.cell_map()
@@ -251,8 +244,7 @@ def check_diagram(S: SphereComplex, f: DiagramMap, X: TwoComplex) -> FoldingRepo
     faces = S.face_map()
     if set(f.cellmap) != set(faces):
         raise IllFormedMap("cell map does not cover exactly the sphere faces")
-    occ = S.occurrences()
-    if set(f.labels) != set(occ):
+    if set(f.labels) != set(pairs):
         raise IllFormedMap("label map does not cover exactly the sphere edges")
 
     for fid, face in faces.items():
@@ -260,10 +252,11 @@ def check_diagram(S: SphereComplex, f: DiagramMap, X: TwoComplex) -> FoldingRepo
         if cell_id not in cmap:
             raise IllFormedMap(f"face {fid!r} maps to unknown cell {cell_id!r}")
         word = cmap[cell_id].word
-        if len(word) != len(face.word):
+        m = len(word)
+        if m != len(face.word):
             raise IllFormedMap(
                 f"face {fid!r} has {len(face.word)} sides but cell {cell_id!r} "
-                f"has boundary length {len(word)}"
+                f"has boundary length {m}"
             )
         if orientation not in (1, -1):
             raise IllFormedMap(f"face {fid!r} has orientation {orientation}, need +1 or -1")
@@ -271,7 +264,8 @@ def check_diagram(S: SphereComplex, f: DiagramMap, X: TwoComplex) -> FoldingRepo
             target_edge = f.labels.get(letter.edge)
             if target_edge not in emap:
                 raise IllFormedMap(f"sphere edge {letter.edge!r} labeled by unknown edge")
-            expected = _expected_letter(word, rotation, orientation, p)
+            cell_letter = word[_side_position(m, rotation, orientation, p)]
+            expected = Letter(cell_letter.edge, cell_letter.sign * orientation)
             got = Letter(target_edge, letter.sign)
             if got != expected:
                 raise IllFormedMap(
@@ -279,44 +273,25 @@ def check_diagram(S: SphereComplex, f: DiagramMap, X: TwoComplex) -> FoldingRepo
                     f"labeled {got}, cell expects {expected}"
                 )
 
-    pairs, _ = _paired_occurrences(S)
-    partner = _partner_table(S, pairs)
-    orbits = _slot_orbits(S, partner)
+    def cell_position(position, fid, p):
+        cell_id, rotation, orientation = f.cellmap[fid]
+        return cell_id, position(len(cmap[cell_id].word), rotation, orientation, p)
 
-    # vertex images: the junction vertex of the image corner, consistent per orbit
-    junction = {}
-    for cell in X.cells:
-        m = len(cell.word)
-        for i in range(m):
-            junction[(cell.id, i)] = X.letter_target(cell.word[i], emap)
-    corner_lookup = {}
-    image_vertex = {}
+    # each sphere vertex maps to one vertex of X, and its corners walk the
+    # link there: a negative face crosses its image corner backwards
+    link_corner = {c.key: (v, c) for v, G in X.links.items() for c in G.corners}
+    nonreduced = []
     for orbit_index, orbit in enumerate(orbits):
         images = set()
+        steps = []
         for fid, p in orbit:
-            cell_id, rotation, orientation = f.cellmap[fid]
-            m = len(cmap[cell_id].word)
-            if orientation > 0:
-                q = (rotation + p) % m
-            else:
-                q = (_side_cell_position(m, rotation, orientation, p) - 1) % m
-            images.add(junction[(cell_id, q)])
+            v, corner = link_corner[cell_position(_corner_position, fid, p)]
+            images.add(v)
+            steps.append(CornerStep(corner, f.cellmap[fid][2] < 0))
         if len(images) != 1:
             raise IllFormedMap(
                 f"sphere vertex v{orbit_index} has inconsistent images {sorted(images)}"
             )
-        image_vertex[orbit_index] = images.pop()
-
-    links = {v: {c.key: c for c in X.links[v].corners} for v in set(image_vertex.values())}
-
-    nonreduced = []
-    for orbit_index, orbit in enumerate(orbits):
-        lookup = links[image_vertex[orbit_index]]
-        steps = []
-        for fid, p in orbit:
-            cell_id, rotation, orientation = f.cellmap[fid]
-            m = len(cmap[cell_id].word)
-            steps.append(_slot_corner_step((cell_id, rotation, orientation), m, p, lookup))
         # cyclic backtrack check; a step never equals its own reverse, so a
         # single-corner orbit is reduced
         k = len(steps)
@@ -328,14 +303,8 @@ def check_diagram(S: SphereComplex, f: DiagramMap, X: TwoComplex) -> FoldingRepo
     folding = []
     for edge in sorted(pairs):
         (f1, p1), (f2, p2) = pairs[edge]
-        c1, r1, o1 = f.cellmap[f1]
-        c2, r2, o2 = f.cellmap[f2]
-        m1 = len(cmap[c1].word)
-        m2 = len(cmap[c2].word)
-        q1 = _side_cell_position(m1, r1, o1, p1)
-        q2 = _side_cell_position(m2, r2, o2, p2)
-        if c1 == c2 and q1 == q2:
-            if o1 == o2:
+        if cell_position(_side_position, f1, p1) == cell_position(_side_position, f2, p2):
+            if f.cellmap[f1][2] == f.cellmap[f2][2]:
                 raise InvariantViolation(
                     "folding edge with equal orientations; alignment bookkeeping broken"
                 )
@@ -388,10 +357,7 @@ def diagram_gauss_bonnet(S: SphereComplex, f: DiagramMap, X: TwoComplex,
         cell_id, rotation, orientation = f.cellmap[face.id]
         m = len(cmap[cell_id].word)
         for p in range(m):
-            if orientation > 0:
-                q = (rotation + p) % m
-            else:
-                q = (_side_cell_position(m, rotation, orientation, p) - 1) % m
+            q = _corner_position(m, rotation, orientation, p)
             table[(face.id, p)] = omega.weight((cell_id, q))
     sphere_complex = sphere_to_complex(S)
     report = check_gauss_bonnet(sphere_complex, AngleAssignment(table))
@@ -463,28 +429,20 @@ def _glue_faces(X, chosen, require_reduced, prune_isomorphs):
     side_face = []
     side_pos = []
     side_letter = []
+    side_cell_position = []  # (cell, position) each side maps to at rotation 0
     for i, t in enumerate(chosen):
         for p, letter in enumerate(t.sides):
             side_face.append(i)
             side_pos.append(p)
             side_letter.append(letter)
+            side_cell_position.append(
+                (t.cell, _side_position(lengths[i], 0, t.orientation, p))
+            )
     E = total // 2
     F = len(chosen)
     target_V = 2 - F + E
     if target_V < 1:
         return
-
-    def q_of(side):
-        i = side_face[side]
-        p = side_pos[side]
-        t = chosen[i]
-        return p if t.orientation > 0 else lengths[i] - 1 - p
-
-    def folds(a, b):
-        return (
-            chosen[side_face[a]].cell == chosen[side_face[b]].cell
-            and q_of(a) == q_of(b)
-        )
 
     partner = [None] * total
     uf = RollbackUnionFind(range(total))  # slots share the side indexing
@@ -529,7 +487,7 @@ def _glue_faces(X, chosen, require_reduced, prune_isomorphs):
                     continue
                 seen_types.add(key)
             plus, minus = (free, other) if letter.sign > 0 else (other, free)
-            if require_reduced and folds(plus, minus):
+            if require_reduced and side_cell_position[plus] == side_cell_position[minus]:
                 continue
             mark = uf.mark()
             partner[free] = other
@@ -588,11 +546,10 @@ def face_cap():
     return caps.search_cap(caps.DIAGRAM_FACE_CAP)
 
 
-def search_reduced_diagram(X: TwoComplex, max_faces=None, prune_isomorphs=True, cap=None):
+def search_reduced_diagram(X: TwoComplex, max_faces=None, prune_isomorphs=True):
     """First reduced spherical diagram over X with at most ``max_faces``
     faces (default: the cap), or None.  A bounded falsification oracle for DR."""
-    if cap is None:
-        cap = face_cap()
+    cap = face_cap()
     if max_faces is None:
         max_faces = cap
     if max_faces > cap:

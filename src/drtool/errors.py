@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+# What reading a field of a JSON value of the wrong shape raises.
+_WRONG_SHAPE = (AttributeError, IndexError, KeyError, TypeError, ValueError)
+
 
 class DrtoolError(Exception):
     """Base class for conditions this package raises deliberately."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -26,8 +27,10 @@ from .certificates import (
 from .complexes import Letter, TwoComplex, build_complex
 from .curvature import ZeroOneAssignment
 from .errors import (
+    _WRONG_SHAPE,
     AmbiguousCollapseVertex,
     ComplexError,
+    DrtoolError,
     GeneratorCountExceedsSearchCap,
     InvariantViolation,
     NotATree,
@@ -58,11 +61,6 @@ class LotEdge(NamedTuple):
 class Lot:
     vertices: tuple
     edges: tuple
-
-    def degree(self, v):
-        return sum(1 for e in self.edges if e.source == v) + sum(
-            1 for e in self.edges if e.target == v
-        )
 
     @property
     def labels(self):
@@ -178,31 +176,19 @@ class LotProperties:
 
 def check_properties(lot: Lot) -> LotProperties:
     witnesses = {}
-    label_set = set(lot.labels)
 
-    bad_boundary = [
-        v for v in lot.vertices if lot.degree(v) == 1 and v not in label_set
-    ]
+    bad_boundary = list(_boundary_vertices(lot))
     if bad_boundary:
         witnesses["boundary"] = bad_boundary
 
-    interior = []
-    for v in lot.vertices:
-        for side in ("source", "target"):
-            seen = {}
-            for e in lot.edges:
-                if getattr(e, side) == v:
-                    if e.label in seen:
-                        interior.append(
-                            {"vertex": v, "side": side, "label": e.label,
-                             "edges": [seen[e.label], e.id]}
-                        )
-                    else:
-                        seen[e.label] = e.id
+    interior = [
+        {"vertex": v, "side": side, "label": e.label, "edges": [first.id, e.id]}
+        for v, side, first, e in _interior_pairs(lot)
+    ]
     if interior:
         witnesses["interior"] = interior
 
-    uncompressed = [e.id for e in lot.edges if e.label in (e.source, e.target)]
+    uncompressed = [e.id for e in _uncompressed_edges(lot)]
     if uncompressed:
         witnesses["compressed"] = uncompressed
 
@@ -243,42 +229,67 @@ def _drop_edge(lot: Lot, eid, drop_vertex=None) -> Lot:
     return Lot(vertices, edges)
 
 
-def _find_compression(lot: Lot):
-    for e in lot.edges:
-        if e.label == e.source:
-            return {"move": "compression", "edge": e.id, "merged": e.target, "into": e.source}
-        if e.label == e.target:
-            return {"move": "compression", "edge": e.id, "merged": e.source, "into": e.target}
-    return None
+# Each reduction rule lists the places it applies, in a fixed order:
+# check_properties reports all of them, the reduction takes the first.
 
 
-def _find_interior(lot: Lot):
+def _uncompressed_edges(lot: Lot):
+    """Edges labeled by one of their own ends; compression contracts them."""
+    return (e for e in lot.edges if e.label == e.source or e.label == e.target)
+
+
+def _interior_pairs(lot: Lot):
+    """(vertex, side, first edge, later edge) for each edge that meets a
+    vertex on the same side as an earlier edge with the same label; an
+    interior reduction folds the later edge onto the first."""
     for v in lot.vertices:
-        for side, other in (("source", "target"), ("target", "source")):
+        for side in ("source", "target"):
             seen = {}
             for e in lot.edges:
                 if getattr(e, side) == v:
                     if e.label in seen:
-                        first = seen[e.label]
-                        return {
-                            "move": "interior",
-                            "kept_edge": first.id,
-                            "removed_edge": e.id,
-                            "merged": getattr(e, other),
-                            "into": getattr(first, other),
-                            "side": side,
-                        }
-                    seen[e.label] = e
-    return None
+                        yield v, side, seen[e.label], e
+                    else:
+                        seen[e.label] = e
+
+
+def _boundary_vertices(lot: Lot):
+    """Leaves that label no edge; a boundary reduction deletes them."""
+    degree = Counter(v for e in lot.edges for v in (e.source, e.target))
+    labels = set(lot.labels)
+    return (v for v in lot.vertices if degree[v] == 1 and v not in labels)
+
+
+def _find_compression(lot: Lot):
+    e = next(_uncompressed_edges(lot), None)
+    if e is None:
+        return None
+    merged, into = (e.target, e.source) if e.label == e.source else (e.source, e.target)
+    return {"move": "compression", "edge": e.id, "merged": merged, "into": into}
+
+
+def _find_interior(lot: Lot):
+    hit = next(_interior_pairs(lot), None)
+    if hit is None:
+        return None
+    _, side, first, e = hit
+    other = "target" if side == "source" else "source"
+    return {
+        "move": "interior",
+        "kept_edge": first.id,
+        "removed_edge": e.id,
+        "merged": getattr(e, other),
+        "into": getattr(first, other),
+        "side": side,
+    }
 
 
 def _find_boundary(lot: Lot):
-    label_set = set(lot.labels)
-    for v in lot.vertices:
-        if lot.degree(v) == 1 and v not in label_set:
-            e = next(e for e in lot.edges if v in (e.source, e.target))
-            return {"move": "boundary", "edge": e.id, "vertex": v}
-    return None
+    v = next(_boundary_vertices(lot), None)
+    if v is None:
+        return None
+    e = next(e for e in lot.edges if v in (e.source, e.target))
+    return {"move": "boundary", "edge": e.id, "vertex": v}
 
 
 def apply_move(lot: Lot, move) -> Lot:
@@ -560,15 +571,14 @@ def _first_bi_forest_signs(link, generators):
     return dict(zip(generators, signs)) if extend(0) else None
 
 
-def bi_forest_orientation(lot: Lot, cap=None):
+def bi_forest_orientation(lot: Lot):
     """First orientation choice (lexicographic over sorted generators, ``+``
     before ``-``) whose two spanned link subgraphs are both forests, or None.
 
     Found by ``_first_bi_forest_signs``, a backtracking search that prunes
     each sign prefix whose angle-0 corners already close a cycle.
     """
-    if cap is None:
-        cap = caps.search_cap(caps.BI_FOREST_CAP)
+    cap = caps.search_cap(caps.BI_FOREST_CAP)
     props = check_properties(lot)
     if not (props.reduced and props.injective):
         warnings.warn("bi-forest search on a LOT that is not reduced injective", stacklevel=2)
@@ -786,12 +796,26 @@ def decide_locally_indicable(lot: Lot) -> LiCertificateTree:
 
 
 def _verify_node(tree: LiCertificateTree, problems, path):
-    lot = tree.lot
     where = "/".join(path) or "root"
 
     def problem(msg):
         problems.append(f"{where}: {msg}")
 
+    try:
+        _check_node(tree, problem)
+    except InvariantViolation:
+        raise
+    except (DrtoolError, *_WRONG_SHAPE) as exc:
+        problem(f"evidence does not re-check: {type(exc).__name__}: {exc}")
+
+    for i, child in enumerate(tree.children):
+        _verify_node(child, problems, path + [f"{str(tree.kind).lower()}[{i}]"])
+
+
+def _check_node(tree: LiCertificateTree, problem):
+    """Re-derive one node's evidence, reporting each failed check through
+    ``problem``.  A missing or ill-typed field raises."""
+    lot = tree.lot
     child_certified = all(c.certified for c in tree.children)
 
     if tree.kind == KIND_SINGLE_VERTEX:
@@ -872,12 +896,12 @@ def _verify_node(tree: LiCertificateTree, problems, path):
     else:
         problem(f"unknown node kind {tree.kind!r}")
 
-    for i, child in enumerate(tree.children):
-        _verify_node(child, problems, path + [f"{tree.kind.lower()}[{i}]"])
-
 
 def verify_li_tree(tree: LiCertificateTree):
-    """Re-check every node of a certificate tree; returns (ok, problems)."""
+    """Re-check every node of a certificate tree; returns (ok, problems).
+
+    Evidence that is missing, of the wrong type or that the re-derivation
+    refuses (a forged sub-LOT, say) is a problem at its node's path."""
     problems = []
     _verify_node(tree, problems, [])
     return (not problems), problems

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import drtool
-from drtool import decide_locally_indicable
+from drtool import check_dr2_c4t4, decide_locally_indicable, parse_presentation
 from drtool.cli import main
 from drtool.reports import AnalyzeOptions, analyze, canonical_json
 
@@ -245,3 +245,48 @@ def test_json_of_the_wrong_shape_is_an_input_error(tmp_path, command, make_data)
     path = tmp_path / "input.json"
     path.write_text(json.dumps(make_data()), encoding="utf-8")
     assert_one_error_line(run_cli(*command, str(path)))
+
+
+def quotient_step_without_evidence():
+    data = decide_locally_indicable(make_w5()).to_jsonable()
+    data["evidence"] = {}
+    return data
+
+
+def base_node_whose_epsilon_lacks_a_generator():
+    data = decide_locally_indicable(make_w5()).to_jsonable()
+    del data["children"][0]["evidence"]["epsilon"]["a"]
+    return data
+
+
+def quotient_step_of_a_lot_that_is_not_injective():
+    data = decide_locally_indicable(make_w5()).to_jsonable()
+    data["lot"]["edges"][3][3] = "a"  # e4 now shares e2's label
+    return data
+
+
+def c4t4_certificate_without_hypotheses():
+    cert = check_dr2_c4t4(parse_presentation(fixture_text("torus.pres"))).certificate
+    data = cert.to_jsonable()
+    data["hypotheses"] = {}
+    return data
+
+
+@pytest.mark.parametrize("make_data, problem", [
+    (quotient_step_without_evidence,
+     "root: evidence does not re-check: KeyError: 'sub_lot'"),
+    (base_node_whose_epsilon_lacks_a_generator,
+     "quotient_step[0]: evidence does not re-check: KeyError: 'a'"),
+    (quotient_step_of_a_lot_that_is_not_injective,
+     "root: evidence does not re-check: NotInjective: quotients are taken of injective LOTs"),
+    (c4t4_certificate_without_hypotheses,
+     "hypotheses do not re-check: KeyError: 'piece_counts'"),
+], ids=["quotient-step-evidence-empty", "base-epsilon-short", "quotient-step-lot-not-injective",
+        "c4t4-hypotheses-empty"])
+def test_verify_cert_reports_malformed_evidence_as_a_problem(tmp_path, make_data, problem):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(make_data()), encoding="utf-8")
+    result = run_cli("verify-cert", str(path), "--json")
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert json.loads(result.stdout) == {"ok": False, "problems": [problem]}

@@ -300,10 +300,11 @@ class TestZeroOneSearch:
         assert found is not None
         assert coloring_test(X, found).passed
 
-    def test_cap_refusal(self):
+    def test_cap_refusal(self, monkeypatch):
+        monkeypatch.setenv("DRTOOL_SEARCH_CAP", "2")
         X = make_torus()
         with pytest.raises(CapExceeded, match="bi-forest"):
-            find_zero_one_structure(X, cap=2)
+            find_zero_one_structure(X)
 
     def test_none_when_impossible(self):
         # single monogon: its cell curvature is w - (1-2) = w + 1 > 0 always

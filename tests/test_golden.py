@@ -1,0 +1,66 @@
+"""Byte-identity of the CLI's JSON output on the fixture corpus.
+
+The golden files under ``tests/fixtures/golden/`` hold the output of
+``drtool.cli.main`` for each case below. A change meant to keep behaviour
+must leave them byte for byte as they are. To record them again after a
+change that is meant to alter the output, run
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).parent))
+
+from drtool.cli import main  # noqa: E402
+
+from conftest import CORPUS, FIXTURES  # noqa: E402
+
+GOLDEN = FIXTURES / "golden"
+
+
+def golden_cases():
+    """(golden file name, CLI argv) for every recorded output."""
+    cases = [("corpus.json", ["corpus", str(CORPUS), "--json"])]
+    for diagram in sorted((FIXTURES / "diagrams").glob("*.json")):
+        # each diagram names its complex relative to the fixtures directory
+        pres = FIXTURES / json.loads(diagram.read_text(encoding="utf-8"))["complex"]
+        cases.append((
+            f"verify_{diagram.stem}.json",
+            ["diagram", "verify", str(diagram), "--complex", str(pres), "--json"],
+        ))
+    for pres in sorted(CORPUS.glob("*.pres")):
+        cases.append((
+            f"search_{pres.stem}.json",
+            ["diagram", "search", str(pres), "--max-faces", "4", "--json"],
+        ))
+    return cases
+
+
+def run_main(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name,argv", golden_cases(), ids=[n for n, _ in golden_cases()])
+def test_output_matches_golden(name, argv):
+    code, out = run_main(argv)
+    assert code == 0
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in golden_cases():
+        code, out = run_main(argv)
+        if code != 0:
+            sys.exit(f"{name}: exit {code}")
+        (GOLDEN / name).write_text(out, encoding="utf-8")
+        print(f"wrote {GOLDEN / name}")

@@ -28,6 +28,7 @@ from drtool.certificates import CheckOutcome, check_dr2_zero_one
 from drtool.complexes import format_word
 from drtool.errors import (
     AmbiguousCollapseVertex,
+    GeneratorCountExceedsSearchCap,
     InvariantViolation,
     NotInjective,
     NotSubLot,
@@ -94,6 +95,29 @@ class TestProperties:
         assert not props.interior_reduced
         assert not props.injective
         assert props.witnesses["interior"][0]["vertex"] == "a"
+
+    def test_witnesses_and_moves_follow_vertex_then_side_order(self):
+        # a is the source of two edges labeled b and the target of two labeled d
+        lot = build_lot(
+            "abcde",
+            [("e1", "b", "a", "d"), ("e2", "c", "a", "d"),
+             ("e3", "a", "d", "b"), ("e4", "a", "e", "b")],
+        )
+        assert check_properties(lot).witnesses == {
+            "boundary": ["c", "e"],
+            "interior": [
+                {"vertex": "a", "side": "source", "label": "b", "edges": ["e3", "e4"]},
+                {"vertex": "a", "side": "target", "label": "d", "edges": ["e1", "e2"]},
+            ],
+            "injective": {"d": ["e1", "e2"], "b": ["e3", "e4"]},
+        }
+        _, log = reduce_lot_with_log(lot)
+        assert log == (
+            {"move": "interior", "kept_edge": "e3", "removed_edge": "e4",
+             "merged": "e", "into": "d", "side": "source"},
+            {"move": "interior", "kept_edge": "e1", "removed_edge": "e2",
+             "merged": "c", "into": "b", "side": "target"},
+        )
 
 
 class TestReduction:
@@ -387,6 +411,15 @@ class TestBiForest:
         bf = bi_forest_orientation(q)
         assert bf is not None
         assert set(bf.epsilon.values()) == {1}
+
+    def test_generator_count_over_the_cap_is_refused(self, monkeypatch):
+        w5 = make_w5()
+        assert check_properties(w5).reduced and w5.is_injective
+        monkeypatch.setenv("DRTOOL_SEARCH_CAP", "3")
+        with pytest.raises(GeneratorCountExceedsSearchCap, match="5 generators .* cap 3"):
+            bi_forest_orientation(w5)
+        monkeypatch.setenv("DRTOOL_SEARCH_CAP", "5")
+        assert bi_forest_orientation(w5) is not None
 
     def test_no_split_for_loop_link(self):
         lot = build_lot("abc", [("e1", "a", "b", "c"), ("e2", "b", "c", "c")])
