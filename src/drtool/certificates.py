@@ -27,8 +27,8 @@ from .curvature import (
     AngleAssignment,
     TestVerdict,
     ZeroOneAssignment,
+    _shortest_reduced_cycle,
     coloring_forests,
-    min_reduced_cycle,
     min_reduced_path,
     weight_test,
 )
@@ -193,8 +193,9 @@ def _adjacent_inverse_positions(word):
 
 def _require_reduced_relators(X):
     for cell in X.cells:
-        if len(cell.word) > 1 and _adjacent_inverse_positions(cell.word):
-            i = _adjacent_inverse_positions(cell.word)[0]
+        bad = _adjacent_inverse_positions(cell.word)
+        if bad:
+            i = bad[0]
             raise NonReducedRelator(
                 f"cell {cell.id} has an inverse pair at positions ({i + 1},{(i + 1) % len(cell.word) + 1})"
             )
@@ -256,17 +257,6 @@ class PieceDecomposition:
     min_counts: dict  # cell id -> int or None (no decomposition into pieces)
     witnesses: dict  # cell id -> tuple of piece words or None
     periods: dict  # cell id -> cyclic period of the relator
-
-    def to_jsonable(self):
-        return {
-            "pieces": [format_word(p) for p in self.pieces],
-            "min_counts": {c: n for c, n in sorted(self.min_counts.items())},
-            "witnesses": {
-                c: ([format_word(p) for p in w] if w is not None else None)
-                for c, w in sorted(self.witnesses.items())
-            },
-            "relator_periods": dict(sorted(self.periods.items())),
-        }
 
 
 def compute_pieces(X: TwoComplex) -> PieceDecomposition:
@@ -349,10 +339,8 @@ def check_c4t4(X: TwoComplex) -> TestVerdict:
                     "decomposition": [format_word(p) for p in decomposition.witnesses[cell.id]],
                 },
             )
-    G = X.links[X.vertices[0]]
-    ones = AngleAssignment({c.key: 1 for c in G.corners})
-    found = min_reduced_cycle(G, ones)
-    girth = None if found is None else int(found[0])
+    found = _shortest_reduced_cycle(X.links[X.vertices[0]])
+    girth = None if found is None else found[0]
     if girth is not None and girth < 4:
         return TestVerdict(
             False,

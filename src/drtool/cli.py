@@ -44,6 +44,7 @@ from .lots import (
 from .parsing import parse_lot, parse_presentation, read_text
 from .reports import (
     AnalyzeOptions,
+    _resolve_weights,
     analyze,
     canonical_json,
     export_dot,
@@ -93,20 +94,26 @@ def _render_plain(data, indent=0):
     return f"{pad}{data}"
 
 
-def _load_weights(value, X):
+def _read_json(path):
+    """The JSON value in the file ``path``; JSON nested too deeply for the
+    parser is an input error."""
     try:
-        return AngleAssignment.uniform(X, parse_weight_value(value))
+        return json.loads(read_text(path))
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
+
+
+def _load_weights(value):
+    """``--weights``: the Fraction it gives as ``p/q`` or ``uniform:p/q``,
+    else the AngleAssignment in the JSON file it names."""
+    try:
+        return parse_weight_value(value)
     except ValueError:
-        pass
-    return _load_weight_file(value)
-
-
-def _load_weight_file(path):
-    return _decode("weights", AngleAssignment.from_jsonable, json.loads(read_text(path)))
+        return _decode("weights", AngleAssignment.from_jsonable, _read_json(value))
 
 
 def _load_angles(value):
-    return _decode("angles", ZeroOneAssignment.from_jsonable, json.loads(read_text(value)))
+    return _decode("angles", ZeroOneAssignment.from_jsonable, _read_json(value))
 
 
 def _write_output(path, text):
@@ -151,7 +158,7 @@ def _cmd_complex_weighttest(args):
     X = _complex_from_args(args)
     if not args.weights:
         raise ParseError("weighttest needs --weights")
-    omega = _load_weights(args.weights, X)
+    omega = _resolve_weights(_load_weights(args.weights), X)
     verdict = weight_test(X, omega)
     _maybe_dot(args, X, omega)
     _emit(verdict.to_jsonable(), args.json)
@@ -191,7 +198,7 @@ def _cmd_complex_dr2(args):
         attempts.append(("ZERO_ONE", check_dr2_zero_one(X, omega01)))
     attempts.append(("C4T4", check_dr2_c4t4(X)))
     if args.weights:
-        omega = _load_weights(args.weights, X)
+        omega = _resolve_weights(_load_weights(args.weights), X)
         attempts.append(("WEIGHTED", check_dr2_weighted(X, omega)))
     result = {"attempts": [{"method": m, **o.to_jsonable()} for m, o in attempts]}
     winner = next((o for _, o in attempts if o.ok), None)
@@ -210,7 +217,7 @@ def _maybe_dot(args, X, angles):
 
 
 def _cmd_diagram_verify(args):
-    data = json.loads(read_text(args.path))
+    data = _read_json(args.path)
     S = _decode("diagram", sphere_from_jsonable, data)
     dmap = _decode("diagram", diagram_map_from_jsonable, data)
     X = parse_presentation(read_text(args.complex))
@@ -238,10 +245,7 @@ def _cmd_diagram_search(args):
 def _options_from_args(args):
     options = AnalyzeOptions()
     if getattr(args, "weights", None):
-        try:
-            options.weights = parse_weight_value(args.weights)
-        except ValueError:
-            options.weights = _load_weight_file(args.weights)
+        options.weights = _load_weights(args.weights)
     if getattr(args, "angles", None):
         options.angles = _load_angles(args.angles)
     if getattr(args, "max_faces", None) is not None:
@@ -304,7 +308,7 @@ def _cmd_corpus(args):
 
 
 def _cmd_verify_cert(args):
-    data = json.loads(read_text(args.path))
+    data = _read_json(args.path)
     if not isinstance(data, dict):
         raise ParseError(f"a certificate is a JSON object, not {type(data).__name__}")
     fmt = str(data.get("format", ""))

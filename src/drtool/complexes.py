@@ -261,9 +261,6 @@ class LinkGraph:
             adj[step.start].append(step)
         return adj
 
-    def corner_keys(self):
-        return {c.key for c in self.corners}
-
 
 def link_graph(X: TwoComplex, v) -> LinkGraph:
     """Corner convention: consecutive letters (u, w) meeting at v contribute the
@@ -303,9 +300,8 @@ def is_reduced_path(path, G: LinkGraph, cyclic=False) -> bool:
     reduced cycle because a step never equals its own reverse.
     """
     steps = list(path)
-    keys = G.corner_keys()
     for step in steps:
-        if step.corner.key not in keys or step.corner not in G.corners:
+        if step.corner not in G.corners:
             raise NotAWalk(f"corner {step.corner} not in link of {G.base!r}")
     for a, b in zip(steps, steps[1:]):
         if a.end != b.start:

@@ -30,13 +30,17 @@ LOOP_CONVENTION = (
 )
 
 
+def _rational(value):
+    """``Fraction(value)``, with a zero denominator reported as an input error."""
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ComplexError(f"weight {value!r} has a zero denominator") from None
+
+
 def _coerce_weight(value):
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
+    if isinstance(value, (Fraction, int, str)):
+        return _rational(value)
     raise ComplexError(f"cannot interpret weight {value!r} as an exact rational")
 
 
@@ -109,7 +113,7 @@ class AngleAssignment:
 
     @classmethod
     def from_jsonable(cls, data):
-        return cls({(row["cell"], row["position"]): Fraction(row["weight"]) for row in data})
+        return cls({(row["cell"], row["position"]): _rational(row["weight"]) for row in data})
 
 
 class ZeroOneAssignment(AngleAssignment):
@@ -195,10 +199,6 @@ def check_gauss_bonnet(X: TwoComplex, omega: AngleAssignment) -> CurvatureReport
     return CurvatureReport(vertex_k, cell_k, total, chi)
 
 
-def _weight_of_step(omega, step):
-    return omega.weight(step.corner)
-
-
 def min_reduced_cycle(G: LinkGraph, omega) -> tuple | None:
     """Minimum-weight reduced cycle as ``(weight, steps)``, or None if no
     reduced cycle exists.
@@ -213,7 +213,7 @@ def min_reduced_cycle(G: LinkGraph, omega) -> tuple | None:
     if not steps:
         return None
     for step in steps:
-        if _weight_of_step(omega, step) < 0:
+        if omega.weight(step.corner) < 0:
             raise UnsupportedWeights(
                 f"negative weight at corner {step.corner.key}; "
                 "cycle minimisation needs non-negative angles"
@@ -224,7 +224,7 @@ def min_reduced_cycle(G: LinkGraph, omega) -> tuple | None:
 
     best = None  # (weight, steps)
     for start in steps:
-        w0 = _weight_of_step(omega, start)
+        w0 = omega.weight(start.corner)
         if best is not None and w0 >= best[0]:
             continue
         # Dijkstra over traversal states, beginning after `start` is walked.
@@ -253,7 +253,7 @@ def min_reduced_cycle(G: LinkGraph, omega) -> tuple | None:
             for nxt in by_start.get(state.end, ()):
                 if nxt == state.reversed_step():
                     continue
-                nd = d + _weight_of_step(omega, nxt)
+                nd = d + omega.weight(nxt.corner)
                 if nxt not in dist or nd < dist[nxt]:
                     dist[nxt] = nd
                     parent[nxt] = state
@@ -269,13 +269,16 @@ def min_reduced_cycle_weight(G: LinkGraph, omega):
     return None if found is None else found[0]
 
 
+def _shortest_reduced_cycle(G: LinkGraph):
+    """The shortest reduced cycle as ``(length, steps)``, or None."""
+    found = min_reduced_cycle(G, AngleAssignment({c.key: 1 for c in G.corners}))
+    return None if found is None else (int(found[0]), found[1])
+
+
 def reduced_girth(G: LinkGraph):
     """Length of the shortest reduced cycle, or None."""
-    ones = AngleAssignment({c.key: 1 for c in G.corners})
-    found = min_reduced_cycle(G, ones)
-    if found is None:
-        return None
-    return int(found[0])
+    found = _shortest_reduced_cycle(G)
+    return None if found is None else found[0]
 
 
 def min_reduced_path(G: LinkGraph, omega, source, target) -> tuple | None:
@@ -456,8 +459,10 @@ def find_zero_one_structure(X: TwoComplex):
     """Exhaustive search for a zero/one structure passing the coloring test.
 
     Backtracks over corners, pruning choices that break the forest condition,
-    the per-cell curvature budget, or the component condition.  Refuses
-    complexes with more than the zero/one search cap of corners; LOT
+    the per-cell curvature budget, or the component condition.  The angle-0
+    forest of each vertex link is one union-find for the whole search: an
+    angle-0 choice unions its corner's ends, and retreating rolls it back.
+    Refuses complexes with more than the zero/one search cap of corners; LOT
     complexes should use the dedicated bi-forest search instead.
     """
     cap = caps.search_cap(caps.ZERO_ONE_CAP)
@@ -473,45 +478,34 @@ def find_zero_one_structure(X: TwoComplex):
         return None  # a monogon's curvature is positive under any zero/one angles
     assignment = {}
     ones_used = {cell.id: 0 for cell in X.cells}
-
-    def zero_forest(v):
-        # the search only ever assigns 0 when it keeps the subgraph a forest
-        uf = UnionFind(links[v].nodes)
-        for c in links[v].corners:
-            if assignment.get(c.key) == 0:
-                uf.union(c.nodes[0], c.nodes[1])
-        return uf
-
-    def condition3_final():
-        for v, G in links.items():
-            uf = zero_forest(v)
-            for c in G.corners:
-                if assignment[c.key] == 1 and uf.together(c.nodes[0], c.nodes[1]):
-                    return False
-        return True
+    forests = {v: UnionFind(links[v].nodes) for v in X.vertices}
 
     def solve(index):
         if index == len(corners):
-            return condition3_final()
+            # the component condition, on the finished forests
+            return all(assignment[c.key] == 0 or not forests[v].together(*c.nodes)
+                       for v, c in corners)
         v, corner = corners[index]
-        a, b = corner.nodes
-        uf = zero_forest(v)
-        if a != b and not uf.together(a, b):
-            assignment[corner.key] = 0
-            if solve(index + 1):
-                return True
-            del assignment[corner.key]
-        if ones_used[corner.cell] + 1 <= budget[corner.cell] and not uf.together(a, b):
-            # an angle-1 corner whose ends are already joined in the 0-subgraph
-            # can never satisfy the component condition
+        uf = forests[v]
+        if uf.together(*corner.nodes):
+            # angle 0 would close a cycle (a loop corner closes one alone), and
+            # angle 1 can never satisfy the component condition
+            return False
+        mark = uf.mark()
+        uf.union(*corner.nodes)
+        assignment[corner.key] = 0
+        if solve(index + 1):
+            return True
+        uf.rollback(mark)
+        if ones_used[corner.cell] < budget[corner.cell]:
             assignment[corner.key] = 1
             ones_used[corner.cell] += 1
             if solve(index + 1):
                 return True
             ones_used[corner.cell] -= 1
-            del assignment[corner.key]
+        del assignment[corner.key]
         return False
 
     if solve(0):
-        return ZeroOneAssignment(dict(assignment))
+        return ZeroOneAssignment(assignment)
     return None

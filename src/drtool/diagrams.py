@@ -30,7 +30,7 @@ from .complexes import (
 )
 from .curvature import AngleAssignment, CurvatureReport, TestVerdict, check_gauss_bonnet
 from .errors import CapExceeded, IllFormedMap, InvariantViolation
-from .unionfind import RollbackUnionFind, UnionFind
+from .unionfind import UnionFind
 
 
 @dataclass(frozen=True)
@@ -445,7 +445,7 @@ def _glue_faces(X, chosen, require_reduced, prune_isomorphs):
         return
 
     partner = [None] * total
-    uf = RollbackUnionFind(range(total))  # slots share the side indexing
+    uf = UnionFind(range(total))  # slots share the side indexing
 
     def slot(i, p):
         return offsets[i] + p % lengths[i]

@@ -37,7 +37,7 @@ from .errors import (
     NotInjective,
     NotSubLot,
 )
-from .unionfind import RollbackUnionFind, UnionFind
+from .unionfind import UnionFind
 
 BASE_VERTEX = "*"
 
@@ -542,11 +542,11 @@ def _first_bi_forest_signs(link, generators):
     ``-``) under which the angle-0 corners of the link form a forest, or
     None.
 
-    Backtracks over the generators with one rollback union-find: a corner is
-    added once both of its generators have a sign, and a branch ends as soon
-    as an angle-0 corner closes a cycle.  Signs s and -s give the same
-    angle-0 corners, so the first hit starts with ``+``, the only first sign
-    tried."""
+    Backtracks over the generators with one union-find, rolled back on each
+    retreat: a corner is added once both of its generators have a sign, and
+    a branch ends as soon as an angle-0 corner closes a cycle.  Signs s and
+    -s give the same angle-0 corners, so the first hit starts with ``+``, the
+    only first sign tried."""
     position = {g: i for i, g in enumerate(generators)}
     ready = [[] for _ in generators]  # corners by the later of their generators
     for c in link.corners:
@@ -554,7 +554,7 @@ def _first_bi_forest_signs(link, generators):
         i, j = position[a.edge], position[b.edge]
         ready[max(i, j)].append((i, a.end, j, b.end, a, b))
     signs = [1] * len(generators)
-    uf = RollbackUnionFind(link.nodes)
+    uf = UnionFind(link.nodes)
 
     def extend(level):
         if level == len(generators):

@@ -12,13 +12,13 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .certificates import check_dr2_c4t4, check_dr2_weighted, check_dr2_zero_one
 from .complexes import euler_characteristic
 from .curvature import (
     AngleAssignment,
     ZeroOneAssignment,
+    _rational,
     check_gauss_bonnet,
     coloring_test,
     find_zero_one_structure,
@@ -57,7 +57,7 @@ def parse_weight_value(value):
     text = str(value).strip()
     if text.startswith("uniform:"):
         text = text.split(":", 1)[1]
-    return Fraction(text)
+    return _rational(text)
 
 
 @dataclass
@@ -73,7 +73,7 @@ def _resolve_weights(option, X):
         return None
     if isinstance(option, AngleAssignment):
         return option
-    return AngleAssignment.uniform(X, Fraction(option))
+    return AngleAssignment.uniform(X, _rational(option))
 
 
 def _attempt(diagnostics, label, func, *args):

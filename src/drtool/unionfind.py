@@ -1,26 +1,23 @@
-"""Union-find structures used by forest checks, component partitions, and gluing search."""
+"""The union-find used by forest checks, component partitions and backtracking searches."""
 
 
 class UnionFind:
-    """Union by rank with path halving, over arbitrary hashable items."""
+    """Union by rank without path compression, over hashable items.
+
+    Each union changes one parent pointer and is recorded on a trail, so a
+    backtracking search can ``mark`` the trail, perform unions, and
+    ``rollback`` to the mark when it retreats; rank keeps finds logarithmic.
+    """
 
     def __init__(self, items=()):
-        self.parent = {}
-        self.rank = {}
-        self.count = 0
-        for item in items:
-            self.add(item)
-
-    def add(self, item):
-        if item not in self.parent:
-            self.parent[item] = item
-            self.rank[item] = 0
-            self.count += 1
+        self.parent = {item: item for item in items}
+        self.rank = dict.fromkeys(self.parent, 0)
+        self.count = len(self.parent)
+        self._trail = []
 
     def find(self, item):
         parent = self.parent
         while parent[item] != item:
-            parent[item] = parent[parent[item]]
             item = parent[item]
         return item
 
@@ -32,8 +29,10 @@ class UnionFind:
         if self.rank[ra] < self.rank[rb]:
             ra, rb = rb, ra
         self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
+        bumped = self.rank[ra] == self.rank[rb]
+        if bumped:
             self.rank[ra] += 1
+        self._trail.append((rb, ra, bumped))
         self.count -= 1
         return True
 
@@ -48,48 +47,11 @@ class UnionFind:
             comps.setdefault(self.find(item), []).append(item)
         return tuple(sorted(tuple(sorted(members)) for members in comps.values()))
 
-
-class RollbackUnionFind:
-    """Union by rank without path compression, with an undo stack.
-
-    Backtracking searches mark the trail, perform unions, and roll back to
-    the mark when retreating.
-    """
-
-    def __init__(self, items=()):
-        self.parent = {}
-        self.rank = {}
-        self.count = 0
-        self._trail = []
-        for item in items:
-            self.parent[item] = item
-            self.rank[item] = 0
-            self.count += 1
-
-    def find(self, item):
-        parent = self.parent
-        while parent[item] != item:
-            item = parent[item]
-        return item
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        bumped = self.rank[ra] == self.rank[rb]
-        if bumped:
-            self.rank[ra] += 1
-        self._trail.append((rb, ra, bumped))
-        self.count -= 1
-        return True
-
     def mark(self):
         return len(self._trail)
 
     def rollback(self, mark):
+        """Undo every union made since ``mark`` was taken."""
         while len(self._trail) > mark:
             child, parent, bumped = self._trail.pop()
             self.parent[child] = child

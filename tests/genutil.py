@@ -185,6 +185,24 @@ def oracle_reduced_cycles_up_to(G, max_len=3):
 
 
 # ---------------------------------------------------------------------------
+# oracle: the zero/one search by scanning every assignment
+
+
+def oracle_zero_one_structure(X):
+    """The first zero/one assignment to pass the coloring test, scanning
+    ``itertools.product((0, 1), ...)`` over the corners in search order
+    (vertex by vertex, each link's corners in order); None if none passes."""
+    from drtool import ZeroOneAssignment, coloring_test, link_graph
+
+    keys = [c.key for v in X.vertices for c in link_graph(X, v).corners]
+    for values in itertools.product((0, 1), repeat=len(keys)):
+        omega = ZeroOneAssignment(dict(zip(keys, values)))
+        if coloring_test(X, omega).passed:
+            return omega
+    return None
+
+
+# ---------------------------------------------------------------------------
 # oracle: minimal piece count by decomposition enumeration
 
 

@@ -11,7 +11,7 @@ from drtool import check_dr2_c4t4, decide_locally_indicable, parse_presentation
 from drtool.cli import main
 from drtool.reports import AnalyzeOptions, analyze, canonical_json
 
-from conftest import CORPUS, FIXTURES, fixture_text, make_w5
+from conftest import CORPUS, FIXTURES, fixture_text, make_trefoil, make_w5
 
 
 # The directory holding the drtool package this process imported, so the
@@ -265,6 +265,16 @@ def quotient_step_of_a_lot_that_is_not_injective():
     return data
 
 
+def trefoil_tree_with_a_zero_denominator_angle():
+    data = decide_locally_indicable(make_trefoil()).to_jsonable()
+    data["evidence"]["dr2_certificate"]["hypotheses"]["angles"][0]["weight"] = "1/0"
+    return data
+
+
+def zero_one_certificate_with_a_zero_denominator_angle():
+    return trefoil_tree_with_a_zero_denominator_angle()["evidence"]["dr2_certificate"]
+
+
 def c4t4_certificate_without_hypotheses():
     cert = check_dr2_c4t4(parse_presentation(fixture_text("torus.pres"))).certificate
     data = cert.to_jsonable()
@@ -281,8 +291,13 @@ def c4t4_certificate_without_hypotheses():
      "root: evidence does not re-check: NotInjective: quotients are taken of injective LOTs"),
     (c4t4_certificate_without_hypotheses,
      "hypotheses do not re-check: KeyError: 'piece_counts'"),
+    (zero_one_certificate_with_a_zero_denominator_angle,
+     "hypotheses do not re-check: ComplexError: weight '1/0' has a zero denominator"),
+    (trefoil_tree_with_a_zero_denominator_angle,
+     "root: embedded DR(2) certificate fails: "
+     "[\"hypotheses do not re-check: ComplexError: weight '1/0' has a zero denominator\"]"),
 ], ids=["quotient-step-evidence-empty", "base-epsilon-short", "quotient-step-lot-not-injective",
-        "c4t4-hypotheses-empty"])
+        "c4t4-hypotheses-empty", "zero-one-angle-1-over-0", "li-tree-angle-1-over-0"])
 def test_verify_cert_reports_malformed_evidence_as_a_problem(tmp_path, make_data, problem):
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(make_data()), encoding="utf-8")
@@ -290,3 +305,41 @@ def test_verify_cert_reports_malformed_evidence_as_a_problem(tmp_path, make_data
     assert result.returncode == 0
     assert result.stderr == ""
     assert json.loads(result.stdout) == {"ok": False, "problems": [problem]}
+
+
+TORUS = str(CORPUS / "torus.pres")
+ROWS = "ROWS"  # stands for a JSON file of angle rows, one of them 1/0
+
+
+@pytest.mark.parametrize("args", [
+    ["complex", "weighttest", TORUS, "--weights", "1/0"],
+    ["complex", "weighttest", TORUS, "--weights", "uniform:1/0"],
+    ["analyze", TORUS, "--weights", "1/0"],
+    ["corpus", str(CORPUS), "--weights", "1/0"],
+    ["complex", "dr2", TORUS, "--weights", "1/0"],
+    ["complex", "weighttest", TORUS, "--weights", ROWS],
+    ["analyze", TORUS, "--angles", ROWS],
+], ids=["weighttest", "weighttest-uniform", "analyze", "corpus", "dr2", "weights-file",
+        "angles-file"])
+def test_a_zero_denominator_is_an_input_error(tmp_path, args):
+    rows = tmp_path / "rows.json"
+    rows.write_text(json.dumps([{"cell": "r1", "position": 0, "weight": "1/0"}]),
+                    encoding="utf-8")
+    result = run_cli(*[str(rows) if a == ROWS else a for a in args])
+    assert_one_error_line(result, "error: weight '1/0' has a zero denominator")
+
+
+@pytest.mark.parametrize("command", [
+    ["verify-cert"],
+    ["diagram", "verify", "--complex", TORUS],
+    ["complex", "weighttest", TORUS, "--weights"],
+    ["complex", "coloringtest", TORUS, "--angles"],
+], ids=["verify-cert", "diagram-verify", "weights-file", "angles-file"])
+def test_json_nested_too_deeply_is_an_input_error(tmp_path, command):
+    path = tmp_path / "deep.json"
+    levels = 1500
+    path.write_text('{"format": "li-certificate/1", "children": [' * levels + "{}"
+                    + "]}" * levels, encoding="utf-8")
+    result = run_cli(*command, str(path))
+    assert_one_error_line(result, "error: ")
+    assert result.stderr.endswith("JSON nested too deeply\n")

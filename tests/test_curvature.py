@@ -17,6 +17,7 @@ from drtool import (
     vertex_curvature,
     weight_test,
 )
+from drtool import curvature
 from drtool.curvature import min_reduced_cycle, reduced_girth
 from drtool.errors import (
     CapExceeded,
@@ -25,12 +26,16 @@ from drtool.errors import (
     UnsupportedWeights,
 )
 from drtool.lots import BASE_VERTEX, bi_forest_orientation, lot_complex
+from drtool.unionfind import UnionFind
 
 from conftest import make_m2, make_torus, make_trefoil
 from genutil import (
     oracle_min_reduced_cycle_weight,
+    oracle_zero_one_structure,
     random_complex,
     random_link,
+    random_multi_vertex_complex,
+    random_one_vertex_complex,
     random_rationals,
     random_zero_one,
 )
@@ -310,3 +315,55 @@ class TestZeroOneSearch:
         # single monogon: its cell curvature is w - (1-2) = w + 1 > 0 always
         X = build_complex(edges=[("a", "*", "*")], cells=[("r1", "a")], vertices=["*"])
         assert find_zero_one_structure(X) is None
+
+    def test_matches_brute_force_oracle(self):
+        # surface-like words, where structures are found, and a pentagon whose
+        # structure needs every angle 1 its budget allows; then random one- and
+        # multi-vertex complexes of at most 10 corners, Nones included
+        words = ["a b a- b-", "a a b b", "a b a b-", "a b c a- b- c-", "a b a- c b- c-",
+                 "a a b b c c", "a b c a b c", "a b a- b- c d c- d-",
+                 "a b c d a- b- c- d-", "a b c d a b c d", "a a b- a- b-"]
+        complexes = []
+        for word in words:
+            gens = sorted(set(word.replace("-", "").split()))
+            complexes.append(build_complex(
+                edges=[(g, "*", "*") for g in gens], cells=[("r1", word)], vertices=["*"]
+            ))
+        rng = random.Random(1)
+        while len(complexes) < len(words) + 100:
+            if len(complexes) % 3:
+                X = random_one_vertex_complex(rng, max_edges=3, max_cells=3, max_len=5,
+                                              min_cells=1)
+            else:
+                X = random_multi_vertex_complex(rng, n_vertices=rng.randint(2, 3),
+                                                max_cells=3, max_len=6)
+            if sum(len(c.word) for c in X.cells) <= 10:
+                complexes.append(X)
+        found = 0
+        for X in complexes:
+            expected = oracle_zero_one_structure(X)
+            got = find_zero_one_structure(X)
+            assert (None if got is None else got.items()) == (
+                None if expected is None else expected.items()
+            )
+            found += got is not None
+        assert found >= 30
+
+    def test_one_union_find_per_vertex_link(self, monkeypatch):
+        built = []
+
+        class CountingUnionFind(UnionFind):
+            def __init__(self, items=()):
+                super().__init__(items)
+                built.append(self)
+
+        monkeypatch.setattr(curvature, "UnionFind", CountingUnionFind)
+        two_vertices = build_complex(
+            edges=[("a", "u", "u"), ("b", "v", "u"), ("c", "u", "v"), ("d", "v", "v")],
+            cells=[("r1", "d- d- c- a a c")],
+            vertices=["u", "v"],
+        )
+        for X in (make_torus(), two_vertices):
+            built.clear()
+            assert find_zero_one_structure(X) is not None
+            assert len(built) == len(X.vertices)

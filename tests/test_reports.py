@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from drtool import AngleAssignment, ZeroOneAssignment, export_dot, link_graph
-from drtool.errors import DrtoolError
+from drtool.errors import ComplexError, DrtoolError
 from drtool.lots import bi_forest_orientation, lot_complex
 from drtool.reports import (
     AnalyzeOptions,
@@ -81,6 +81,10 @@ class TestWeightParsing:
 
     def test_integer(self):
         assert parse_weight_value("2") == Fraction(2)
+
+    def test_zero_denominator_is_an_input_error(self):
+        with pytest.raises(ComplexError, match="zero denominator"):
+            parse_weight_value("uniform:1/0")
 
 
 class TestExportDot:
