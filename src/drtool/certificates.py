@@ -325,6 +325,11 @@ def compute_pieces(X: TwoComplex) -> PieceDecomposition:
 def check_c4t4(X: TwoComplex) -> TestVerdict:
     """C(4): every cell needs at least 4 pieces (vacuous when no decomposition
     exists).  T(4): the link has no reduced cycle shorter than 4."""
+    return _c4t4_pieces(X)[0]
+
+
+def _c4t4_pieces(X: TwoComplex):
+    """check_c4t4's verdict, and the piece decomposition it read."""
     _require_single_vertex(X)
     decomposition = compute_pieces(X)
     for cell in X.cells:
@@ -338,7 +343,7 @@ def check_c4t4(X: TwoComplex) -> TestVerdict:
                     "count": count,
                     "decomposition": [format_word(p) for p in decomposition.witnesses[cell.id]],
                 },
-            )
+            ), decomposition
     found = _shortest_reduced_cycle(X.links[X.vertices[0]])
     girth = None if found is None else found[0]
     if girth is not None and girth < 4:
@@ -350,8 +355,8 @@ def check_c4t4(X: TwoComplex) -> TestVerdict:
                 "cycle_corners": [list(s.corner.key) for s in found[1]],
                 "cycle_nodes": [str(s.start) for s in found[1]],
             },
-        )
-    return TestVerdict(True, None, notes={"girth": girth})
+        ), decomposition
+    return TestVerdict(True, None, notes={"girth": girth}), decomposition
 
 
 def _ee_positions(word):
@@ -390,10 +395,9 @@ def check_dr2_c4t4(X: TwoComplex) -> CheckOutcome:
                     "positions": [i + 1, (i + 1) % len(cell.word) + 1],
                 }
             )
-    verdict = check_c4t4(X)
+    verdict, decomposition = _c4t4_pieces(X)
     if not verdict.passed:
         return CheckOutcome(witness={"reason": "c4t4", "witness": verdict.witness})
-    decomposition = compute_pieces(X)
     hypotheses = {
         "piece_counts": {c: n for c, n in sorted(decomposition.min_counts.items())},
         "decompositions": {

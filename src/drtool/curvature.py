@@ -44,6 +44,12 @@ def _coerce_weight(value):
     raise ComplexError(f"cannot interpret weight {value!r} as an exact rational")
 
 
+def _coerce_position(position):
+    if isinstance(position, (int, str)):
+        return int(position)
+    raise ComplexError(f"cannot interpret corner position {position!r} as an integer")
+
+
 class AngleAssignment:
     """Map from corners (keyed by ``(cell, position)``) to exact rational angles."""
 
@@ -51,7 +57,7 @@ class AngleAssignment:
         table = {}
         for key, value in dict(weights).items():
             cell, position = key
-            table[(str(cell), int(position))] = _coerce_weight(value)
+            table[(str(cell), _coerce_position(position))] = _coerce_weight(value)
         self._table = table
 
     @classmethod
@@ -113,7 +119,7 @@ class AngleAssignment:
 
     @classmethod
     def from_jsonable(cls, data):
-        return cls({(row["cell"], row["position"]): _rational(row["weight"]) for row in data})
+        return cls({(row["cell"], row["position"]): row["weight"] for row in data})
 
 
 class ZeroOneAssignment(AngleAssignment):

@@ -376,16 +376,8 @@ class _FaceType(NamedTuple):
     sides: tuple  # letters read along the face with rotation 0
 
 
-def _face_types(X: TwoComplex):
-    types = []
-    for cell in X.cells:
-        types.append(_FaceType(cell.id, 1, cell.word))
-        types.append(_FaceType(cell.id, -1, word_inverse(cell.word)))
-    return types
-
-
 def enumerate_diagrams(X: TwoComplex, max_faces, require_reduced=False,
-                       prune_isomorphs=True, limit=None):
+                       prune_isomorphs=True):
     """Yield (SphereComplex, DiagramMap) for sphere gluings of at most
     ``max_faces`` cell copies.
 
@@ -397,147 +389,104 @@ def enumerate_diagrams(X: TwoComplex, max_faces, require_reduced=False,
     ``prune_isomorphs`` mirror images and copies of interchangeable faces
     are skipped.
     """
-    types = _face_types(X)
-    count = 0
+    types = [_FaceType(cell.id, o, cell.word if o > 0 else word_inverse(cell.word))
+             for cell in X.cells for o in (1, -1)]
     for n in range(1, max_faces + 1):
         for multiset in itertools.combinations_with_replacement(range(len(types)), n):
             chosen = [types[t] for t in multiset]
             if prune_isomorphs and chosen[0].orientation < 0:
                 continue
-            balance = Counter()
-            for t in chosen:
-                for letter in t.sides:
-                    balance[letter] += 1
+            balance = Counter(letter for t in chosen for letter in t.sides)
             if any(balance[l] != balance[l.inverse()] for l in balance):
                 continue
-            for result in _glue_faces(X, chosen, require_reduced, prune_isomorphs):
-                yield result
-                count += 1
-                if limit is not None and count >= limit:
-                    return
+            yield from _glue_faces(chosen, require_reduced, prune_isomorphs)
 
 
-def _glue_faces(X, chosen, require_reduced, prune_isomorphs):
-    lengths = [len(t.sides) for t in chosen]
-    offsets = []
-    total = 0
-    for L in lengths:
-        offsets.append(total)
-        total += L
-    if total % 2:
-        return
-    side_face = []
-    side_pos = []
-    side_letter = []
-    side_cell_position = []  # (cell, position) each side maps to at rotation 0
+def _glue_faces(chosen, require_reduced, prune_isomorphs):
+    """Every pairing of the sides of ``chosen`` that glues them into a sphere.
+
+    Sides are numbered face by face, and side s also names slot s, the
+    corner that follows it. Sides are glued in order: the first free side
+    is paired with each later free side carrying the inverse letter.
+    """
+    sides = []  # (face, position, letter, (cell, cell position at rotation 0))
+    first = []  # first side of each face, then the side count
     for i, t in enumerate(chosen):
+        first.append(len(sides))
+        m = len(t.sides)
         for p, letter in enumerate(t.sides):
-            side_face.append(i)
-            side_pos.append(p)
-            side_letter.append(letter)
-            side_cell_position.append(
-                (t.cell, _side_position(lengths[i], 0, t.orientation, p))
-            )
-    E = total // 2
-    F = len(chosen)
-    target_V = 2 - F + E
+            sides.append((i, p, letter, (t.cell, _side_position(m, 0, t.orientation, p))))
+    first.append(len(sides))
+    total = len(sides)
+    target_V = 2 - len(chosen) + total // 2
     if target_V < 1:
         return
-
+    # the slot before side s: the corner that side s follows
+    before = [s - 1 if p else first[i + 1] - 1 for s, (i, p, _, _) in enumerate(sides)]
     partner = [None] * total
-    uf = UnionFind(range(total))  # slots share the side indexing
+    glued = [0] * len(chosen)  # glued sides of each face
+    slots = UnionFind(range(total))  # the sphere vertices
+    faces = UnionFind(range(len(chosen)))  # the components of the gluing
 
-    def slot(i, p):
-        return offsets[i] + p % lengths[i]
-
-    def relations(a, b):
-        """Slot identifications induced by gluing sides a (+) and b (-)."""
-        fa, pa = side_face[a], side_pos[a]
-        fb, pb = side_face[b], side_pos[b]
-        return (
-            (slot(fa, pa), slot(fb, pb - 1)),
-            (slot(fa, pa - 1), slot(fb, pb)),
-        )
-
-    touched = [False] * F
-
-    def glue_all():
-        free = next((s for s in range(total) if partner[s] is None), None)
-        if free is None:
-            if uf.count != target_V:
-                return
-            comp = UnionFind(range(F))
-            for s in range(total):
-                comp.union(side_face[s], side_face[partner[s]])
-            if comp.count != 1:
-                return
-            yield _assemble(X, chosen, partner, side_letter, side_face, side_pos)
+    def glue(free, pairs_left):
+        if not pairs_left:
+            if faces.count == 1:
+                yield _assemble(chosen, partner, sides)
             return
-        letter = side_letter[free]
+        while partner[free] is not None:
+            free += 1
+        face, _, letter, cell_position = sides[free]
         want = letter.inverse()
+        positive = letter.sign > 0
         seen_types = set()
         for other in range(free + 1, total):
-            if partner[other] is not None or side_letter[other] != want:
+            if partner[other] is not None:
                 continue
-            if prune_isomorphs and not touched[side_face[other]]:
-                key = (chosen[side_face[other]].cell,
-                       chosen[side_face[other]].orientation,
-                       side_pos[other])
+            other_face, other_position, other_letter, other_cell_position = sides[other]
+            if other_letter != want:
+                continue
+            if prune_isomorphs and not glued[other_face]:
+                t = chosen[other_face]
+                key = (t.cell, t.orientation, other_position)
                 if key in seen_types:
                     continue
                 seen_types.add(key)
-            plus, minus = (free, other) if letter.sign > 0 else (other, free)
-            if require_reduced and side_cell_position[plus] == side_cell_position[minus]:
+            if require_reduced and cell_position == other_cell_position:
                 continue
-            mark = uf.mark()
-            partner[free] = other
-            partner[other] = free
-            was_touched = (touched[side_face[free]], touched[side_face[other]])
-            touched[side_face[free]] = True
-            touched[side_face[other]] = True
-            for x, y in relations(plus, minus):
-                uf.union(x, y)
-            remaining = sum(1 for s in range(total) if partner[s] is None) // 2
-            if uf.count >= target_V and uf.count - 2 * remaining <= target_V:
-                yield from glue_all()
-            uf.rollback(mark)
-            partner[free] = None
-            partner[other] = None
-            touched[side_face[free]] = was_touched[0]
-            touched[side_face[other]] = was_touched[1]
+            plus, minus = (free, other) if positive else (other, free)
+            slot_mark, face_mark = slots.mark(), faces.mark()
+            partner[free], partner[other] = other, free
+            glued[face] += 1
+            glued[other_face] += 1
+            slots.union(plus, before[minus])
+            slots.union(before[plus], minus)
+            faces.union(face, other_face)
+            # a sphere has target_V vertices; each pair still to glue joins
+            # at most two classes of slots
+            if target_V <= slots.count <= target_V + 2 * (pairs_left - 1):
+                yield from glue(free + 1, pairs_left - 1)
+            slots.rollback(slot_mark)
+            faces.rollback(face_mark)
+            partner[free] = partner[other] = None
+            glued[face] -= 1
+            glued[other_face] -= 1
 
-    yield from glue_all()
+    yield from glue(0, total // 2)
 
 
-def _assemble(X, chosen, partner, side_letter, side_face, side_pos):
-    """Build the SphereComplex and DiagramMap from a complete side pairing."""
-    edge_of_side = {}
+def _assemble(chosen, partner, sides):
+    """The SphereComplex and DiagramMap of a complete side pairing."""
+    edge = [None] * len(sides)
     labels = {}
-    next_edge = 0
-    total = len(partner)
-    for s in range(total):
-        if s in edge_of_side:
-            continue
-        o = partner[s]
-        eid = f"s{next_edge}"
-        next_edge += 1
-        edge_of_side[s] = eid
-        edge_of_side[o] = eid
-        labels[eid] = side_letter[s].edge
-    faces = []
-    cellmap = {}
-    side = 0
-    for i, t in enumerate(chosen):
-        fid = f"f{i}"
-        word = []
-        for p in range(len(t.sides)):
-            letter = side_letter[side]
-            word.append(Letter(edge_of_side[side], letter.sign))
-            side += 1
-        faces.append(Cell(fid, tuple(word)))
-        cellmap[fid] = (t.cell, 0, t.orientation)
-    S = SphereComplex(tuple(faces))
-    return S, DiagramMap(labels, cellmap)
+    words = [[] for _ in chosen]
+    for s, (face, _, letter, _) in enumerate(sides):
+        if edge[s] is None:
+            edge[s] = edge[partner[s]] = f"s{len(labels)}"
+            labels[edge[s]] = letter.edge
+        words[face].append(Letter(edge[s], letter.sign))
+    faces = tuple(Cell(f"f{i}", tuple(word)) for i, word in enumerate(words))
+    cellmap = {f"f{i}": (t.cell, 0, t.orientation) for i, t in enumerate(chosen)}
+    return SphereComplex(faces), DiagramMap(labels, cellmap)
 
 
 def face_cap():

@@ -203,6 +203,63 @@ def oracle_zero_one_structure(X):
 
 
 # ---------------------------------------------------------------------------
+# oracle: the diagram gluing search by listing every side matching
+
+
+def oracle_sphere_gluings(X, n):
+    """Every sphere glued from n faces, by multiset of face types.
+
+    A face type is a cell read forwards (orientation 1) or backwards
+    (orientation -1), types ordered cell by cell; a multiset is a sorted
+    tuple of type indices. For each multiset, every perfect matching of
+    sides that pairs a letter with its inverse is glued and kept when
+    ``validate_sphere`` passes. Returns multiset -> list of
+    (pairing, SphereComplex, DiagramMap), a pairing being a frozenset of
+    frozensets {(face, position), (face, position)}.
+    """
+    from drtool import DiagramMap, SphereComplex, validate_sphere
+    from drtool.complexes import Cell
+
+    types = []
+    for cell in X.cells:
+        types.append((cell.id, 1, cell.word))
+        types.append((cell.id, -1, word_inverse(cell.word)))
+    out = {}
+    for multiset in itertools.combinations_with_replacement(range(len(types)), n):
+        faces = [types[t] for t in multiset]
+        sides = [(i, p) for i, (_, _, word) in enumerate(faces) for p in range(len(word))]
+        letter = {(i, p): faces[i][2][p] for i, p in sides}
+        found = []
+        for matching in _perfect_matchings(sides, letter):
+            edge = {}
+            for k, (a, b) in enumerate(matching):
+                edge[a] = edge[b] = f"s{k}"
+            S = SphereComplex(tuple(
+                Cell(f"f{i}", tuple(Letter(edge[(i, p)], letter[(i, p)].sign)
+                                    for p in range(len(word))))
+                for i, (_, _, word) in enumerate(faces)
+            ))
+            if validate_sphere(S).passed:
+                f = DiagramMap({edge[a]: letter[a].edge for a, _ in matching},
+                               {f"f{i}": (cell, 0, o) for i, (cell, o, _) in enumerate(faces)})
+                found.append((frozenset(frozenset(pair) for pair in matching), S, f))
+        out[multiset] = found
+    return out
+
+
+def _perfect_matchings(sides, letter):
+    """Every pairing of ``sides`` in which paired sides carry inverse letters."""
+    if not sides:
+        yield []
+        return
+    a, rest = sides[0], sides[1:]
+    for k, b in enumerate(rest):
+        if letter[b] == letter[a].inverse():
+            for matching in _perfect_matchings(rest[:k] + rest[k + 1:], letter):
+                yield [(a, b)] + matching
+
+
+# ---------------------------------------------------------------------------
 # oracle: minimal piece count by decomposition enumeration
 
 

@@ -285,6 +285,18 @@ class TestC4T4Certificate:
         )
         assert ok, problems
 
+    def test_pieces_are_computed_once_per_check(self, monkeypatch):
+        import drtool.certificates
+
+        calls = []
+        compute_pieces = drtool.certificates.compute_pieces
+        monkeypatch.setattr(drtool.certificates, "compute_pieces",
+                            lambda X: calls.append(X) or compute_pieces(X))
+        for X, ok in ((make_torus(), True), (lot_complex(make_trefoil()), False)):
+            calls.clear()
+            assert check_dr2_c4t4(X).ok is ok
+            assert calls == [X]
+
     def test_edge_repeat_witness(self):
         X = build_complex(
             edges=[("a", "*", "*"), ("b", "*", "*")],

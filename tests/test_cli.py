@@ -282,6 +282,17 @@ def c4t4_certificate_without_hypotheses():
     return data
 
 
+def zero_one_certificate_with_first_angle(key, value):
+    """The trefoil's ZERO_ONE certificate, with ``key`` of its first angle
+    row set to ``value``."""
+    def make_data():
+        data = decide_locally_indicable(make_trefoil()).to_jsonable()
+        cert = data["evidence"]["dr2_certificate"]
+        cert["hypotheses"]["angles"][0][key] = value
+        return cert
+    return make_data
+
+
 @pytest.mark.parametrize("make_data, problem", [
     (quotient_step_without_evidence,
      "root: evidence does not re-check: KeyError: 'sub_lot'"),
@@ -296,8 +307,14 @@ def c4t4_certificate_without_hypotheses():
     (trefoil_tree_with_a_zero_denominator_angle,
      "root: embedded DR(2) certificate fails: "
      "[\"hypotheses do not re-check: ComplexError: weight '1/0' has a zero denominator\"]"),
+    (zero_one_certificate_with_first_angle("weight", 1.0),
+     "hypotheses do not re-check: ComplexError: cannot interpret weight 1.0 as an exact rational"),
+    (zero_one_certificate_with_first_angle("position", 0.7),
+     "hypotheses do not re-check: ComplexError: "
+     "cannot interpret corner position 0.7 as an integer"),
 ], ids=["quotient-step-evidence-empty", "base-epsilon-short", "quotient-step-lot-not-injective",
-        "c4t4-hypotheses-empty", "zero-one-angle-1-over-0", "li-tree-angle-1-over-0"])
+        "c4t4-hypotheses-empty", "zero-one-angle-1-over-0", "li-tree-angle-1-over-0",
+        "zero-one-float-angle", "zero-one-float-position"])
 def test_verify_cert_reports_malformed_evidence_as_a_problem(tmp_path, make_data, problem):
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(make_data()), encoding="utf-8")
@@ -308,7 +325,7 @@ def test_verify_cert_reports_malformed_evidence_as_a_problem(tmp_path, make_data
 
 
 TORUS = str(CORPUS / "torus.pres")
-ROWS = "ROWS"  # stands for a JSON file of angle rows, one of them 1/0
+ROWS = "ROWS"  # stands for a JSON file of angle rows
 
 
 @pytest.mark.parametrize("args", [
@@ -327,6 +344,26 @@ def test_a_zero_denominator_is_an_input_error(tmp_path, args):
                     encoding="utf-8")
     result = run_cli(*[str(rows) if a == ROWS else a for a in args])
     assert_one_error_line(result, "error: weight '1/0' has a zero denominator")
+
+
+@pytest.mark.parametrize("row, message", [
+    ({"cell": "r1", "position": 0, "weight": 0.1},
+     "error: cannot interpret weight 0.1 as an exact rational"),
+    ({"cell": "r1", "position": 0.7, "weight": "1/2"},
+     "error: cannot interpret corner position 0.7 as an integer"),
+], ids=["float-weight", "float-position"])
+@pytest.mark.parametrize("args", [
+    ["complex", "weighttest", TORUS, "--weights", ROWS],
+    ["complex", "dr2", TORUS, "--weights", ROWS],
+    ["analyze", TORUS, "--weights", ROWS],
+    ["corpus", str(CORPUS), "--weights", ROWS],
+    ["analyze", TORUS, "--angles", ROWS],
+], ids=["weighttest", "dr2", "analyze", "corpus", "angles"])
+def test_an_inexact_number_in_a_rows_file_is_an_input_error(tmp_path, args, row, message):
+    rows = tmp_path / "rows.json"
+    rows.write_text(json.dumps([row]), encoding="utf-8")
+    result = run_cli(*[str(rows) if a == ROWS else a for a in args])
+    assert_one_error_line(result, message)
 
 
 @pytest.mark.parametrize("command", [

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -24,7 +25,8 @@ from drtool.errors import CapExceeded, IllFormedMap
 from drtool.lots import lot_complex
 from drtool.parsing import parse_presentation
 
-from conftest import FIXTURES, make_m2, make_torus, make_trefoil
+from conftest import CORPUS, FIXTURES, make_m2, make_torus, make_trefoil
+from genutil import oracle_sphere_gluings, random_one_vertex_complex
 
 
 def two_monogon_sphere():
@@ -121,7 +123,7 @@ class TestCheckDiagram:
     def test_reduced_iff_no_folding_on_enumerated_diagrams(self):
         X = lot_complex(make_trefoil())
         count = 0
-        for S, dmap in enumerate_diagrams(X, 3, prune_isomorphs=False, limit=60):
+        for S, dmap in itertools.islice(enumerate_diagrams(X, 3, prune_isomorphs=False), 60):
             report = check_diagram(S, dmap, X)
             assert report.reduced == (not report.folding)
             count += 1
@@ -129,7 +131,7 @@ class TestCheckDiagram:
 
     def test_every_trefoil_diagram_folds(self):
         X = lot_complex(make_trefoil())
-        for S, dmap in enumerate_diagrams(X, 4, limit=40):
+        for S, dmap in itertools.islice(enumerate_diagrams(X, 4), 40):
             report = check_diagram(S, dmap, X)
             assert not report.reduced
 
@@ -166,7 +168,7 @@ class TestDrkWitness:
         # consistency of the component criterion at desk scale
         X = lot_complex(make_trefoil())
         checked = 0
-        for S, dmap in enumerate_diagrams(X, 4, limit=40):
+        for S, dmap in itertools.islice(enumerate_diagrams(X, 4), 40):
             report = check_diagram(S, dmap, X)
             if report.distinct_edge_labels >= 2:
                 assert drk_witness_check(report, 2).passed
@@ -206,8 +208,60 @@ class TestSearch:
         # enumerated diagram within the bound checks as reduced
         X = make_torus()
         assert search_reduced_diagram(X, 3) is None
-        for S, dmap in enumerate_diagrams(X, 3, prune_isomorphs=False, limit=100):
+        for S, dmap in itertools.islice(enumerate_diagrams(X, 3, prune_isomorphs=False), 100):
             assert not check_diagram(S, dmap, X).reduced
+
+
+def side_pairing(S):
+    """The side pairing of a sphere with faces f0, f1, ..., in the form
+    ``oracle_sphere_gluings`` gives it."""
+    return frozenset(
+        frozenset((int(fid[1:]), p) for fid, p, _ in occ) for occ in S.occurrences().values()
+    )
+
+
+class TestGluingOracle:
+    def assert_matches_oracle(self, X, n):
+        """At exactly n faces, the unpruned search lists each side pairing
+        the oracle glues into a sphere once, and with ``require_reduced``
+        exactly those that check_diagram calls reduced."""
+        type_index = {(cell.id, o): 2 * k + (o < 0)
+                      for k, cell in enumerate(X.cells) for o in (1, -1)}
+        oracle = oracle_sphere_gluings(X, n)
+        for require_reduced in (False, True):
+            got = {}
+            for S, dmap in enumerate_diagrams(X, n, require_reduced, prune_isomorphs=False):
+                if len(S.faces) == n:
+                    multiset = tuple(type_index[dmap.cellmap[face.id][0], dmap.cellmap[face.id][2]]
+                                     for face in S.faces)
+                    got.setdefault(multiset, []).append(side_pairing(S))
+            want = {}
+            for multiset, found in oracle.items():
+                pairings = {pairing for pairing, S, dmap in found
+                            if not require_reduced or check_diagram(S, dmap, X).reduced}
+                if pairings:
+                    want[multiset] = pairings
+            assert {m: set(pairings) for m, pairings in got.items()} == want
+            assert all(len(pairings) == len(set(pairings)) for pairings in got.values())
+        return sum(len(found) for found in oracle.values())
+
+    def test_fixtures(self):
+        complexes = [parse_presentation(p.read_text()) for p in sorted(CORPUS.glob("*.pres"))]
+        complexes.append(lot_complex(make_trefoil()))
+        spheres = 0
+        for X in complexes:
+            for n in (1, 2, 3):
+                spheres += self.assert_matches_oracle(X, n)
+        assert spheres > 10
+
+    def test_random_one_vertex_complexes(self):
+        rng = random.Random(8)
+        spheres = 0
+        for _ in range(40):
+            X = random_one_vertex_complex(rng, max_edges=3, max_cells=3, max_len=4, min_cells=1)
+            for n in (1, 2, 3):
+                spheres += self.assert_matches_oracle(X, n)
+        assert spheres > 500
 
 
 class TestPullback:
