@@ -39,13 +39,14 @@ def _rational(value):
 
 
 def _coerce_weight(value):
-    if isinstance(value, (Fraction, int, str)):
+    # a JSON true or false is an int to Python, never a weight
+    if isinstance(value, (Fraction, int, str)) and not isinstance(value, bool):
         return _rational(value)
     raise ComplexError(f"cannot interpret weight {value!r} as an exact rational")
 
 
 def _coerce_position(position):
-    if isinstance(position, (int, str)):
+    if isinstance(position, (int, str)) and not isinstance(position, bool):
         return int(position)
     raise ComplexError(f"cannot interpret corner position {position!r} as an integer")
 

@@ -191,7 +191,11 @@ def sphere_to_complex(S: SphereComplex) -> TwoComplex:
     pairs, witness = _paired_occurrences(S)
     if witness is not None:
         raise IllFormedMap(f"sphere is not glued coherently: {witness}")
-    orbits = _slot_orbits(S, pairs)
+    return _sphere_complex(S, pairs, _slot_orbits(S, pairs))
+
+
+def _sphere_complex(S: SphereComplex, pairs, orbits) -> TwoComplex:
+    """sphere_to_complex from the side pairs and vertex orbits of S."""
     slot_class = {}
     for i, orbit in enumerate(orbits):
         for slot in orbit:
@@ -236,6 +240,11 @@ def check_diagram(S: SphereComplex, f: DiagramMap, X: TwoComplex) -> FoldingRepo
     boundary position with opposite orientations; matching positions rather
     than cells alone keeps the criterion correct for periodic relators.
     """
+    return _check_diagram(S, f, X)[0]
+
+
+def _check_diagram(S: SphereComplex, f: DiagramMap, X: TwoComplex):
+    """check_diagram's report, with the side pairs and vertex orbits of S."""
     sphere_check, pairs, orbits = _check_sphere(S)
     if not sphere_check.passed:
         raise IllFormedMap(f"sphere validation failed: {sphere_check.witness}")
@@ -324,7 +333,7 @@ def check_diagram(S: SphereComplex, f: DiagramMap, X: TwoComplex) -> FoldingRepo
         distinct_edge_labels=len(labels),
         distinct_folding_labels=len(folding_labels),
         nonreduced_vertices=tuple(nonreduced),
-    )
+    ), pairs, orbits
 
 
 def drk_witness_check(report: FoldingReport, k) -> TestVerdict:
@@ -349,7 +358,7 @@ def diagram_gauss_bonnet(S: SphereComplex, f: DiagramMap, X: TwoComplex,
                          omega: AngleAssignment) -> CurvatureReport:
     """Pull the angles back along the diagram map and report curvature on the
     sphere; the total is exactly 4 = 2 chi(sphere)."""
-    check_diagram(S, f, X)
+    _, pairs, orbits = _check_diagram(S, f, X)
     omega.validate_total(X)
     cmap = X.cell_map()
     table = {}
@@ -359,8 +368,7 @@ def diagram_gauss_bonnet(S: SphereComplex, f: DiagramMap, X: TwoComplex,
         for p in range(m):
             q = _corner_position(m, rotation, orientation, p)
             table[(face.id, p)] = omega.weight((cell_id, q))
-    sphere_complex = sphere_to_complex(S)
-    report = check_gauss_bonnet(sphere_complex, AngleAssignment(table))
+    report = check_gauss_bonnet(_sphere_complex(S, pairs, orbits), AngleAssignment(table))
     if report.total != 4:
         raise InvariantViolation(f"pulled-back curvature totals {report.total}, not 4")
     return report

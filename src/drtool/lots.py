@@ -10,7 +10,6 @@ edge.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -114,18 +113,98 @@ def lot_from_jsonable(data) -> Lot:
 
 
 def canonical_lot_key(lot: Lot):
-    """Isomorphism invariant: the least edge table over all vertex bijections.
+    """Isomorphism invariant ``(n, edge_table)``: a canonical labelling by
+    individualisation-refinement (McKay & Piperno, "Practical graph
+    isomorphism II", 2014), over the LOT as a ternary relation on its
+    vertices.
 
-    Exhaustive over permutations, intended for the small LOTs handled here.
+    Vertex colours are refined to an equitable partition; the search then
+    individualises each vertex of the first non-singleton cell in turn and
+    refines again.  Each discrete leaf is a bijection onto range(n), and the
+    key is the least sorted edge table (source, target, label) over the
+    leaves, so equal keys mean isomorphic LOTs.  Two leaves with equal
+    tables give an automorphism: the search returns to the node where
+    their paths part, and skips the children of a node that lie in the
+    orbit of an explored child.
     """
-    n = len(lot.vertices)
-    best = None
-    for perm in itertools.permutations(range(n)):
-        relabel = {v: perm[i] for i, v in enumerate(lot.vertices)}
-        table = tuple(sorted((relabel[e.source], relabel[e.target], relabel[e.label]) for e in lot.edges))
-        if best is None or table < best:
-            best = table
-    return (n, best)
+    index = {v: i for i, v in enumerate(lot.vertices)}
+    n = len(index)
+    triples = [(index[e.source], index[e.target], index[e.label]) for e in lot.edges]
+    incidences = [[] for _ in range(n)]
+    for s, t, lab in triples:
+        incidences[s].append((0, t, lab))
+        incidences[t].append((1, s, lab))
+        incidences[lab].append((2, s, t))
+
+    def refine(colours):
+        """Split cells by (role, colour, colour) signatures until the count
+        of colours is stable or n; colours become ranks of sorted
+        signatures, so cells keep their order and split in place."""
+        count = len(set(colours))
+        while True:
+            signatures = [
+                (colours[v], sorted([(role, colours[a], colours[b]) for role, a, b in inc]))
+                for v, inc in enumerate(incidences)
+            ]
+            colours = [0] * n
+            distinct, previous = 0, None
+            for v in sorted(range(n), key=signatures.__getitem__):
+                if signatures[v] != previous:
+                    distinct += 1
+                    previous = signatures[v]
+                colours[v] = distinct - 1
+            if distinct in (count, n):
+                return colours
+            count = distinct
+
+    best = {}
+    automorphisms = []
+
+    def explore(colours, path):
+        """Search below the node reached by individualising ``path``; return
+        the depth to unwind to when a leaf proves the current child of that
+        node equivalent to an explored one, else None."""
+        depth = len(path)
+        if len(set(colours)) == n:
+            table = tuple(sorted((colours[s], colours[t], colours[lab]) for s, t, lab in triples))
+            if not best or table < best["table"]:
+                best.update(table=table, colours=colours, path=path)
+                return None
+            if table > best["table"]:
+                return None
+            # the automorphism taking the best leaf to this one maps the
+            # best path onto this path, so it fixes their common prefix
+            vertex_at = [0] * n
+            for v, c in enumerate(colours):
+                vertex_at[c] = v
+            automorphisms.append([vertex_at[c] for c in best["colours"]])
+            common = 0
+            while path[common] == best["path"][common]:
+                common += 1
+            return common
+        target = min(c for c, size in Counter(colours).items() if size > 1)
+        cell = [v for v in range(n) if colours[v] == target]
+        orbits = UnionFind(cell)
+        absorbed = 0
+        explored = []
+        for w in cell:
+            for gamma in automorphisms[absorbed:]:
+                if all(gamma[v] == v for v in path):
+                    for v in cell:
+                        orbits.union(v, gamma[v])
+            absorbed = len(automorphisms)
+            if any(orbits.together(w, x) for x in explored):
+                continue
+            explored.append(w)
+            # w takes the lowest colour of its cell
+            individualised = [2 * c + (v != w) for v, c in enumerate(colours)]
+            unwind = explore(refine(individualised), path + [w])
+            if unwind is not None and unwind < depth:
+                return unwind
+        return None
+
+    explore(refine([0] * n), [])
+    return (n, best["table"])
 
 
 def lots_isomorphic(a: Lot, b: Lot) -> bool:

@@ -2,11 +2,13 @@
 
 The oracles deliberately avoid the library's own algorithms: cycle
 minimisation is re-done by depth-first enumeration, piece counts by
-enumerating every decomposition, and short cycles by direct walks.
+enumerating every decomposition, short cycles by direct walks, and the LOT
+isomorphism key by trying every vertex bijection.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from fractions import Fraction
 
@@ -308,10 +310,31 @@ def oracle_min_pieces(X, cell_id):
 
 
 # ---------------------------------------------------------------------------
+# oracle: the LOT isomorphism key by trying every vertex bijection
+
+
+def lot_relabellings(lot: Lot):
+    """The sorted edge table (source, target, label) of ``lot`` under every
+    bijection of its vertices onto range(n), in ``itertools.permutations``
+    order; the first is the table under the order of ``lot.vertices``."""
+    index = {v: i for i, v in enumerate(lot.vertices)}
+    triples = [(index[e.source], index[e.target], index[e.label]) for e in lot.edges]
+    for p in itertools.permutations(range(len(index))):
+        yield tuple(sorted([(p[s], p[t], p[l]) for s, t, l in triples]))
+
+
+def oracle_lot_key(lot: Lot):
+    """The least edge table over all n! vertex bijections, as ``(n, table)``."""
+    return (len(lot.vertices), min(lot_relabellings(lot)))
+
+
+# ---------------------------------------------------------------------------
 # exhaustive small LOT enumeration
 
 
 def _labeled_trees(n):
+    """Every labeled tree on range(n), in the order of its Pruefer sequence,
+    decoded with the smallest leaf first."""
     if n == 1:
         return [[]]
     if n == 2:
@@ -321,16 +344,11 @@ def _labeled_trees(n):
         degree = [1] * n
         for v in seq:
             degree[v] += 1
-        edges = []
-        seq = list(seq)
-        leaves = sorted(v for v in range(n) if degree[v] == 1)
-        import heapq
-
-        heap = leaves[:]
+        heap = [v for v in range(n) if degree[v] == 1]
         heapq.heapify(heap)
+        edges = []
         for v in seq:
-            leaf = heapq.heappop(heap)
-            edges.append((leaf, v))
+            edges.append((heapq.heappop(heap), v))
             degree[v] -= 1
             if degree[v] == 1:
                 heapq.heappush(heap, v)
@@ -339,16 +357,39 @@ def _labeled_trees(n):
     return trees
 
 
+def _free_tree_code(n, edges):
+    """A complete isomorphism invariant of a free tree on range(n): the
+    least AHU code of the tree rooted at one of its centres."""
+    adjacent = [[] for _ in range(n)]
+    for a, b in edges:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    degree = [len(adjacent[v]) for v in range(n)]
+    layer = [v for v in range(n) if degree[v] <= 1]
+    left = n
+    while left > 2:  # peel the leaves until the one or two centres remain
+        left -= len(layer)
+        following = []
+        for v in layer:
+            for u in adjacent[v]:
+                degree[u] -= 1
+                if degree[u] == 1:
+                    following.append(u)
+        layer = following
+
+    def code(v, parent):
+        return "(" + "".join(sorted(code(u, v) for u in adjacent[v] if u != parent)) + ")"
+
+    return min(code(c, None) for c in layer)
+
+
 def tree_shapes(n):
-    """Free trees on n vertices, one labeled representative per isomorphism class."""
+    """Free trees on n vertices, one labeled representative per isomorphism
+    class: the first of its class in ``_labeled_trees`` order."""
     seen = set()
     shapes = []
     for edges in _labeled_trees(n):
-        key = None
-        for perm in itertools.permutations(range(n)):
-            table = tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges))
-            if key is None or table < key:
-                key = table
+        key = _free_tree_code(n, edges)
         if key not in seen:
             seen.add(key)
             shapes.append(edges)
@@ -381,21 +422,30 @@ def random_reduced_injective_lot(rng, n):
         )
 
 
-def reduced_injective_lots(max_vertices=6):
-    """All reduced injective LOTs with at most ``max_vertices`` vertices,
-    one per isomorphism class.
+def _compressed_labelings(n, ends, prefix=()):
+    """Injective labelings of the edges ``ends`` by range(n) in which no edge
+    carries one of its own ends, in lexicographic order."""
+    if len(prefix) == len(ends):
+        yield prefix
+        return
+    for label in range(n):
+        if label not in prefix and label not in ends[len(prefix)]:
+            yield from _compressed_labelings(n, ends, prefix + (label,))
+
+
+def reduced_injective_lot_candidates(max_vertices=6):
+    """Every reduced injective LOT with at most ``max_vertices`` vertices on
+    the first letters, isomorphic ones recurring: for each size, each of the
+    ``tree_shapes``, each orientation and each injective labeling that is
+    compressed and boundary reduced.
 
     Interior reducedness is automatic for injective labelings, so only the
     compression and boundary conditions are filtered.
     """
-    from drtool.lots import canonical_lot_key
-
     names = "abcdefgh"
-    out = []
-    seen = set()
     for n in range(1, max_vertices + 1):
         if n == 1:
-            out.append(build_lot([names[0]], []))
+            yield build_lot([names[0]], [])
             continue
         if n == 2:
             continue  # the single edge cannot be compressed
@@ -404,27 +454,34 @@ def reduced_injective_lots(max_vertices=6):
             for u, v in shape:
                 degree[u] += 1
                 degree[v] += 1
-            leaves = [v for v in range(n) if degree[v] == 1]
+            leaves = {v for v in range(n) if degree[v] == 1}
             for orientation in itertools.product((0, 1), repeat=n - 1):
                 ends = [
                     (u, v) if o == 0 else (v, u)
                     for (u, v), o in zip(shape, orientation)
                 ]
-                for labels in itertools.permutations(range(n), n - 1):
-                    if any(l in e for l, e in zip(labels, ends)):
-                        continue  # not compressed
-                    if any(v not in labels for v in leaves):
+                for labels in _compressed_labelings(n, ends):
+                    if not leaves.issubset(labels):
                         continue  # not boundary reduced
-                    lot = build_lot(
+                    yield build_lot(
                         [names[i] for i in range(n)],
                         [
                             (f"e{i + 1}", names[s], names[t], names[l])
                             for i, ((s, t), l) in enumerate(zip(ends, labels))
                         ],
                     )
-                    key = canonical_lot_key(lot)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    out.append(lot)
+
+
+def reduced_injective_lots(max_vertices=6):
+    """All reduced injective LOTs with at most ``max_vertices`` vertices,
+    one per isomorphism class: the first candidate of each class."""
+    from drtool.lots import canonical_lot_key
+
+    out = []
+    seen = set()
+    for lot in reduced_injective_lot_candidates(max_vertices):
+        key = canonical_lot_key(lot)
+        if key not in seen:
+            seen.add(key)
+            out.append(lot)
     return out

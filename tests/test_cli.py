@@ -312,9 +312,15 @@ def zero_one_certificate_with_first_angle(key, value):
     (zero_one_certificate_with_first_angle("position", 0.7),
      "hypotheses do not re-check: ComplexError: "
      "cannot interpret corner position 0.7 as an integer"),
+    (zero_one_certificate_with_first_angle("weight", True),
+     "hypotheses do not re-check: ComplexError: cannot interpret weight True as an exact rational"),
+    (zero_one_certificate_with_first_angle("position", True),
+     "hypotheses do not re-check: ComplexError: "
+     "cannot interpret corner position True as an integer"),
 ], ids=["quotient-step-evidence-empty", "base-epsilon-short", "quotient-step-lot-not-injective",
         "c4t4-hypotheses-empty", "zero-one-angle-1-over-0", "li-tree-angle-1-over-0",
-        "zero-one-float-angle", "zero-one-float-position"])
+        "zero-one-float-angle", "zero-one-float-position", "zero-one-bool-angle",
+        "zero-one-bool-position"])
 def test_verify_cert_reports_malformed_evidence_as_a_problem(tmp_path, make_data, problem):
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(make_data()), encoding="utf-8")
@@ -363,6 +369,19 @@ def test_an_inexact_number_in_a_rows_file_is_an_input_error(tmp_path, args, row,
     rows = tmp_path / "rows.json"
     rows.write_text(json.dumps([row]), encoding="utf-8")
     result = run_cli(*[str(rows) if a == ROWS else a for a in args])
+    assert_one_error_line(result, message)
+
+
+@pytest.mark.parametrize("row, message", [
+    ({"cell": "r1", "position": 0, "weight": True},
+     "error: cannot interpret weight True as an exact rational"),
+    ({"cell": "r1", "position": True, "weight": "1/2"},
+     "error: cannot interpret corner position True as an integer"),
+], ids=["bool-weight", "bool-position"])
+def test_a_boolean_in_a_rows_file_is_an_input_error(tmp_path, row, message):
+    rows = tmp_path / "rows.json"
+    rows.write_text(json.dumps([row]), encoding="utf-8")
+    result = run_cli("complex", "weighttest", TORUS, "--weights", str(rows))
     assert_one_error_line(result, message)
 
 

@@ -283,6 +283,19 @@ class TestPullback:
             report = diagram_gauss_bonnet(S, dmap, X, AngleAssignment(table))
             assert report.total == 4
 
+    def test_sides_are_paired_once_per_call(self, monkeypatch):
+        import drtool.diagrams
+
+        calls = []
+        paired_occurrences = drtool.diagrams._paired_occurrences
+        monkeypatch.setattr(drtool.diagrams, "_paired_occurrences",
+                            lambda S: calls.append(S) or paired_occurrences(S))
+        for name in DIAGRAM_FIXTURES:
+            S, dmap, X = load_diagram(name)
+            calls.clear()
+            assert diagram_gauss_bonnet(S, dmap, X, AngleAssignment.uniform(X, 1)).total == 4
+            assert calls == [S]
+
     def test_torus_pillow_has_a_positive_vertex(self):
         S, dmap, X = load_diagram("torus_pillow.json")
         w = AngleAssignment.uniform(X, Fraction(1, 2))

@@ -1,8 +1,11 @@
 import itertools
 import random
+import time
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drtool import (
     ZeroOneAssignment,
@@ -43,13 +46,20 @@ from drtool.lots import (
     LiCertificateTree,
     _bi_forest,
     boundary_reducible_sub_lots,
+    canonical_lot_key,
     lot_from_jsonable,
     lot_to_jsonable,
 )
 from drtool.unionfind import UnionFind
 
 from conftest import make_chain6, make_trefoil, make_w5
-from genutil import random_reduced_injective_lot, tree_shapes
+from genutil import (
+    lot_relabellings,
+    oracle_lot_key,
+    random_reduced_injective_lot,
+    reduced_injective_lot_candidates,
+    tree_shapes,
+)
 
 
 def edge_ids(lot):
@@ -168,15 +178,73 @@ class TestReduction:
         assert len(reduced.vertices) == 1
 
 
-def random_lot(rng, max_vertices=6):
-    n = rng.randint(1, max_vertices)
+def random_lot(rng, max_vertices=6, min_vertices=1, label_count=None):
+    """A random LOT: a random tree, each edge oriented at random and labeled
+    by one of the first ``label_count`` vertices (default: any vertex)."""
+    n = rng.randint(min_vertices, max_vertices)
     names = [chr(ord("a") + i) for i in range(n)]
+    label_names = names[:label_count]
     edges = []
     for i in range(1, n):
         other = names[rng.randrange(i)]
         u, v = (names[i], other) if rng.random() < 0.5 else (other, names[i])
-        edges.append((f"e{i}", u, v, rng.choice(names)))
+        edges.append((f"e{i}", u, v, rng.choice(label_names)))
     return build_lot(names, edges)
+
+
+def renamed(lot, rng):
+    """``lot`` with fresh vertex names and edge ids, its edges reordered."""
+    n, m = len(lot.vertices), len(lot.edges)
+    names = dict(zip(lot.vertices, (f"x{i}" for i in rng.sample(range(3 * n), n))))
+    ids = [f"f{i}" for i in rng.sample(range(3 * m + 1), m)]
+    edges = [(eid, names[e.source], names[e.target], names[e.label])
+             for eid, e in zip(ids, lot.edges)]
+    rng.shuffle(edges)
+    return build_lot(names.values(), edges)
+
+
+class TestCanonicalKey:
+    def test_partitions_the_sweep_candidates_like_the_oracle(self):
+        classes = {}
+        for lot in reduced_injective_lot_candidates(6):
+            classes.setdefault(canonical_lot_key(lot), []).append(lot)
+        assert sum(map(len, classes.values())) > 10000
+        oracle_keys = set()
+        for key, (first, *rest) in classes.items():
+            relabellings = set(lot_relabellings(first))
+            # the key is a relabelling of each candidate that has it ...
+            assert key[1] in relabellings
+            assert all(next(lot_relabellings(lot)) in relabellings for lot in rest)
+            oracle_keys.add((len(first.vertices), min(relabellings)))
+        # ... and no two keys belong to isomorphic candidates
+        assert len(oracle_keys) == len(classes) == 3946
+
+    def test_partitions_random_lots_like_the_oracle(self):
+        rng = random.Random(907)
+        lots_ = []
+        for label_count in (None, 3, 2, 1):
+            for _ in range(4):
+                lot = random_lot(rng, max_vertices=8, min_vertices=7, label_count=label_count)
+                lots_ += [lot, renamed(lot, rng)]
+        for _ in range(4):
+            lot = random_reduced_injective_lot(rng, rng.randint(7, 8))
+            lots_ += [lot, renamed(lot, rng)]
+        pairs = {(canonical_lot_key(lot), oracle_lot_key(lot)) for lot in lots_}
+        assert len({key for key, _ in pairs}) == len(pairs) == len({oracle for _, oracle in pairs})
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 9), st.integers(1, 9), st.randoms(use_true_random=False))
+    def test_renaming_and_reordering_keep_the_key(self, n, label_count, rng):
+        lot = random_lot(rng, max_vertices=n, min_vertices=n, label_count=label_count)
+        assert canonical_lot_key(renamed(lot, rng)) == canonical_lot_key(lot)
+
+    def test_a_star_of_twelve_symmetric_leaves_is_fast(self):
+        leaves = [f"l{i}" for i in range(12)]
+        star = build_lot(["c", *leaves], [(f"e{i}", "c", leaf, "c") for i, leaf in enumerate(leaves)])
+        start = time.perf_counter()
+        key = canonical_lot_key(star)
+        assert time.perf_counter() - start < 0.5
+        assert key == (13, tuple((0, i, 0) for i in range(1, 13)))
 
 
 def lot_corners(lot):
