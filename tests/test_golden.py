@@ -39,6 +39,20 @@ def golden_cases():
             f"search_{pres.stem}.json",
             ["diagram", "search", str(pres), "--max-faces", "4", "--json"],
         ))
+        # the weighted and zero/one angle paths of the presentation commands
+        cases.append((
+            f"coloringtest_{pres.stem}.json",
+            ["complex", "coloringtest", str(pres), "--json"],
+        ))
+        cases.append((
+            f"dr2_{pres.stem}.json",
+            ["complex", "dr2", str(pres), "--weights", "1/2", "--json"],
+        ))
+    for path in sorted(p for p in CORPUS.iterdir() if p.suffix in (".lot", ".pres")):
+        cases.append((
+            f"analyze_{path.stem}.json",
+            ["analyze", str(path), "--weights", "1/2", "--json"],
+        ))
     return cases
 
 
