@@ -18,6 +18,9 @@ def search_cap(default):
     if value is None:
         return default
     try:
-        return int(value)
+        cap = int(value)
     except ValueError:
         raise InvalidSearchCap(f"DRTOOL_SEARCH_CAP must be an integer, got {value!r}") from None
+    if cap < 0:
+        raise InvalidSearchCap(f"DRTOOL_SEARCH_CAP must not be negative, got {value!r}")
+    return cap

@@ -26,13 +26,7 @@ from .curvature import (
     find_zero_one_structure,
     weight_test,
 )
-from .diagrams import (
-    check_diagram,
-    diagram_map_from_jsonable,
-    face_cap,
-    search_reduced_diagram,
-    sphere_from_jsonable,
-)
+from .diagrams import check_diagram, diagram_map_from_jsonable, sphere_from_jsonable
 from .errors import _WRONG_SHAPE, DrtoolError, InvalidSearchCap, InvariantViolation, ParseError
 from .lots import (
     LiCertificateTree,
@@ -47,6 +41,7 @@ from .reports import (
     _resolve_weights,
     analyze,
     canonical_json,
+    diagram_search_section,
     export_dot,
     parse_weight_value,
     summarize_corpus,
@@ -228,17 +223,7 @@ def _cmd_diagram_verify(args):
 
 def _cmd_diagram_search(args):
     X = parse_presentation(read_text(args.path))
-    found = search_reduced_diagram(X, args.max_faces)
-    max_faces = face_cap() if args.max_faces is None else args.max_faces
-    if found is None:
-        _emit({"reduced_diagram": None, "max_faces": max_faces}, args.json)
-    else:
-        S, dmap = found
-        _emit(
-            {"reduced_diagram": {"sphere": S.to_jsonable(), "map": dmap.to_jsonable()},
-             "max_faces": max_faces},
-            args.json,
-        )
+    _emit(diagram_search_section(X, args.max_faces), args.json)
     return 0
 
 
@@ -324,8 +309,26 @@ def _cmd_verify_cert(args):
     return 0  # verification completing is exit 0 either way
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: exit 1 with one ``error:`` line."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
+def _face_count(text):
+    """``--max-faces``: a non-negative integer."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="drtool", description=__doc__)
+    parser = _Parser(prog="drtool", description=__doc__)
     parser.add_argument("--version", action="version", version=f"drtool {VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -388,7 +391,7 @@ def build_parser():
     p.set_defaults(func=_cmd_diagram_verify)
     p = dg.add_parser("search", help="bounded search for a reduced spherical diagram")
     p.add_argument("path")
-    p.add_argument("--max-faces", type=int, help="default: the search cap")
+    p.add_argument("--max-faces", type=_face_count, help="default: the search cap")
     common(p, dot=False)
     p.set_defaults(func=_cmd_diagram_search)
 
@@ -396,7 +399,7 @@ def build_parser():
     p.add_argument("path")
     p.add_argument("--weights")
     p.add_argument("--angles")
-    p.add_argument("--max-faces", type=int)
+    p.add_argument("--max-faces", type=_face_count)
     p.add_argument("--timestamp", action="store_true", help="include a wall-clock timestamp")
     common(p, dot=False, cert=True)
     p.set_defaults(func=_cmd_analyze)
@@ -417,9 +420,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)

@@ -161,6 +161,12 @@ class TwoComplex:
         that is not in the complex raises ComplexError."""
         return _Links((v, link_graph(self, v)) for v in self.vertices)
 
+    @cached_property
+    def corners(self):
+        """Corner key ``(cell, position)`` -> ``(vertex, Corner)``, in vertex
+        then link order: the complex's corner set, built once from ``links``."""
+        return {c.key: (v, c) for v, G in self.links.items() for c in G.corners}
+
 
 def build_complex(edges, cells, vertices=None) -> TwoComplex:
     """Validate raw data and build a TwoComplex.

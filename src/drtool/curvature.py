@@ -39,9 +39,12 @@ def _rational(value):
 
 
 def _coerce_weight(value):
-    # a JSON true or false is an int to Python, never a weight
-    if isinstance(value, (Fraction, int, str)) and not isinstance(value, bool):
+    """A string parsed as a rational; an exact int or Fraction as it is."""
+    if isinstance(value, str):
         return _rational(value)
+    # a JSON true or false is an int to Python, never a weight
+    if isinstance(value, (Fraction, int)) and not isinstance(value, bool):
+        return value
     raise ComplexError(f"cannot interpret weight {value!r} as an exact rational")
 
 
@@ -63,12 +66,7 @@ class AngleAssignment:
 
     @classmethod
     def uniform(cls, X: TwoComplex, value):
-        value = _coerce_weight(value)
-        table = {}
-        for cell in X.cells:
-            for i in range(len(cell.word)):
-                table[(cell.id, i)] = value
-        return cls(table)
+        return cls(dict.fromkeys(X.corners, _coerce_weight(value)))
 
     def weight(self, corner):
         key = corner.key if hasattr(corner, "key") else tuple(corner)
@@ -83,34 +81,31 @@ class AngleAssignment:
     def items(self):
         return sorted(self._table.items())
 
-    def keys(self):
-        return set(self._table)
-
     def __len__(self):
         return len(self._table)
 
     def __add__(self, other):
-        if self.keys() != other.keys():
+        if self._table.keys() != other._table.keys():
             raise MissingWeight("assignments have different corner domains")
         return AngleAssignment({k: v + other._table[k] for k, v in self._table.items()})
 
+    def _least_key(self, bad):
+        """The least corner key whose angle is ``bad``, or None."""
+        return min((k for k, v in self._table.items() if bad(v)), default=None)
+
     def validate_total(self, X: TwoComplex):
         """Domain must be exactly the corner set of X."""
-        need = set()
-        for cell in X.cells:
-            for i in range(len(cell.word)):
-                need.add((cell.id, i))
-        missing = need - self.keys()
-        if missing:
-            raise MissingWeight(f"no angle for corner {sorted(missing)[0]}")
-        extra = self.keys() - need
-        if extra:
-            raise ComplexError(f"angle assigned to unknown corner {sorted(extra)[0]}")
+        need, have = X.corners.keys(), self._table.keys()
+        if have != need:
+            missing = need - have
+            if missing:
+                raise MissingWeight(f"no angle for corner {min(missing)}")
+            raise ComplexError(f"angle assigned to unknown corner {min(have - need)}")
 
     def validate_nonnegative(self):
-        for key, value in self.items():
-            if value < 0:
-                raise UnsupportedWeights(f"negative weight {value} at corner {key}")
+        key = self._least_key(lambda v: v < 0)
+        if key is not None:
+            raise UnsupportedWeights(f"negative weight {self._table[key]} at corner {key}")
 
     def to_jsonable(self):
         return [
@@ -126,9 +121,9 @@ class AngleAssignment:
 class ZeroOneAssignment(AngleAssignment):
     def __init__(self, weights):
         super().__init__(weights)
-        for key, value in self.items():
-            if value not in (0, 1):
-                raise ComplexError(f"angle at corner {key} is {value}, not 0 or 1")
+        key = self._least_key(lambda v: v not in (0, 1))
+        if key is not None:
+            raise ComplexError(f"angle at corner {key} is {self._table[key]}, not 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -182,21 +177,19 @@ def cell_curvature(X: TwoComplex, omega: AngleAssignment, cell_id):
     cell = X.cell_map().get(cell_id)
     if cell is None:
         raise ComplexError(f"unknown cell {cell_id!r}")
+    return _cell_curvature(cell, omega)
+
+
+def _cell_curvature(cell, omega):
     L = len(cell.word)
-    total = Fraction(0)
-    for i in range(L):
-        w = omega.get((cell.id, i))
-        if w is None:
-            raise MissingWeight(f"no angle for corner {(cell.id, i)}")
-        total += w
-    return total - (L - 2)
+    return sum((omega.weight((cell.id, i)) for i in range(L)), Fraction(0)) - (L - 2)
 
 
 def check_gauss_bonnet(X: TwoComplex, omega: AngleAssignment) -> CurvatureReport:
     """Exact curvature report; raises InvariantViolation if the identity fails."""
     omega.validate_total(X)
     vertex_k = {v: vertex_curvature(X, omega, v) for v in X.vertices}
-    cell_k = {c.id: cell_curvature(X, omega, c.id) for c in X.cells}
+    cell_k = {c.id: _cell_curvature(c, omega) for c in X.cells}
     total = sum(vertex_k.values(), Fraction(0)) + sum(cell_k.values(), Fraction(0))
     chi = euler_characteristic(X)
     if total != 2 * chi:
@@ -356,7 +349,7 @@ def weight_test(X: TwoComplex, omega: AngleAssignment) -> TestVerdict:
     omega.validate_nonnegative()
     notes = {"loop_convention": LOOP_CONVENTION}
     for cell in X.cells:
-        k = cell_curvature(X, omega, cell.id)
+        k = _cell_curvature(cell, omega)
         if k > 0:
             return TestVerdict(
                 False,
@@ -435,7 +428,7 @@ def coloring_forests(X: TwoComplex, omega01: ZeroOneAssignment):
     of every vertex link (vertex -> UnionFind); None when it fails."""
     omega01.validate_total(X)
     for cell in X.cells:
-        k = cell_curvature(X, omega01, cell.id)
+        k = _cell_curvature(cell, omega01)
         if k > 0:
             return TestVerdict(
                 False, {"condition": 1, "cell": cell.id, "curvature": str(k)}
@@ -473,8 +466,7 @@ def find_zero_one_structure(X: TwoComplex):
     complexes should use the dedicated bi-forest search instead.
     """
     cap = caps.search_cap(caps.ZERO_ONE_CAP)
-    links = X.links
-    corners = [(v, c) for v in X.vertices for c in links[v].corners]
+    corners = list(X.corners.values())
     if len(corners) > cap:
         raise CapExceeded(
             f"{len(corners)} corners exceeds the zero/one search cap {cap}; "
@@ -485,7 +477,7 @@ def find_zero_one_structure(X: TwoComplex):
         return None  # a monogon's curvature is positive under any zero/one angles
     assignment = {}
     ones_used = {cell.id: 0 for cell in X.cells}
-    forests = {v: UnionFind(links[v].nodes) for v in X.vertices}
+    forests = {v: UnionFind(X.links[v].nodes) for v in X.vertices}
 
     def solve(index):
         if index == len(corners):

@@ -288,13 +288,12 @@ def _check_diagram(S: SphereComplex, f: DiagramMap, X: TwoComplex):
 
     # each sphere vertex maps to one vertex of X, and its corners walk the
     # link there: a negative face crosses its image corner backwards
-    link_corner = {c.key: (v, c) for v, G in X.links.items() for c in G.corners}
     nonreduced = []
     for orbit_index, orbit in enumerate(orbits):
         images = set()
         steps = []
         for fid, p in orbit:
-            v, corner = link_corner[cell_position(_corner_position, fid, p)]
+            v, corner = X.corners[cell_position(_corner_position, fid, p)]
             images.add(v)
             steps.append(CornerStep(corner, f.cellmap[fid][2] < 0))
         if len(images) != 1:

@@ -24,7 +24,7 @@ from .curvature import (
     find_zero_one_structure,
     weight_test,
 )
-from .diagrams import search_reduced_diagram
+from .diagrams import face_cap, search_reduced_diagram
 from .errors import DrtoolError, InvalidSearchCap
 from .lots import (
     Lot,
@@ -76,14 +76,27 @@ def _resolve_weights(option, X):
     return AngleAssignment.uniform(X, _rational(option))
 
 
-def _attempt(diagnostics, label, func, *args):
+def _attempt(diagnostics, label, func, *args, failed=None):
+    """``func(*args)``, or ``failed`` once the DrtoolError it raised is recorded."""
     try:
         return func(*args)
     except InvalidSearchCap:
         raise  # an input error of the whole run, not of one check
     except DrtoolError as exc:
         diagnostics.append({"check": label, "error": f"{type(exc).__name__}: {exc}"})
-        return None
+        return failed
+
+
+def diagram_search_section(X, max_faces=None):
+    """The diagram search's report: the face bound it ran with (default: the
+    cap) and the first reduced diagram it found, or None."""
+    found = search_reduced_diagram(X, max_faces)
+    return {
+        "max_faces": face_cap() if max_faces is None else max_faces,
+        "reduced_diagram": None if found is None else {
+            "sphere": found[0].to_jsonable(), "map": found[1].to_jsonable()
+        },
+    }
 
 
 def _dr2_attempts(X, weights, angles, diagnostics):
@@ -149,11 +162,22 @@ def analyze_text(text, options: AnalyzeOptions = None, name=None) -> dict:
         X = reduced.complex
         weights = _resolve_weights(options.weights, X)
 
+        lot_section = {
+            "properties": props.to_jsonable(),
+            "is_tree": lot.is_tree,
+            "reduced_form": serialize_lot(reduced),
+            "reduction_log": list(log),
+            "bi_forest": None,
+        }
         angles = options.angles
-        biforest = None
         if angles is None and reduced.is_injective:
-            biforest = _attempt(diagnostics, "bi_forest", bi_forest_orientation, reduced)
-            if biforest is not None:
+            biforest = _attempt(
+                diagnostics, "bi_forest", bi_forest_orientation, reduced, failed=False
+            )
+            if biforest is False:
+                del lot_section["bi_forest"]  # the search raised: no claim either way
+            elif biforest is not None:
+                lot_section["bi_forest"] = biforest.to_jsonable()
                 angles = biforest.assignment
 
         section, tests = _complex_section(X, weights, angles, diagnostics)
@@ -169,13 +193,7 @@ def analyze_text(text, options: AnalyzeOptions = None, name=None) -> dict:
             {
                 "input": {"kind": "lot", "name": name, "sha256": input_sha256(canonical),
                           "canonical": canonical},
-                "lot": {
-                    "properties": props.to_jsonable(),
-                    "is_tree": lot.is_tree,
-                    "reduced_form": serialize_lot(reduced),
-                    "reduction_log": list(log),
-                    "bi_forest": biforest.to_jsonable() if biforest is not None else None,
-                },
+                "lot": lot_section,
                 "complex": section,
                 "tests": tests,
                 "certificates": {"dr2": attempts, "local_indicability": li_tree},
@@ -204,17 +222,11 @@ def analyze_text(text, options: AnalyzeOptions = None, name=None) -> dict:
         )
 
     if options.max_faces is not None:
-        found = _attempt(
-            diagnostics, "diagram_search", search_reduced_diagram, X, options.max_faces
+        search = _attempt(
+            diagnostics, "diagram_search", diagram_search_section, X, options.max_faces
         )
-        if found is None:
-            report["diagram_search"] = {"max_faces": options.max_faces, "reduced_diagram": None}
-        else:
-            S, dmap = found
-            report["diagram_search"] = {
-                "max_faces": options.max_faces,
-                "reduced_diagram": {"sphere": S.to_jsonable(), "map": dmap.to_jsonable()},
-            }
+        if search is not None:
+            report["diagram_search"] = search
 
     report["diagnostics"] = diagnostics
     return report

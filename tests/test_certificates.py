@@ -14,6 +14,7 @@ from drtool import (
     check_dr2_zero_one,
     compute_pieces,
     verify_dr2_certificate,
+    weight_test,
 )
 from drtool.errors import MultiVertexError, NonReducedRelator, UnsupportedWeights
 from drtool.lots import bi_forest_orientation, lot_complex
@@ -81,6 +82,22 @@ class TestWeightedCriterion:
         X = build_complex(edges=[("a", "v", "w")], cells=[])
         with pytest.raises(MultiVertexError):
             check_dr2_weighted(X, AngleAssignment({}))
+
+    @pytest.mark.parametrize("X, make_rows", [
+        (make_torus(), lambda X: AngleAssignment.uniform(X, 1).to_jsonable()),
+        (make_torus(), lambda X: torus_good_zero_one().to_jsonable()),
+        (lot_complex(make_trefoil()),
+         lambda X: bi_forest_orientation(make_trefoil()).assignment.to_jsonable()),
+    ], ids=["torus-ones", "torus-zero-one", "trefoil-bi-forest"])
+    def test_a_json_integer_weight_acts_as_its_string_twin(self, X, make_rows):
+        rows = make_rows(X)
+        twin = [{**row, "weight": int(row["weight"])} for row in rows]
+        assert all(isinstance(row["weight"], str) for row in rows)
+        by_string = AngleAssignment.from_jsonable(rows)
+        by_int = AngleAssignment.from_jsonable(twin)
+        assert weight_test(X, by_int).to_jsonable() == weight_test(X, by_string).to_jsonable()
+        assert (check_dr2_weighted(X, by_int).to_jsonable()
+                == check_dr2_weighted(X, by_string).to_jsonable())
 
     def test_negative_weights_rejected(self):
         X = make_torus()

@@ -199,6 +199,49 @@ def test_non_integer_search_cap_is_an_input_error():
     assert_one_error_line(result, "error: DRTOOL_SEARCH_CAP must be an integer")
 
 
+TORUS = str(CORPUS / "torus.pres")
+
+
+@pytest.mark.parametrize("args", [
+    ("diagram", "search", TORUS, "--max-faces", "abc"),
+    ("diagram", "search"),
+    ("bogus",),
+    ("diagram", "search", TORUS, "--max-faces", "-1"),
+    ("analyze", TORUS, "--max-faces", "-1"),
+], ids=["max-faces-not-int", "missing-path", "unknown-command",
+        "search-negative-max-faces", "analyze-negative-max-faces"])
+def test_a_usage_error_is_an_input_error(args):
+    assert_one_error_line(run_cli(*args))
+
+
+def test_a_negative_search_cap_is_an_input_error():
+    result = run_cli("diagram", "search", TORUS, env={"DRTOOL_SEARCH_CAP": "-5"})
+    assert_one_error_line(result, "error: DRTOOL_SEARCH_CAP must not be negative")
+
+
+def test_zero_faces_and_help_still_exit_zero():
+    result = run_cli("diagram", "search", TORUS, "--max-faces", "0", "--json")
+    assert result.returncode == 0
+    assert json.loads(result.stdout) == {"max_faces": 0, "reduced_diagram": None}
+    assert run_cli("--help").returncode == 0
+
+
+def test_analyze_leaves_out_a_search_that_raised():
+    # a search that never ran found nothing, so its section is absent
+    result = run_cli("analyze", TORUS, "--max-faces", "9", "--json")
+    assert result.returncode == 0
+    report = json.loads(result.stdout)
+    assert "diagram_search" not in report
+    assert [d["check"] for d in report["diagnostics"]] == ["diagram_search"]
+
+    result = run_cli("analyze", str(CORPUS / "trefoil.lot"), "--json",
+                     env={"DRTOOL_SEARCH_CAP": "2"})
+    assert result.returncode == 0
+    report = json.loads(result.stdout)
+    assert "bi_forest" not in report["lot"]
+    assert [d["check"] for d in report["diagnostics"]] == ["bi_forest", "decide"]
+
+
 @pytest.mark.parametrize("argv", [["analyze", str(CORPUS / "trefoil.lot")],
                                   ["analyze", str(CORPUS / "torus.pres")],
                                   ["corpus", str(CORPUS)]])

@@ -19,7 +19,7 @@ from drtool.complexes import (
 from drtool.errors import ComplexError, NotAWalk
 
 from conftest import make_m2, make_torus, make_trefoil
-from genutil import random_complex
+from genutil import random_complex, random_multi_vertex_complex, random_one_vertex_complex
 from drtool.lots import lot_complex
 
 
@@ -147,6 +147,24 @@ class TestLinkGraph:
             )
             for v in X.vertices:
                 assert corner_pairs(link_graph(X, v)) == corner_pairs(link_graph(rotated, v))
+
+
+class TestCornerTable:
+    def test_matches_cell_positions_and_link_corners_in_order(self):
+        rng = random.Random(12)
+        for k in range(40):
+            if k % 2:
+                X = random_one_vertex_complex(rng)
+            else:
+                X = random_multi_vertex_complex(rng, n_vertices=rng.randint(2, 4))
+            assert set(X.corners) == {(c.id, i) for c in X.cells for i in range(len(c.word))}
+            assert list(X.corners.items()) == [
+                (c.key, (v, c)) for v in X.vertices for c in link_graph(X, v).corners
+            ]
+
+    def test_built_once(self):
+        X = make_torus()
+        assert X.corners is X.corners
 
 
 class TestReducedPaths:

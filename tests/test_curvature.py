@@ -18,9 +18,12 @@ from drtool import (
     weight_test,
 )
 from drtool import curvature
+from drtool.certificates import check_dr2_zero_one
+from drtool.complexes import TwoComplex
 from drtool.curvature import min_reduced_cycle, reduced_girth
 from drtool.errors import (
     CapExceeded,
+    ComplexError,
     InvariantViolation,
     MissingWeight,
     UnsupportedWeights,
@@ -132,6 +135,64 @@ class TestGaussBonnet:
                                ("r1", 3): 1, ("zz", 0): 1})
         with pytest.raises(Exception):
             check_gauss_bonnet(X, bad)
+
+
+class TestCornerDomain:
+    def test_checks_read_cells_without_a_cell_map(self, monkeypatch):
+        trefoil = make_trefoil()
+        K, omega01 = lot_complex(trefoil), bi_forest_orientation(trefoil).assignment
+        X = make_torus()
+        half = AngleAssignment.uniform(X, Fraction(1, 2))
+        calls = []
+        cell_map = TwoComplex.cell_map
+
+        def counting_cell_map(self):
+            calls.append(self)
+            return cell_map(self)
+
+        monkeypatch.setattr(TwoComplex, "cell_map", counting_cell_map)
+        assert coloring_test(K, omega01).passed
+        assert check_dr2_zero_one(K, omega01).ok
+        assert weight_test(X, half).passed
+        assert check_gauss_bonnet(X, half).total == 0
+        assert calls == []
+
+    @staticmethod
+    def message(rng, check, table):
+        """The message of the error ``check`` raises on ``table`` shuffled."""
+        items = list(table.items())
+        rng.shuffle(items)
+        with pytest.raises((ComplexError, MissingWeight, UnsupportedWeights)) as info:
+            check(dict(items))
+        return str(info.value)
+
+    def test_the_least_offending_corner_is_named_whatever_the_table_order(self):
+        rng = random.Random(21)
+        for _ in range(30):
+            X = random_one_vertex_complex(rng, min_cells=2)
+            keys = sorted(X.corners)
+            bad = rng.sample(keys, rng.randint(1, min(3, len(keys))))
+            least = min(bad)
+            extra = [(cell, position + 100) for cell, position in bad]
+
+            def total(table):
+                AngleAssignment(table).validate_total(X)
+
+            def nonnegative(table):
+                AngleAssignment(table).validate_nonnegative()
+
+            assert self.message(rng, total, {k: 1 for k in keys if k not in bad}) == (
+                f"no angle for corner {least}"
+            )
+            assert self.message(rng, total, dict.fromkeys(keys + extra, 1)) == (
+                f"angle assigned to unknown corner {min(extra)}"
+            )
+            assert self.message(
+                rng, nonnegative, {k: -k[1] - 1 if k in bad else 1 for k in keys}
+            ) == f"negative weight {-least[1] - 1} at corner {least}"
+            assert self.message(
+                rng, ZeroOneAssignment, {k: k[1] + 2 if k in bad else 0 for k in keys}
+            ) == f"angle at corner {least} is {least[1] + 2}, not 0 or 1"
 
 
 class TestMinReducedCycle:
