@@ -22,6 +22,7 @@ from drtool.cli import main  # noqa: E402
 from conftest import CORPUS, FIXTURES  # noqa: E402
 
 GOLDEN = FIXTURES / "golden"
+WALKS = FIXTURES / "walks"  # inputs whose witnesses are link walks
 
 
 def golden_cases():
@@ -53,6 +54,20 @@ def golden_cases():
             f"analyze_{path.stem}.json",
             ["analyze", str(path), "--weights", "1/2", "--json"],
         ))
+    # the least-weight walk witnesses: T(4) and weight-test cycles, WEIGHTED
+    # paths and a condition-2 forest cycle
+    for pres in sorted(WALKS.glob("*.pres")):
+        for command, extra in (("c4t4", []), ("weighttest", ["--weights", "1/3"]),
+                               ("dr2", ["--weights", "1/2"])):
+            cases.append((
+                f"walks_{command}_{pres.stem}.json",
+                ["complex", command, str(pres), *extra, "--json"],
+            ))
+    cases.append((
+        "walks_coloringtest_torus_zero.json",
+        ["complex", "coloringtest", str(CORPUS / "torus.pres"),
+         "--angles", str(WALKS / "torus_zero_angles.json"), "--json"],
+    ))
     return cases
 
 
