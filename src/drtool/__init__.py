@@ -61,7 +61,6 @@ from .lots import (
     reduce_lot_with_log,
     replay_reduction,
     verify_li_tree,
-    zero_one_from_biforest,
 )
 from .diagrams import (
     DiagramMap,

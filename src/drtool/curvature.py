@@ -199,6 +199,53 @@ def check_gauss_bonnet(X: TwoComplex, omega: AngleAssignment) -> CurvatureReport
     return CurvatureReport(vertex_k, cell_k, total, chi)
 
 
+def _corner_weights(G: LinkGraph, omega):
+    """Corner of G -> its weight under omega; the walk searches need each >= 0."""
+    weights = {}
+    for c in G.corners:
+        weights[c] = omega.weight(c)
+        if weights[c] < 0:
+            raise UnsupportedWeights(f"negative weight at corner {c.key}")
+    return weights
+
+
+def _least_walk(graph, start, weight, goals, bound=None):
+    """Least-weight walk from ``start`` to a state in ``goals`` as
+    ``(weight, labels)``, or None if none is reached below ``bound``.
+
+    ``graph`` maps a state to its ``(label, next state, step weight)``
+    triples, every step weight non-negative, and ``weight`` is the weight
+    already spent at ``start``.  Dijkstra: the first goal popped is a least
+    one, ties break by discovery order, and the search stops once the weight
+    reaches ``bound``.
+    """
+    dist = {start: weight}
+    parent = {start: None}
+    counter = 0
+    heap = [(weight, counter, start)]
+    while heap:
+        d, _, state = heapq.heappop(heap)
+        if d > dist[state]:
+            continue  # a stale entry: the state was popped at a lower weight
+        if bound is not None and d >= bound:
+            return None
+        if state in goals:
+            labels = []
+            while parent[state] is not None:
+                state, label = parent[state]
+                labels.append(label)
+            labels.reverse()
+            return d, labels
+        for label, nxt, w in graph.get(state, ()):
+            nd = d + w
+            if nxt not in dist or nd < dist[nxt]:
+                dist[nxt] = nd
+                parent[nxt] = (state, label)
+                counter += 1
+                heapq.heappush(heap, (nd, counter, nxt))
+    return None
+
+
 def min_reduced_cycle(G: LinkGraph, omega) -> tuple | None:
     """Minimum-weight reduced cycle as ``(weight, steps)``, or None if no
     reduced cycle exists.
@@ -206,59 +253,28 @@ def min_reduced_cycle(G: LinkGraph, omega) -> tuple | None:
     States of the search are directed corner traversals; transitions join
     traversals sharing a link node, excluding immediate reversal.  Reduced
     cycles are exactly the closed non-backtracking walks, and with
-    non-negative weights a Dijkstra run from every start state finds the
+    non-negative weights a least walk from every start state finds the
     minimum closure.  Requires ``omega >= 0`` on every corner of G.
     """
+    weights = _corner_weights(G, omega)
     steps = G.steps()
-    if not steps:
-        return None
-    for step in steps:
-        if omega.weight(step.corner) < 0:
-            raise UnsupportedWeights(
-                f"negative weight at corner {step.corner.key}; "
-                "cycle minimisation needs non-negative angles"
-            )
-    by_start = {}
+    by_start, by_end = {}, {}
     for step in steps:
         by_start.setdefault(step.start, []).append(step)
-
+        by_end.setdefault(step.end, []).append(step)
+    successors = {
+        step: [(nxt, nxt, weights[nxt.corner]) for nxt in by_start[step.end]
+               if nxt != step.reversed_step()]
+        for step in steps
+    }
     best = None  # (weight, steps)
     for start in steps:
-        w0 = omega.weight(start.corner)
-        if best is not None and w0 >= best[0]:
-            continue
-        # Dijkstra over traversal states, beginning after `start` is walked.
-        dist = {start: w0}
-        parent = {start: None}
-        counter = 0
-        heap = [(w0, counter, start)]
-        done = set()
-        forbidden_last = start.reversed_step()
-        while heap:
-            d, _, state = heapq.heappop(heap)
-            if state in done:
-                continue
-            done.add(state)
-            if best is not None and d >= best[0]:
-                break
-            if state.end == start.start and state != forbidden_last:
-                chain = []
-                cur = state
-                while cur is not None:
-                    chain.append(cur)
-                    cur = parent[cur]
-                chain.reverse()
-                best = (d, chain)
-                break  # first valid closure popped is this start's minimum
-            for nxt in by_start.get(state.end, ()):
-                if nxt == state.reversed_step():
-                    continue
-                nd = d + omega.weight(nxt.corner)
-                if nxt not in dist or nd < dist[nxt]:
-                    dist[nxt] = nd
-                    parent[nxt] = state
-                    counter += 1
-                    heapq.heappush(heap, (nd, counter, nxt))
+        # a closure is a step back into start's node that does not undo start
+        goals = set(by_end[start.start]) - {start.reversed_step()}
+        found = _least_walk(successors, start, weights[start.corner], goals,
+                            None if best is None else best[0])
+        if found is not None:
+            best = (found[0], [start, *found[1]])
     return best
 
 
@@ -275,60 +291,27 @@ def _shortest_reduced_cycle(G: LinkGraph):
     return None if found is None else (int(found[0]), found[1])
 
 
-def reduced_girth(G: LinkGraph):
-    """Length of the shortest reduced cycle, or None."""
-    found = _shortest_reduced_cycle(G)
-    return None if found is None else found[0]
-
-
 def min_reduced_path(G: LinkGraph, omega, source, target) -> tuple | None:
     """Minimum weight over reduced paths from ``source`` to ``target`` as
     ``(weight, node_path, steps)``, or None if no path connects them.
 
     With non-negative weights the minimum over reduced paths equals the
     minimum over all walks (reducing a backtrack never raises the weight),
-    so a node Dijkstra suffices; ties break deterministically by discovery
-    order, and the returned path is simple, hence reduced.
+    so a least walk over the nodes suffices; ties break deterministically by
+    discovery order, and the returned path is simple, hence reduced.
     """
     if source not in G.nodes or target not in G.nodes:
         raise ComplexError(f"node not in link of {G.base!r}")
-    for c in G.corners:
-        if omega.weight(c) < 0:
-            raise UnsupportedWeights(f"negative weight at corner {c.key}")
-    adj = G.adjacency()
-    dist = {source: Fraction(0)}
-    parent = {source: None}
-    counter = 0
-    heap = [(Fraction(0), counter, source)]
-    done = set()
-    while heap:
-        d, _, node = heapq.heappop(heap)
-        if node in done:
-            continue
-        done.add(node)
-        if node == target:
-            nodes = []
-            steps = []
-            cur = node
-            while cur is not None:
-                nodes.append(cur)
-                prev = parent[cur]
-                if prev is not None:
-                    steps.append(prev[1])
-                    cur = prev[0]
-                else:
-                    cur = None
-            nodes.reverse()
-            steps.reverse()
-            return d, nodes, steps
-        for step in adj[node]:
-            nd = d + omega.weight(step.corner)
-            if step.end not in dist or nd < dist[step.end]:
-                dist[step.end] = nd
-                parent[step.end] = (node, step)
-                counter += 1
-                heapq.heappush(heap, (nd, counter, step.end))
-    return None
+    weights = _corner_weights(G, omega)
+    adjacency = {
+        node: [(step, step.end, weights[step.corner]) for step in out]
+        for node, out in G.adjacency().items()
+    }
+    found = _least_walk(adjacency, source, Fraction(0), {target})
+    if found is None:
+        return None
+    weight, steps = found
+    return weight, [source, *(step.end for step in steps)], steps
 
 
 def _cycle_witness(vertex, found):
@@ -376,7 +359,7 @@ def lk0_components(X: TwoComplex, v, omega01: ZeroOneAssignment):
 def _zero_forest(G, omega01):
     """Union-find of the angle-0 subgraph of G, and its first cycle: the first
     0-corner closing one plus the tree path it closes, or None."""
-    adj = {}  # node -> list of (neighbor, corner) over the forest's corners
+    adj = {}  # node -> ((node, corner), neighbor, 0) over the forest's corners
     uf = UnionFind(G.nodes)
     cycle = None
     for c in G.corners:
@@ -384,37 +367,15 @@ def _zero_forest(G, omega01):
             continue
         a, b = c.nodes
         if uf.union(a, b):
-            adj.setdefault(a, []).append((b, c))
-            adj.setdefault(b, []).append((a, c))
+            adj.setdefault(a, []).append(((a, c), b, 0))
+            adj.setdefault(b, []).append(((b, c), a, 0))
         elif cycle is None:
-            path = _forest_path(adj, a, b)
+            _, path = _least_walk(adj, a, 0, {b})
             cycle = {
                 "cycle_nodes": [str(n) for n, _ in path] + [str(b)],
                 "cycle_corners": [list(cor.key) for _, cor in path] + [list(c.key)],
             }
     return uf, cycle
-
-
-def _forest_path(adj, a, b):
-    """Path from a to b in a forest given as an adjacency map; [] if a == b."""
-    if a == b:
-        return []
-    prev = {a: None}
-    queue = [a]
-    while queue:
-        node = queue.pop(0)
-        for nxt, corner in adj.get(node, ()):
-            if nxt not in prev:
-                prev[nxt] = (node, corner)
-                queue.append(nxt)
-    path = []
-    cur = b
-    while prev.get(cur) is not None:
-        node, corner = prev[cur]
-        path.append((node, corner))
-        cur = node
-    path.reverse()
-    return path
 
 
 def coloring_test(X: TwoComplex, omega01: ZeroOneAssignment) -> TestVerdict:

@@ -29,7 +29,7 @@ from .complexes import (
     word_inverse,
 )
 from .curvature import AngleAssignment, CurvatureReport, TestVerdict, check_gauss_bonnet
-from .errors import CapExceeded, IllFormedMap, InvariantViolation
+from .errors import CapExceeded, IllFormedMap, InvalidSearchCap, InvariantViolation
 from .unionfind import UnionFind
 
 
@@ -504,10 +504,14 @@ def face_cap():
 
 def search_reduced_diagram(X: TwoComplex, max_faces=None, prune_isomorphs=True):
     """First reduced spherical diagram over X with at most ``max_faces``
-    faces (default: the cap), or None.  A bounded falsification oracle for DR."""
+    faces (default: the cap), or None.  A bounded falsification oracle for DR.
+    A bound that is not a non-negative integer is an input error, not a
+    search that found nothing."""
     cap = face_cap()
     if max_faces is None:
         max_faces = cap
+    if isinstance(max_faces, bool) or not isinstance(max_faces, int) or max_faces < 0:
+        raise InvalidSearchCap(f"max_faces must be a non-negative integer, got {max_faces!r}")
     if max_faces > cap:
         raise CapExceeded(f"max_faces {max_faces} exceeds the search cap {cap}")
     for S, f in enumerate_diagrams(

@@ -69,7 +69,7 @@ class GeneratorCountExceedsSearchCap(CapExceeded):
 
 
 class InvalidSearchCap(DrtoolError):
-    """``DRTOOL_SEARCH_CAP`` is set to something that is not a non-negative integer."""
+    """``DRTOOL_SEARCH_CAP`` or a diagram face bound is not a non-negative integer."""
 
 
 class IllFormedMap(DrtoolError):

@@ -683,12 +683,6 @@ def _zero_one_certificate(lot: Lot, structure: BiForestStructure) -> Dr2Certific
     return outcome.certificate
 
 
-def zero_one_from_biforest(lot: Lot, structure: BiForestStructure) -> ZeroOneAssignment:
-    """Induced zero/one structure, checked to pass the zero/one criterion."""
-    _zero_one_certificate(lot, structure)
-    return structure.assignment
-
-
 # ---------------------------------------------------------------------------
 # the decision procedure
 

@@ -187,6 +187,37 @@ def oracle_reduced_cycles_up_to(G, max_len=3):
 
 
 # ---------------------------------------------------------------------------
+# oracle: minimum-weight path by enumerating simple paths
+
+
+def oracle_min_reduced_path(G, omega, source, target):
+    """Minimum weight over the simple paths from ``source`` to ``target`` (the
+    empty path, weight 0, when they are equal) by depth-first enumeration;
+    None if no path joins them.
+
+    With non-negative weights, cutting a walk's closed detours down to a
+    simple path never adds weight, so this is the minimum over reduced paths.
+    """
+    by_start = {}
+    for step in G.steps():
+        by_start.setdefault(step.start, []).append(step)
+    best = [None]
+
+    def extend(node, visited, total):
+        if node == target:
+            best[0] = total if best[0] is None else min(best[0], total)
+            return
+        for step in by_start.get(node, ()):
+            if step.end not in visited:
+                visited.add(step.end)
+                extend(step.end, visited, total + omega.weight(step.corner))
+                visited.discard(step.end)
+
+    extend(source, {source}, Fraction(0))
+    return best[0]
+
+
+# ---------------------------------------------------------------------------
 # oracle: the zero/one search by scanning every assignment
 
 

@@ -280,9 +280,11 @@ class TestC4T4:
         for _ in range(25):
             G = genutil.random_link(rng, max_corners=8)
             short = genutil.oracle_reduced_cycles_up_to(G, 3)
-            from drtool.curvature import reduced_girth
+            from drtool import AngleAssignment, min_reduced_cycle_weight
 
-            girth = reduced_girth(G)
+            girth = min_reduced_cycle_weight(
+                G, AngleAssignment({c.key: 1 for c in G.corners})
+            )
             if short:
                 assert girth is not None and girth <= 3
             else:

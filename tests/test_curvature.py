@@ -11,6 +11,7 @@ from drtool import (
     check_gauss_bonnet,
     coloring_test,
     find_zero_one_structure,
+    is_reduced_path,
     link_graph,
     lk0_components,
     min_reduced_cycle_weight,
@@ -20,7 +21,7 @@ from drtool import (
 from drtool import curvature
 from drtool.certificates import check_dr2_zero_one
 from drtool.complexes import TwoComplex
-from drtool.curvature import min_reduced_cycle, reduced_girth
+from drtool.curvature import min_reduced_cycle, min_reduced_path
 from drtool.errors import (
     CapExceeded,
     ComplexError,
@@ -34,6 +35,7 @@ from drtool.unionfind import UnionFind
 from conftest import make_m2, make_torus, make_trefoil
 from genutil import (
     oracle_min_reduced_cycle_weight,
+    oracle_min_reduced_path,
     oracle_zero_one_structure,
     random_complex,
     random_link,
@@ -255,6 +257,47 @@ class TestMinReducedCycle:
                 assert nxt != step.reversed_step()
 
 
+class TestMinReducedPath:
+    def test_matches_simple_path_enumeration(self):
+        rng = random.Random(31)
+        zeros = parallel = checked = 0
+        for _ in range(40):
+            G = random_link(rng, max_corners=10)
+            w = AngleAssignment({
+                c.key: Fraction(rng.choice((0, rng.randint(0, 24))), rng.randint(1, 12))
+                for c in G.corners
+            })
+            zeros += any(w.weight(c) == 0 for c in G.corners)
+            ends = [frozenset(c.nodes) for c in G.corners]
+            parallel += len(set(ends)) < len(ends)
+            for source in G.nodes:
+                for target in G.nodes:
+                    found = min_reduced_path(G, w, source, target)
+                    expected = oracle_min_reduced_path(G, w, source, target)
+                    if found is None:
+                        assert expected is None
+                        continue
+                    weight, nodes, steps = found
+                    assert weight == expected
+                    assert nodes[0] == source and nodes[-1] == target
+                    assert [s.start for s in steps] == nodes[:-1]
+                    assert [s.end for s in steps] == nodes[1:]
+                    assert is_reduced_path(steps, G)
+                    assert sum((w.weight(s.corner) for s in steps), Fraction(0)) == weight
+                    checked += 1
+        assert zeros > 10 and parallel > 10 and checked > 500
+
+    def test_one_message_for_a_negative_weight(self):
+        X = make_torus()
+        G = link_graph(X, "*")
+        w = AngleAssignment({**dict.fromkeys(X.corners, 1), ("r1", 2): -1})
+        for search in (lambda: min_reduced_cycle(G, w),
+                       lambda: min_reduced_path(G, w, G.nodes[0], G.nodes[1])):
+            with pytest.raises(UnsupportedWeights) as info:
+                search()
+            assert str(info.value) == "negative weight at corner ('r1', 2)"
+
+
 class TestWeightTest:
     def test_torus_half_passes(self):
         X = make_torus()
@@ -351,12 +394,16 @@ class TestLk0Components:
 
 
 class TestGirth:
+    @staticmethod
+    def girth(X):
+        return min_reduced_cycle_weight(link_graph(X, "*"), AngleAssignment.uniform(X, 1))
+
     def test_torus_girth_four(self):
-        assert reduced_girth(link_graph(make_torus(), "*")) == 4
+        assert self.girth(make_torus()) == 4
 
     def test_loop_girth_one(self):
         X = build_complex(edges=[("a", "*", "*")], cells=[("r1", "a a-")], vertices=["*"])
-        assert reduced_girth(link_graph(X, "*")) == 1
+        assert self.girth(X) == 1
 
 
 class TestZeroOneSearch:

@@ -21,7 +21,7 @@ from drtool import (
 )
 from drtool.complexes import Cell, Letter
 from drtool.diagrams import diagram_map_from_jsonable, sphere_from_jsonable
-from drtool.errors import CapExceeded, IllFormedMap
+from drtool.errors import CapExceeded, IllFormedMap, InvalidSearchCap
 from drtool.lots import lot_complex
 from drtool.parsing import parse_presentation
 
@@ -195,6 +195,12 @@ class TestSearch:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             search_reduced_diagram(make_m2(), 99)
+
+    @pytest.mark.parametrize("bound", [-3, 2.5, True])
+    def test_face_bound_that_is_not_a_count_is_an_input_error(self, bound):
+        with pytest.raises(InvalidSearchCap):
+            search_reduced_diagram(make_torus(), bound)
+        assert search_reduced_diagram(make_m2(), 0) is None
 
     def test_pruning_soundness_small(self):
         for X in (make_m2(), make_torus(), lot_complex(make_trefoil())):

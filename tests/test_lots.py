@@ -24,7 +24,6 @@ from drtool import (
     reduce_lot_with_log,
     replay_reduction,
     verify_li_tree,
-    zero_one_from_biforest,
 )
 from drtool import complexes, lots
 from drtool.certificates import CheckOutcome, check_dr2_zero_one
@@ -550,8 +549,7 @@ class TestBiForest:
 
     def test_zero_one_from_biforest_passes_everything(self):
         lot = make_trefoil()
-        bf = bi_forest_orientation(lot)
-        w01 = zero_one_from_biforest(lot, bf)
+        w01 = bi_forest_orientation(lot).assignment
         K = lot_complex(lot)
         assert coloring_test(K, w01).passed
         assert check_dr2_zero_one(K, w01).ok

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from drtool import AngleAssignment, ZeroOneAssignment, export_dot, link_graph
-from drtool.errors import ComplexError, DrtoolError
+from drtool.errors import ComplexError, DrtoolError, InvalidSearchCap
 from drtool.lots import bi_forest_orientation, lot_complex
 from drtool.reports import (
     AnalyzeOptions,
@@ -55,6 +55,12 @@ class TestAnalyze:
     def test_diagram_search_section(self):
         rep = analyze(CORPUS / "m2.pres", AnalyzeOptions(max_faces=2))
         assert rep["diagram_search"]["reduced_diagram"] is not None
+
+    def test_negative_face_bound_is_an_input_error(self):
+        with pytest.raises(InvalidSearchCap):
+            analyze(CORPUS / "torus.pres", AnalyzeOptions(max_faces=-3))
+        rep = analyze(CORPUS / "torus.pres", AnalyzeOptions(max_faces=0))
+        assert rep["diagram_search"] == {"max_faces": 0, "reduced_diagram": None}
 
     def test_timestamp_only_on_request(self):
         rep = analyze(CORPUS / "trefoil.lot")
