@@ -54,6 +54,12 @@ def golden_cases():
             f"analyze_{path.stem}.json",
             ["analyze", str(path), "--weights", "1/2", "--json"],
         ))
+    # the boundary-reducible sub-LOTs, read off the sub-LOT listing
+    for lot in sorted(CORPUS.glob("*.lot")):
+        cases.append((
+            f"hypothesis_{lot.stem}.json",
+            ["lot", "check", str(lot), "--huck-rose-hypothesis", "--json"],
+        ))
     # the least-weight walk witnesses: T(4) and weight-test cycles, WEIGHTED
     # paths and a condition-2 forest cycle
     for pres in sorted(WALKS.glob("*.pres")):
