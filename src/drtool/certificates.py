@@ -253,14 +253,13 @@ class _PieceTable:
 
 @dataclass(frozen=True)
 class PieceDecomposition:
-    pieces: tuple  # maximal pieces, as words
     min_counts: dict  # cell id -> int or None (no decomposition into pieces)
     witnesses: dict  # cell id -> tuple of piece words or None
     periods: dict  # cell id -> cyclic period of the relator
 
 
 def compute_pieces(X: TwoComplex) -> PieceDecomposition:
-    """Pieces and minimal piece counts for every cell.
+    """Minimal piece counts, with a witness and the period, for every cell.
 
     The count is the least number of pieces whose concatenation is the cyclic
     relator, minimised over starting rotations by dynamic programming; None
@@ -268,26 +267,6 @@ def compute_pieces(X: TwoComplex) -> PieceDecomposition:
     """
     _require_reduced_relators(X)
     table = _PieceTable(X)
-
-    all_pieces = set()
-    for cell in X.cells:
-        L = len(cell.word)
-        for k in range(1, L + 1):
-            for p in range(L):
-                w = _cyclic_subword(cell.word, p, k)
-                if table.is_piece(w):
-                    all_pieces.add(w)
-
-    def contains(big, small):
-        if len(small) > len(big):
-            return False
-        return any(big[i : i + len(small)] == small for i in range(len(big) - len(small) + 1))
-
-    maximal = sorted(
-        (p for p in all_pieces if not any(q != p and contains(q, p) for q in all_pieces)),
-        key=lambda w: (len(w), tuple(str(l) for l in w)),
-    )
-
     min_counts = {}
     witnesses = {}
     periods = {}
@@ -319,7 +298,7 @@ def compute_pieces(X: TwoComplex) -> PieceDecomposition:
                 best_parts = tuple(reversed(parts))
         min_counts[cell.id] = None if best is INF else int(best)
         witnesses[cell.id] = best_parts
-    return PieceDecomposition(tuple(maximal), min_counts, witnesses, periods)
+    return PieceDecomposition(min_counts, witnesses, periods)
 
 
 def check_c4t4(X: TwoComplex) -> TestVerdict:

@@ -266,7 +266,7 @@ def _cmd_corpus(args):
     def run(path):
         try:
             return path.name, analyze(path, options)
-        except InvalidSearchCap:
+        except (InvalidSearchCap, InvariantViolation):
             raise
         except DrtoolError as exc:
             return path.name, {"error": f"{type(exc).__name__}: {exc}"}

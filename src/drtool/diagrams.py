@@ -502,7 +502,7 @@ def face_cap():
     return caps.search_cap(caps.DIAGRAM_FACE_CAP)
 
 
-def search_reduced_diagram(X: TwoComplex, max_faces=None, prune_isomorphs=True):
+def search_reduced_diagram(X: TwoComplex, max_faces=None):
     """First reduced spherical diagram over X with at most ``max_faces``
     faces (default: the cap), or None.  A bounded falsification oracle for DR.
     A bound that is not a non-negative integer is an input error, not a
@@ -514,9 +514,7 @@ def search_reduced_diagram(X: TwoComplex, max_faces=None, prune_isomorphs=True):
         raise InvalidSearchCap(f"max_faces must be a non-negative integer, got {max_faces!r}")
     if max_faces > cap:
         raise CapExceeded(f"max_faces {max_faces} exceeds the search cap {cap}")
-    for S, f in enumerate_diagrams(
-        X, max_faces, require_reduced=True, prune_isomorphs=prune_isomorphs
-    ):
+    for S, f in enumerate_diagrams(X, max_faces, require_reduced=True):
         report = check_diagram(S, f, X)
         if report.reduced:
             return S, f

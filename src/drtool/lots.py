@@ -422,27 +422,28 @@ def replay_reduction(lot: Lot, log) -> Lot:
 # sub-LOTs and quotients
 
 
+def _spanned_lot(edges) -> Lot:
+    """The LOT on ``edges`` and the vertices they span."""
+    return Lot(tuple(sorted({v for e in edges for v in (e.source, e.target)})), tuple(edges))
+
+
 def enumerate_sub_lots(lot: Lot):
     """All sub-LOTs as (sub_lot, is_proper) pairs.
 
     A sub-LOT is a subtree with a nonempty edge set whose edge labels lie
-    among its own vertices.  Exhaustive over edge subsets.
+    among its own vertices.  Listed from the whole tree down by
+    ``_sub_lots_below``, at most m prunes per sub-LOT listed.
     """
     if not lot.is_tree:
         raise NotATree("sub-LOT enumeration requires a tree")
-    out = []
-    m = len(lot.edges)
-    for mask in range(1, 1 << m):
-        chosen = [lot.edges[i] for i in range(m) if mask >> i & 1]
-        spanned = sorted({v for e in chosen for v in (e.source, e.target)})
-        # edges of a tree never close a cycle, so they span one subtree
-        # exactly when they number one fewer than their vertices
-        if len(chosen) != len(spanned) - 1:
-            continue
-        if any(e.label not in spanned for e in chosen):
-            continue
-        sub = Lot(tuple(spanned), tuple(chosen))
-        out.append((sub, len(chosen) != m))
+    found = {frozenset(e.id for e in lot.edges): lot.edges} if lot.edges else {}
+    pending = list(found.values())
+    for edges in pending:  # grows as sub-LOTs are found
+        for ids, part in _sub_lots_below(lot, edges).items():
+            if ids not in found:
+                found[ids] = part
+                pending.append(part)
+    out = [(_spanned_lot(edges), len(edges) != len(lot.edges)) for edges in found.values()]
     out.sort(key=lambda pair: (len(pair[0].edges), pair[0].vertices,
                                tuple(e.id for e in pair[0].edges)))
     return out
@@ -470,37 +471,36 @@ def _pruned_components(vertices, edges):
     return components.values()
 
 
+def _sub_lots_below(lot: Lot, edges):
+    """The largest sub-LOTs in the sub-LOT ``edges`` less one edge, over each
+    edge, by edge-id frozenset; a proper sub-LOT avoids an edge, so lies in one."""
+    found = {}
+    for skip in edges:
+        rest = [e for e in edges if e is not skip]
+        for part in _pruned_components(lot.vertices, rest):
+            found[frozenset(e.id for e in part)] = part
+    return found
+
+
 def maximal_proper_sub_lot(lot: Lot):
     """A maximal proper sub-LOT, ties broken by the smallest vertex tuple;
     None when there is no proper sub-LOT.
 
-    A proper sub-LOT avoids some edge e, so it lies in one of the largest
-    sub-LOTs of the tree without e (``_pruned_components``); the maximal
-    proper sub-LOTs are the maximal ones among those, over every e.  Its
-    edges are in LOT order, as in ``enumerate_sub_lots``.
+    The maximal ones among ``_sub_lots_below`` the whole tree; edges in LOT
+    order, as in ``enumerate_sub_lots``.
     """
     if not lot.is_tree:
         raise NotATree("sub-LOT search requires a tree")
-    found = {}
-    for skip in lot.edges:
-        rest = [e for e in lot.edges if e is not skip]
-        for edges in _pruned_components(lot.vertices, rest):
-            found[frozenset(e.id for e in edges)] = edges
-    maximal = (
-        Lot(tuple(sorted({v for e in edges for v in (e.source, e.target)})), tuple(edges))
-        for ids, edges in found.items()
-        if not any(ids < other for other in found)
-    )
+    found = _sub_lots_below(lot, lot.edges)
+    maximal = [_spanned_lot(edges) for ids, edges in found.items()
+               if not any(ids < other for other in found)]
     return min(maximal, key=lambda sub: sub.vertices, default=None)
 
 
 def boundary_reducible_sub_lots(lot: Lot):
     """Sub-LOTs that are not boundary reduced (the stronger base-case check)."""
-    out = []
-    for sub, _ in enumerate_sub_lots(lot):
-        if not check_properties(sub).boundary_reduced:
-            out.append(sub)
-    return out
+    return [sub for sub, _ in enumerate_sub_lots(lot)
+            if next(_boundary_vertices(sub), None) is not None]
 
 
 def collapse_vertex(sub: Lot):
@@ -760,8 +760,7 @@ def _amalgam_split(lot: Lot, sub: Lot):
             f"found {len(incidences)}"
         )
     attach = incidences[0][1]
-    spanned = tuple(sorted({v for e in outside for v in (e.source, e.target)}))
-    part2 = Lot(spanned, tuple(outside))
+    part2 = _spanned_lot(outside)
     try:
         _validate_sub_lot(lot, part2)
     except NotSubLot as exc:

@@ -25,7 +25,7 @@ from .curvature import (
     weight_test,
 )
 from .diagrams import face_cap, search_reduced_diagram
-from .errors import DrtoolError, InvalidSearchCap
+from .errors import DrtoolError, InvalidSearchCap, InvariantViolation
 from .lots import (
     Lot,
     bi_forest_orientation,
@@ -80,8 +80,8 @@ def _attempt(diagnostics, label, func, *args, failed=None):
     """``func(*args)``, or ``failed`` once the DrtoolError it raised is recorded."""
     try:
         return func(*args)
-    except InvalidSearchCap:
-        raise  # an input error of the whole run, not of one check
+    except (InvalidSearchCap, InvariantViolation):
+        raise  # a run-wide input error or an internal fault, not a failed check
     except DrtoolError as exc:
         diagnostics.append({"check": label, "error": f"{type(exc).__name__}: {exc}"})
         return failed

@@ -183,6 +183,25 @@ def test_invariant_violation_exit_two(monkeypatch):
     assert cli.main(["lot", "check", str(CORPUS / "trefoil.lot")]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", str(CORPUS / "trefoil.lot"), "--json"],
+    ["corpus", str(CORPUS), "--json"],
+], ids=["analyze", "corpus"])
+def test_invariant_violation_in_a_check_exits_two(monkeypatch, capsys, argv):
+    # an internal fault is neither a diagnostic nor an error row
+    import drtool.reports as reports
+    from drtool.errors import InvariantViolation
+
+    def boom(lot):
+        raise InvariantViolation("synthetic")
+
+    monkeypatch.setattr(reports, "decide_locally_indicable", boom)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal invariant violation: synthetic\n"
+
+
 def test_search_cap_env_override():
     # 4 faces is under the built-in cap of 8, so only the override refuses it.
     args = ("diagram", "search", str(CORPUS / "m2.pres"), "--max-faces", "4")

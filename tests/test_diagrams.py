@@ -205,8 +205,9 @@ class TestSearch:
     def test_pruning_soundness_small(self):
         for X in (make_m2(), make_torus(), lot_complex(make_trefoil())):
             for n in (1, 2, 3):
-                pruned = search_reduced_diagram(X, n, prune_isomorphs=True)
-                unpruned = search_reduced_diagram(X, n, prune_isomorphs=False)
+                pruned = search_reduced_diagram(X, n)
+                unpruned = next(enumerate_diagrams(X, n, require_reduced=True,
+                                                   prune_isomorphs=False), None)
                 assert (pruned is None) == (unpruned is None)
 
     def test_search_none_excludes_reduced_diagrams(self):

@@ -375,12 +375,38 @@ class TestSubLots:
         found = 0
         for k in range(30):
             lot = random_reduced_injective_lot(rng, 9 + k % 5)
-            rows = [(sub.vertices, tuple(edge_ids(sub)), is_proper)
-                    for sub, is_proper in enumerate_sub_lots(lot)]
-            expected = oracle_maximal_proper(rows)
+            expected = oracle_maximal_proper(oracle_sub_lots(lot))
             assert maximal_row(lot) == (expected and expected[:2])
             found += expected is not None
         assert 0 < found < 30
+
+    def test_enumeration_matches_oracle_with_repeated_labels(self):
+        rng = random.Random(1217)
+        lots_ = [random_lot(rng, max_vertices=13, min_vertices=9, label_count=rng.randint(1, 4))
+                 for _ in range(12)]
+        # every subtree through the centre is a sub-LOT: 2^11 - 1 of them
+        leaves = [f"l{i:02d}" for i in range(11)]
+        lots_.append(build_lot(["c", *leaves],
+                               [(f"e{i:02d}", "c", leaf, "c") for i, leaf in enumerate(leaves)]))
+        for lot in lots_:
+            rows = [(s.vertices, tuple(edge_ids(s)), p) for s, p in enumerate_sub_lots(lot)]
+            assert rows == oracle_sub_lots(lot)
+        assert len(rows) == 2047
+
+    def test_enumeration_prunes_at_most_m_times_per_sub_lot(self, monkeypatch):
+        calls = []
+        pruned_components = lots._pruned_components
+
+        def counted(vertices, edges):
+            calls.append(len(edges))
+            return pruned_components(vertices, edges)
+
+        monkeypatch.setattr(lots, "_pruned_components", counted)
+        lot = random_reduced_injective_lot(random.Random(1300), 40)
+        listed = enumerate_sub_lots(lot)
+        # 2^39 edge subsets: only work per sub-LOT listed finishes here
+        assert len(listed) == 4
+        assert 0 < len(calls) <= len(lot.edges) * len(listed)
 
     def test_every_small_injective_lot(self):
         # the small-LOT sweep runs thousands of 3- and 4-vertex LOTs
