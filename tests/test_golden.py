@@ -69,6 +69,10 @@ def golden_cases():
                 f"walks_{command}_{pres.stem}.json",
                 ["complex", command, str(pres), *extra, "--json"],
             ))
+    # larger certificate trees: seeded reduced injective LOTs of 12-13 vertices
+    for lot in sorted((FIXTURES / "lots").glob("*.lot")):
+        cases.append((f"lots_decide_{lot.stem}.json", ["lot", "decide", str(lot), "--json"]))
+        cases.append((f"lots_analyze_{lot.stem}.json", ["analyze", str(lot), "--json"]))
     cases.append((
         "walks_coloringtest_torus_zero.json",
         ["complex", "coloringtest", str(CORPUS / "torus.pres"),
