@@ -39,13 +39,19 @@ def _rational(value):
 
 
 def _coerce_weight(value):
-    """A string parsed as a rational; an exact int or Fraction as it is."""
+    """An exact rational: an int when it is a whole number, else a Fraction.
+
+    A string of ASCII digits, with at most one leading ``-``, is read by
+    ``int``; any other string is parsed as by ``Fraction``."""
     if isinstance(value, str):
-        return _rational(value)
+        digits = value[1:] if value.startswith("-") else value
+        if digits.isascii() and digits.isdigit():
+            return int(value)
+        value = _rational(value)
     # a JSON true or false is an int to Python, never a weight
-    if isinstance(value, (Fraction, int)) and not isinstance(value, bool):
-        return value
-    raise ComplexError(f"cannot interpret weight {value!r} as an exact rational")
+    elif not isinstance(value, (Fraction, int)) or isinstance(value, bool):
+        raise ComplexError(f"cannot interpret weight {value!r} as an exact rational")
+    return value.numerator if value.denominator == 1 else value
 
 
 def _coerce_position(position):
@@ -151,7 +157,7 @@ class TestVerdict:
 class CurvatureReport:
     vertex_curvatures: dict
     cell_curvatures: dict
-    total: Fraction
+    total: int | Fraction
     euler: int
 
     @property
@@ -169,7 +175,7 @@ class CurvatureReport:
 
 def vertex_curvature(X: TwoComplex, omega: AngleAssignment, v):
     G = X.links[v]
-    total = sum((omega.weight(c) for c in G.corners), Fraction(0))
+    total = sum(omega.weight(c) for c in G.corners)
     return 2 - G.euler_characteristic() - total
 
 
@@ -182,7 +188,7 @@ def cell_curvature(X: TwoComplex, omega: AngleAssignment, cell_id):
 
 def _cell_curvature(cell, omega):
     L = len(cell.word)
-    return sum((omega.weight((cell.id, i)) for i in range(L)), Fraction(0)) - (L - 2)
+    return sum(omega.weight((cell.id, i)) for i in range(L)) - (L - 2)
 
 
 def check_gauss_bonnet(X: TwoComplex, omega: AngleAssignment) -> CurvatureReport:
@@ -190,7 +196,7 @@ def check_gauss_bonnet(X: TwoComplex, omega: AngleAssignment) -> CurvatureReport
     omega.validate_total(X)
     vertex_k = {v: vertex_curvature(X, omega, v) for v in X.vertices}
     cell_k = {c.id: _cell_curvature(c, omega) for c in X.cells}
-    total = sum(vertex_k.values(), Fraction(0)) + sum(cell_k.values(), Fraction(0))
+    total = sum(vertex_k.values()) + sum(cell_k.values())
     chi = euler_characteristic(X)
     if total != 2 * chi:
         raise InvariantViolation(
@@ -307,7 +313,7 @@ def min_reduced_path(G: LinkGraph, omega, source, target) -> tuple | None:
         node: [(step, step.end, weights[step.corner]) for step in out]
         for node, out in G.adjacency().items()
     }
-    found = _least_walk(adjacency, source, Fraction(0), {target})
+    found = _least_walk(adjacency, source, 0, {target})
     if found is None:
         return None
     weight, steps = found

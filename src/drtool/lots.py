@@ -84,13 +84,25 @@ class Lot:
         return lot_complex(self)
 
 
+def _check_name(kind, name):
+    """A name the LOT text grammar reads back: nonempty, without whitespace
+    (``str.split`` separates tokens) and without ``#`` (it starts a comment)."""
+    if name.split() != [name] or "#" in name:
+        raise ComplexError(
+            f"{kind} name {name!r} must be nonempty, without whitespace or '#'"
+        )
+
+
 def build_lot(vertices, edges) -> Lot:
     vertex_set = sorted(str(v) for v in vertices)
+    for v in vertex_set:
+        _check_name("vertex", v)
     if len(set(vertex_set)) != len(vertex_set):
         raise ComplexError("duplicate vertex id")
     edge_list = []
     for item in edges:
         e = LotEdge(str(item[0]), str(item[1]), str(item[2]), str(item[3]))
+        _check_name("edge", e.id)
         for v in (e.source, e.target, e.label):
             if v not in vertex_set:
                 raise ComplexError(f"unknown vertex {v!r} in edge {e.id!r}")
@@ -439,7 +451,7 @@ def enumerate_sub_lots(lot: Lot):
     found = {frozenset(e.id for e in lot.edges): lot.edges} if lot.edges else {}
     pending = list(found.values())
     for edges in pending:  # grows as sub-LOTs are found
-        for ids, part in _sub_lots_below(lot, edges).items():
+        for ids, part in _sub_lots_below(edges).items():
             if ids not in found:
                 found[ids] = part
                 pending.append(part)
@@ -449,35 +461,48 @@ def enumerate_sub_lots(lot: Lot):
     return out
 
 
-def _pruned_components(vertices, edges):
+def _pruned_components(edges):
     """The largest sub-LOTs among ``edges`` of a tree, as edge lists in the
     order given.
 
     Drop every edge whose label lies outside its component and repeat until
     nothing is dropped.  A sub-LOT within ``edges`` keeps its labels inside
     its own component, so none of its edges is ever dropped; every component
-    that keeps an edge carries all its labels, so it is a sub-LOT."""
+    that keeps an edge carries all its labels, so it is a sub-LOT.  Each
+    round labels the components of the kept edges in one traversal."""
     while True:
-        uf = UnionFind(vertices)
+        adjacent = {}
         for e in edges:
-            uf.union(e.source, e.target)
-        kept = [e for e in edges if uf.together(e.label, e.source)]
+            adjacent.setdefault(e.source, []).append(e.target)
+            adjacent.setdefault(e.target, []).append(e.source)
+        root = {}  # vertex -> the first vertex reached in its component
+        for start in adjacent:
+            if start in root:
+                continue
+            root[start] = start
+            stack = [start]
+            while stack:
+                for w in adjacent[stack.pop()]:
+                    if w not in root:
+                        root[w] = start
+                        stack.append(w)
+        kept = [e for e in edges if root.get(e.label) == root[e.source]]
         if len(kept) == len(edges):
             break
         edges = kept
     components = {}
     for e in edges:
-        components.setdefault(uf.find(e.source), []).append(e)
+        components.setdefault(root[e.source], []).append(e)
     return components.values()
 
 
-def _sub_lots_below(lot: Lot, edges):
+def _sub_lots_below(edges):
     """The largest sub-LOTs in the sub-LOT ``edges`` less one edge, over each
     edge, by edge-id frozenset; a proper sub-LOT avoids an edge, so lies in one."""
     found = {}
     for skip in edges:
         rest = [e for e in edges if e is not skip]
-        for part in _pruned_components(lot.vertices, rest):
+        for part in _pruned_components(rest):
             found[frozenset(e.id for e in part)] = part
     return found
 
@@ -491,7 +516,7 @@ def maximal_proper_sub_lot(lot: Lot):
     """
     if not lot.is_tree:
         raise NotATree("sub-LOT search requires a tree")
-    found = _sub_lots_below(lot, lot.edges)
+    found = _sub_lots_below(lot.edges)
     maximal = [_spanned_lot(edges) for ids, edges in found.items()
                if not any(ids < other for other in found)]
     return min(maximal, key=lambda sub: sub.vertices, default=None)

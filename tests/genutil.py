@@ -2,8 +2,9 @@
 
 The oracles deliberately avoid the library's own algorithms: cycle
 minimisation is re-done by depth-first enumeration, piece counts by
-enumerating every decomposition, short cycles by direct walks, and the LOT
-isomorphism key by trying every vertex bijection.
+enumerating every decomposition, short cycles by direct walks, the LOT
+isomorphism key by trying every vertex bijection, and the sub-LOT prune's
+components by a fresh union-find each round instead of a traversal.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from fractions import Fraction
 
 from drtool import Lot, TwoComplex, build_complex, build_lot
 from drtool.complexes import Letter, word_inverse
+from drtool.unionfind import UnionFind
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +362,29 @@ def oracle_lot_key(lot: Lot):
 
 
 # ---------------------------------------------------------------------------
+# oracle: the sub-LOT prune with a fresh union-find each round
+
+
+def oracle_pruned_components(vertices, edges):
+    """The largest sub-LOTs among ``edges`` of a tree on ``vertices``, as
+    edge lists in the order given: drop every edge whose label lies outside
+    its component, with the components from a new union-find each round,
+    until nothing is dropped."""
+    while True:
+        uf = UnionFind(vertices)
+        for e in edges:
+            uf.union(e.source, e.target)
+        kept = [e for e in edges if uf.together(e.label, e.source)]
+        if len(kept) == len(edges):
+            break
+        edges = kept
+    components = {}
+    for e in edges:
+        components.setdefault(uf.find(e.source), []).append(e)
+    return list(components.values())
+
+
+# ---------------------------------------------------------------------------
 # exhaustive small LOT enumeration
 
 
@@ -430,8 +455,11 @@ def tree_shapes(n):
 def random_reduced_injective_lot(rng, n):
     """A random reduced injective LOT on ``n >= 3`` vertices, by rejection:
     a random tree with a random injective labeling, kept once it is
-    compressed and boundary reduced (injective LOTs are interior reduced)."""
-    names = [chr(ord("a") + i) for i in range(n)]
+    compressed and boundary reduced (injective LOTs are interior reduced).
+
+    Vertices 0-35 are the letters from ``a`` on; from 36 on, where those
+    letters reach whitespace, vertex i is ``v<i>``."""
+    names = [chr(ord("a") + i) if i < 36 else f"v{i}" for i in range(n)]
     while True:
         ends = []
         for i in range(1, n):

@@ -296,13 +296,28 @@ def li_certificate_without_lot():
     return data
 
 
+def li_certificate_with_a_vertex_name(name, in_sub_lot=False):
+    """The w5 LI certificate with its first vertex renamed ``name`` in the
+    root LOT, or in the recorded sub-LOT with ``in_sub_lot``."""
+    def make_data():
+        data = decide_locally_indicable(make_w5()).to_jsonable()
+        lot = data["evidence"]["sub_lot"] if in_sub_lot else data["lot"]
+        old = lot["vertices"][0]
+        lot["vertices"][0] = name
+        lot["edges"] = [[name if v == old else v for v in edge] for edge in lot["edges"]]
+        return data
+    return make_data
+
+
 # each case builds its JSON when it runs, under the built-in search caps
 @pytest.mark.parametrize("command, make_data", [
     (["verify-cert"], lambda: [1, 2]),
     (["verify-cert"], lambda: {"format": "li-certificate/1"}),
     (["verify-cert"], li_certificate_without_lot),
+    (["verify-cert"], li_certificate_with_a_vertex_name("a\x85")),
     (["diagram", "verify", "--complex", str(CORPUS / "torus.pres")], lambda: {"faces": 1}),
-], ids=["not-an-object", "li-without-kind", "li-lot-null", "diagram-faces-int"])
+], ids=["not-an-object", "li-without-kind", "li-lot-null", "li-lot-name-nel",
+        "diagram-faces-int"])
 def test_json_of_the_wrong_shape_is_an_input_error(tmp_path, command, make_data):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(make_data()), encoding="utf-8")
@@ -362,6 +377,9 @@ def zero_one_certificate_with_first_angle(key, value):
      "quotient_step[0]: evidence does not re-check: KeyError: 'a'"),
     (quotient_step_of_a_lot_that_is_not_injective,
      "root: evidence does not re-check: NotInjective: quotients are taken of injective LOTs"),
+    (li_certificate_with_a_vertex_name("", in_sub_lot=True),
+     "root: evidence does not re-check: ComplexError: "
+     "vertex name '' must be nonempty, without whitespace or '#'"),
     (c4t4_certificate_without_hypotheses,
      "hypotheses do not re-check: KeyError: 'piece_counts'"),
     (zero_one_certificate_with_a_zero_denominator_angle,
@@ -380,6 +398,7 @@ def zero_one_certificate_with_first_angle(key, value):
      "hypotheses do not re-check: ComplexError: "
      "cannot interpret corner position True as an integer"),
 ], ids=["quotient-step-evidence-empty", "base-epsilon-short", "quotient-step-lot-not-injective",
+        "quotient-step-sub-lot-name-empty",
         "c4t4-hypotheses-empty", "zero-one-angle-1-over-0", "li-tree-angle-1-over-0",
         "zero-one-float-angle", "zero-one-float-position", "zero-one-bool-angle",
         "zero-one-bool-position"])

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drtool import (
     AngleAssignment,
@@ -15,6 +17,7 @@ from drtool import (
     link_graph,
     lk0_components,
     min_reduced_cycle_weight,
+    parse_presentation,
     vertex_curvature,
     weight_test,
 )
@@ -108,6 +111,69 @@ class TestCurvatureValues:
                 assert cell_curvature(X, w1 + w2, c.id) == (
                     cell_curvature(X, w1, c.id) + cell_curvature(X, w2, c.id) + const
                 )
+
+
+def fraction_rule(value):
+    """The weight rule by ``Fraction`` alone: a string parsed by ``Fraction``
+    (a zero denominator an input error), a Fraction or a non-bool int as it
+    is, anything else refused."""
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ComplexError(f"weight {value!r} has a zero denominator") from None
+    if isinstance(value, (Fraction, int)) and not isinstance(value, bool):
+        return value
+    raise ComplexError(f"cannot interpret weight {value!r} as an exact rational")
+
+
+def outcome(rule, value):
+    """``("value", result)`` or ``(exception class, message)``."""
+    try:
+        return "value", rule(value)
+    except Exception as exc:  # noqa: BLE001 - the class and message are compared
+        return type(exc), str(exc)
+
+
+WEIGHT_STRINGS = ["0", "-0", "007", "1e0", " 1", "+1", "2/2", "0.5", "1/0", "--1",
+                  "\u0661", "9" * 5000]
+
+
+class TestWeightCoercion:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(
+        st.integers(), st.fractions(), st.sampled_from(WEIGHT_STRINGS),
+        st.integers().map(str), st.text(alphabet="-+/.e 0129\u0661\u00b2", max_size=6),
+        st.floats(allow_nan=False), st.booleans(), st.none(),
+    ))
+    def test_whole_numbers_are_ints_and_refusals_keep_their_text(self, value):
+        got = outcome(curvature._coerce_weight, value)
+        expected = outcome(fraction_rule, value)
+        assert got == expected
+        if got[0] == "value":
+            assert type(got[1]) is (int if Fraction(got[1]).denominator == 1 else Fraction)
+
+    def test_listed_strings(self):
+        assert [curvature._coerce_weight(s) for s in WEIGHT_STRINGS[:8]] == (
+            [0, 0, 7, 1, 1, 1, 1, Fraction(1, 2)]
+        )
+        assert curvature._coerce_weight("\u0661") == 1
+        with pytest.raises(ComplexError, match=r"^weight '1/0' has a zero denominator$"):
+            curvature._coerce_weight("1/0")
+        with pytest.raises(ValueError, match=r"^Invalid literal for Fraction: '--1'$"):
+            curvature._coerce_weight("--1")
+        with pytest.raises(ValueError, match="integer string conversion"):
+            curvature._coerce_weight("9" * 5000)
+
+    def test_half_weights_print_as_fractions(self):
+        X = parse_presentation("presentation\ngens a\nrel a a a\n")
+        half = check_gauss_bonnet(X, AngleAssignment.uniform(X, "1/2")).to_jsonable()
+        assert half["cell_curvatures"] == {"r1": "1/2"}
+        assert half["vertex_curvatures"] == {"*": "3/2"}
+        assert half["total"] == "2"
+        whole = check_gauss_bonnet(X, AngleAssignment.uniform(X, "1"))
+        assert type(whole.total) is int
+        assert whole.to_jsonable()["cell_curvatures"] == {"r1": "2"}
 
 
 class TestGaussBonnet:

@@ -55,6 +55,7 @@ from conftest import make_chain6, make_trefoil, make_w5
 from genutil import (
     lot_relabellings,
     oracle_lot_key,
+    oracle_pruned_components,
     random_reduced_injective_lot,
     reduced_injective_lot_candidates,
     tree_shapes,
@@ -351,7 +352,41 @@ def oracle_maximal_proper(rows):
     return min(maximal, key=lambda row: row[0], default=None)
 
 
+def pruning_case(rng, n, labels):
+    """A random tree on ``n`` vertices and a random subset of its edges.
+
+    ``labels`` is ``injective``, ``repeated`` (two label values) or
+    ``absent`` (about half the labels outside the vertices the subset
+    spans, where there are such vertices)."""
+    names = [chr(ord("a") + i) for i in range(n)]
+    ends = []
+    for i in range(1, n):
+        other = rng.randrange(i)
+        ends.append((i, other) if rng.random() < 0.5 else (other, i))
+    keep = [rng.random() < 0.75 for _ in ends]
+    if labels == "injective":
+        chosen = rng.sample(range(n), n - 1)
+    elif labels == "repeated":
+        chosen = [rng.randrange(2) for _ in ends]
+    else:
+        spanned = {v for pair, k in zip(ends, keep) if k for v in pair}
+        outside = [v for v in range(n) if v not in spanned] or list(range(n))
+        chosen = [rng.choice(outside) if rng.random() < 0.5 else rng.randrange(n)
+                  for _ in ends]
+    lot = build_lot(names, [(f"e{i + 1}", names[s], names[t], names[lab])
+                            for i, ((s, t), lab) in enumerate(zip(ends, chosen))])
+    return lot, [e for e, k in zip(lot.edges, keep) if k]
+
+
 class TestSubLots:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(3, 16), st.sampled_from(["injective", "repeated", "absent"]),
+           st.randoms(use_true_random=False))
+    def test_pruned_components_match_the_union_find_oracle(self, n, labels, rng):
+        lot, edges = pruning_case(rng, n, labels)
+        got = [list(part) for part in lots._pruned_components(edges)]
+        assert got == oracle_pruned_components(lot.vertices, edges)
+
     def test_enumeration_matches_brute_force_oracle(self):
         rng = random.Random(909)
         proper_seen = 0
@@ -397,9 +432,9 @@ class TestSubLots:
         calls = []
         pruned_components = lots._pruned_components
 
-        def counted(vertices, edges):
+        def counted(edges):
             calls.append(len(edges))
-            return pruned_components(vertices, edges)
+            return pruned_components(edges)
 
         monkeypatch.setattr(lots, "_pruned_components", counted)
         lot = random_reduced_injective_lot(random.Random(1300), 40)

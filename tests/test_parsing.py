@@ -1,15 +1,19 @@
+import random
+
 import pytest
 
 from drtool import (
+    build_lot,
     parse_lot,
     parse_presentation,
     serialize_lot,
     serialize_presentation,
 )
-from drtool.errors import ParseError
+from drtool.errors import ComplexError, ParseError
 from drtool.parsing import sniff_kind
 
 from conftest import fixture_text, make_torus, make_trefoil
+from genutil import random_reduced_injective_lot
 
 
 class TestPresentationGrammar:
@@ -68,6 +72,13 @@ class TestLotGrammar:
         with pytest.raises(ParseError, match="edge needs"):
             parse_lot("lot\nvertex a b\nedge e1 a b\n")
 
+    @pytest.mark.parametrize("name", ["", "a b", "a\x85", "\u2028", "a#", "#"])
+    def test_names_the_grammar_cannot_read_back_are_refused(self, name):
+        with pytest.raises(ComplexError, match="must be nonempty, without whitespace or '#'"):
+            build_lot([name, "b"], [])
+        with pytest.raises(ComplexError, match="must be nonempty, without whitespace or '#'"):
+            build_lot(["a", "b", "c"], [(name, "a", "b", "c")])
+
 
 class TestRoundTrips:
     def test_presentation_round_trip_on_fixtures(self):
@@ -85,6 +96,13 @@ class TestRoundTrips:
             text = serialize_lot(lot)
             assert parse_lot(text) == lot
             assert serialize_lot(parse_lot(text)) == text
+
+    def test_lot_round_trip_at_forty_vertices(self):
+        # past 36 vertices the letter names reach whitespace
+        lot = random_reduced_injective_lot(random.Random(1300), 40)
+        text = serialize_lot(lot)
+        assert parse_lot(text) == lot
+        assert serialize_lot(parse_lot(text)) == text
 
     def test_sniff(self):
         assert sniff_kind(fixture_text("torus.pres")) == "presentation"
