@@ -430,50 +430,67 @@ def _glue_faces(chosen, require_reduced, prune_isomorphs):
         return
     # the slot before side s: the corner that side s follows
     before = [s - 1 if p else first[i + 1] - 1 for s, (i, p, _, _) in enumerate(sides)]
+    # the later sides each side may glue to: the inverse letter and, when
+    # folds are refused, another cell position. An isomorph key fixes the
+    # cell position, so refusing a fold before the key is seen skips no
+    # pairing. Each entry carries the two slot unions the pair makes.
+    later = []
+    for s, (_, _, letter, cell_position) in enumerate(sides):
+        want = letter.inverse()
+        candidates = []
+        for other in range(s + 1, total):
+            other_face, other_position, other_letter, other_cell_position = sides[other]
+            if other_letter != want or (
+                    require_reduced and cell_position == other_cell_position):
+                continue
+            t = chosen[other_face]
+            plus, minus = (s, other) if letter.sign > 0 else (other, s)
+            candidates.append((other, other_face, (t.cell, t.orientation, other_position),
+                               plus, before[minus], before[plus], minus))
+        later.append(candidates)
     partner = [None] * total
     glued = [0] * len(chosen)  # glued sides of each face
     slots = UnionFind(range(total))  # the sphere vertices
-    faces = UnionFind(range(len(chosen)))  # the components of the gluing
+
+    def connected():
+        """Whether the complete pairing reaches every face from face 0."""
+        reached, stack = {0}, [0]
+        while stack:
+            face = stack.pop()
+            for s in range(first[face], first[face + 1]):
+                other_face = sides[partner[s]][0]
+                if other_face not in reached:
+                    reached.add(other_face)
+                    stack.append(other_face)
+        return len(reached) == len(chosen)
 
     def glue(free, pairs_left):
         if not pairs_left:
-            if faces.count == 1:
+            if connected():
                 yield _assemble(chosen, partner, sides)
             return
         while partner[free] is not None:
             free += 1
-        face, _, letter, cell_position = sides[free]
-        want = letter.inverse()
-        positive = letter.sign > 0
+        face = sides[free][0]
         seen_types = set()
-        for other in range(free + 1, total):
+        for other, other_face, key, plus, minus_before, plus_before, minus in later[free]:
             if partner[other] is not None:
                 continue
-            other_face, other_position, other_letter, other_cell_position = sides[other]
-            if other_letter != want:
-                continue
             if prune_isomorphs and not glued[other_face]:
-                t = chosen[other_face]
-                key = (t.cell, t.orientation, other_position)
                 if key in seen_types:
                     continue
                 seen_types.add(key)
-            if require_reduced and cell_position == other_cell_position:
-                continue
-            plus, minus = (free, other) if positive else (other, free)
-            slot_mark, face_mark = slots.mark(), faces.mark()
+            mark = slots.mark()
             partner[free], partner[other] = other, free
             glued[face] += 1
             glued[other_face] += 1
-            slots.union(plus, before[minus])
-            slots.union(before[plus], minus)
-            faces.union(face, other_face)
+            slots.union(plus, minus_before)
+            slots.union(plus_before, minus)
             # a sphere has target_V vertices; each pair still to glue joins
             # at most two classes of slots
             if target_V <= slots.count <= target_V + 2 * (pairs_left - 1):
                 yield from glue(free + 1, pairs_left - 1)
-            slots.rollback(slot_mark)
-            faces.rollback(face_mark)
+            slots.rollback(mark)
             partner[free] = partner[other] = None
             glued[face] -= 1
             glued[other_face] -= 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -909,6 +909,21 @@ def _verify_node(tree: LiCertificateTree, problems, path):
         _verify_node(child, problems, path + [f"{str(tree.kind).lower()}[{i}]"])
 
 
+def _check_embedded_certificate(data, K, problem, not_about_K):
+    """Re-verify a node's embedded DR(2) certificate and report ``not_about_K``
+    when its complex is not ``K``. A certificate about ``K`` is verified on
+    ``K`` itself, whose links are already built."""
+    cert = Dr2Certificate.from_jsonable(data)
+    about_K = cert.complex == K
+    if about_K:
+        cert = replace(cert, complex=K)
+    ok, cert_problems = verify_dr2_certificate(cert)
+    if not ok:
+        problem(f"embedded DR(2) certificate fails: {cert_problems}")
+    if not about_K:
+        problem(not_about_K)
+
+
 def _check_node(tree: LiCertificateTree, problem):
     """Re-derive one node's evidence, reporting each failed check through
     ``problem``.  A missing or ill-typed field raises."""
@@ -930,12 +945,8 @@ def _check_node(tree: LiCertificateTree, problem):
             problem("recorded orientation does not give two forests")
         elif structure.assignment.to_jsonable() != tree.evidence["zero_one"]:
             problem("recorded zero/one structure disagrees with the orientation")
-        cert = Dr2Certificate.from_jsonable(tree.evidence["dr2_certificate"])
-        ok, cert_problems = verify_dr2_certificate(cert)
-        if not ok:
-            problem(f"embedded DR(2) certificate fails: {cert_problems}")
-        if cert.complex != K:
-            problem("embedded DR(2) certificate is about a different complex")
+        _check_embedded_certificate(tree.evidence["dr2_certificate"], K, problem,
+                                    "embedded DR(2) certificate is about a different complex")
         if tree.certified != True:  # noqa: E712 - explicit tri-state check
             problem("verified base node must conclude certified")
     elif tree.kind == KIND_QUOTIENT_STEP:
@@ -951,12 +962,8 @@ def _check_node(tree: LiCertificateTree, problem):
                 problem("recorded quotient disagrees with recomputation")
             if y != tree.evidence["collapsed_vertex"]:
                 problem("recorded collapse vertex disagrees with recomputation")
-            cert = Dr2Certificate.from_jsonable(tree.evidence["dr2_certificate"])
-            ok, cert_problems = verify_dr2_certificate(cert)
-            if not ok:
-                problem(f"embedded DR(2) certificate fails: {cert_problems}")
-            if cert.complex != qlot.complex:
-                problem("DR(2) certificate is not about the quotient complex")
+            _check_embedded_certificate(tree.evidence["dr2_certificate"], qlot.complex, problem,
+                                        "DR(2) certificate is not about the quotient complex")
             if len(tree.children) != 1:
                 problem("quotient step needs exactly one child")
             elif tree.children[0].lot != reduce_lot(sub):

@@ -23,16 +23,22 @@ class UnionFind:
 
     def union(self, a, b):
         """Merge the classes of ``a`` and ``b``; return True if they were distinct."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
+        parent = self.parent
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a == b:
             return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        bumped = self.rank[ra] == self.rank[rb]
+        rank = self.rank
+        rank_a, rank_b = rank[a], rank[b]
+        if rank_a < rank_b:
+            a, b = b, a
+        parent[b] = a
+        bumped = rank_a == rank_b
         if bumped:
-            self.rank[ra] += 1
-        self._trail.append((rb, ra, bumped))
+            rank[a] += 1
+        self._trail.append((b, a, bumped))
         self.count -= 1
         return True
 
@@ -52,9 +58,13 @@ class UnionFind:
 
     def rollback(self, mark):
         """Undo every union made since ``mark`` was taken."""
-        while len(self._trail) > mark:
-            child, parent, bumped = self._trail.pop()
-            self.parent[child] = child
-            if bumped:
-                self.rank[parent] -= 1
-            self.count += 1
+        trail = self._trail
+        undone = len(trail) - mark
+        if undone > 0:
+            parent, rank = self.parent, self.rank
+            for _ in range(undone):
+                child, root, bumped = trail.pop()
+                parent[child] = child
+                if bumped:
+                    rank[root] -= 1
+            self.count += undone

@@ -1,8 +1,14 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from drtool import build_complex, build_lot
+
+# One profile for every property test: no deadline, examples derived from the
+# test itself, and no example database, so runs repeat and leave no files.
+settings.register_profile("drtool", deadline=None, derandomize=True, database=None)
+settings.load_profile("drtool")
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS = FIXTURES / "corpus"  # the presentations and LOTs the tests read

@@ -3,8 +3,9 @@
 The oracles deliberately avoid the library's own algorithms: cycle
 minimisation is re-done by depth-first enumeration, piece counts by
 enumerating every decomposition, short cycles by direct walks, the LOT
-isomorphism key by trying every vertex bijection, and the sub-LOT prune's
-components by a fresh union-find each round instead of a traversal.
+isomorphism key by trying every vertex bijection, the sub-LOT prune's
+components by a fresh union-find each round instead of a traversal, and
+the gluing search's connectivity by a face union-find at every node.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from fractions import Fraction
 
 from drtool import Lot, TwoComplex, build_complex, build_lot
 from drtool.complexes import Letter, word_inverse
+from drtool.diagrams import _assemble, _side_position
 from drtool.unionfind import UnionFind
 
 
@@ -252,19 +254,32 @@ def oracle_sphere_gluings(X, n):
     (pairing, SphereComplex, DiagramMap), a pairing being a frozenset of
     frozensets {(face, position), (face, position)}.
     """
-    from drtool import DiagramMap, SphereComplex, validate_sphere
+    from drtool import validate_sphere
+
+    out = {}
+    for multiset, glued in oracle_side_gluings(X, n):
+        out[multiset] = [(pairing, S, f) for pairing, S, f in glued
+                         if validate_sphere(S).passed]
+    return out
+
+
+def oracle_side_gluings(X, n):
+    """For each multiset of n face types, as in ``oracle_sphere_gluings``,
+    the list of every (pairing, SphereComplex, DiagramMap) that pairs each
+    side with one carrying the inverse letter, whether or not it glues the
+    faces into a sphere."""
+    from drtool import DiagramMap, SphereComplex
     from drtool.complexes import Cell
 
     types = []
     for cell in X.cells:
         types.append((cell.id, 1, cell.word))
         types.append((cell.id, -1, word_inverse(cell.word)))
-    out = {}
     for multiset in itertools.combinations_with_replacement(range(len(types)), n):
         faces = [types[t] for t in multiset]
         sides = [(i, p) for i, (_, _, word) in enumerate(faces) for p in range(len(word))]
         letter = {(i, p): faces[i][2][p] for i, p in sides}
-        found = []
+        glued = []
         for matching in _perfect_matchings(sides, letter):
             edge = {}
             for k, (a, b) in enumerate(matching):
@@ -274,12 +289,10 @@ def oracle_sphere_gluings(X, n):
                                     for p in range(len(word))))
                 for i, (_, _, word) in enumerate(faces)
             ))
-            if validate_sphere(S).passed:
-                f = DiagramMap({edge[a]: letter[a].edge for a, _ in matching},
-                               {f"f{i}": (cell, 0, o) for i, (cell, o, _) in enumerate(faces)})
-                found.append((frozenset(frozenset(pair) for pair in matching), S, f))
-        out[multiset] = found
-    return out
+            f = DiagramMap({edge[a]: letter[a].edge for a, _ in matching},
+                           {f"f{i}": (cell, 0, o) for i, (cell, o, _) in enumerate(faces)})
+            glued.append((frozenset(frozenset(pair) for pair in matching), S, f))
+        yield multiset, glued
 
 
 def _perfect_matchings(sides, letter):
@@ -292,6 +305,86 @@ def _perfect_matchings(sides, letter):
         if letter[b] == letter[a].inverse():
             for matching in _perfect_matchings(rest[:k] + rest[k + 1:], letter):
                 yield [(a, b)] + matching
+
+
+# ---------------------------------------------------------------------------
+# oracle: the gluing search with a face union-find at every node
+
+
+def oracle_glue_faces(chosen, require_reduced, prune_isomorphs):
+    """Every pairing of the sides of ``chosen`` that glues them into a sphere,
+    the reference for ``diagrams._glue_faces``, which must yield the same
+    pairings in the same order. It keeps face connectivity on a second
+    rolled-back union-find at every node and scans every later side for the
+    inverse letter.
+
+    Sides are numbered face by face, and side s also names slot s, the
+    corner that follows it. Sides are glued in order: the first free side
+    is paired with each later free side carrying the inverse letter.
+    """
+    sides = []  # (face, position, letter, (cell, cell position at rotation 0))
+    first = []  # first side of each face, then the side count
+    for i, t in enumerate(chosen):
+        first.append(len(sides))
+        m = len(t.sides)
+        for p, letter in enumerate(t.sides):
+            sides.append((i, p, letter, (t.cell, _side_position(m, 0, t.orientation, p))))
+    first.append(len(sides))
+    total = len(sides)
+    target_V = 2 - len(chosen) + total // 2
+    if target_V < 1:
+        return
+    # the slot before side s: the corner that side s follows
+    before = [s - 1 if p else first[i + 1] - 1 for s, (i, p, _, _) in enumerate(sides)]
+    partner = [None] * total
+    glued = [0] * len(chosen)  # glued sides of each face
+    slots = UnionFind(range(total))  # the sphere vertices
+    faces = UnionFind(range(len(chosen)))  # the components of the gluing
+
+    def glue(free, pairs_left):
+        if not pairs_left:
+            if faces.count == 1:
+                yield _assemble(chosen, partner, sides)
+            return
+        while partner[free] is not None:
+            free += 1
+        face, _, letter, cell_position = sides[free]
+        want = letter.inverse()
+        positive = letter.sign > 0
+        seen_types = set()
+        for other in range(free + 1, total):
+            if partner[other] is not None:
+                continue
+            other_face, other_position, other_letter, other_cell_position = sides[other]
+            if other_letter != want:
+                continue
+            if prune_isomorphs and not glued[other_face]:
+                t = chosen[other_face]
+                key = (t.cell, t.orientation, other_position)
+                if key in seen_types:
+                    continue
+                seen_types.add(key)
+            if require_reduced and cell_position == other_cell_position:
+                continue
+            plus, minus = (free, other) if positive else (other, free)
+            slot_mark, face_mark = slots.mark(), faces.mark()
+            partner[free], partner[other] = other, free
+            glued[face] += 1
+            glued[other_face] += 1
+            slots.union(plus, before[minus])
+            slots.union(before[plus], minus)
+            faces.union(face, other_face)
+            # a sphere has target_V vertices; each pair still to glue joins
+            # at most two classes of slots
+            if target_V <= slots.count <= target_V + 2 * (pairs_left - 1):
+                yield from glue(free + 1, pairs_left - 1)
+            slots.rollback(slot_mark)
+            faces.rollback(face_mark)
+            partner[free] = partner[other] = None
+            glued[face] -= 1
+            glued[other_face] -= 1
+
+    yield from glue(0, total // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -140,7 +140,7 @@ WEIGHT_STRINGS = ["0", "-0", "007", "1e0", " 1", "+1", "2/2", "0.5", "1/0", "--1
 
 
 class TestWeightCoercion:
-    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=400)
     @given(st.one_of(
         st.integers(), st.fractions(), st.sampled_from(WEIGHT_STRINGS),
         st.integers().map(str), st.text(alphabet="-+/.e 0129\u0661\u00b2", max_size=6),

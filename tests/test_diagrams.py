@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import drtool.diagrams
 from drtool import (
     AngleAssignment,
     DiagramMap,
@@ -25,8 +28,13 @@ from drtool.errors import CapExceeded, IllFormedMap, InvalidSearchCap
 from drtool.lots import lot_complex
 from drtool.parsing import parse_presentation
 
-from conftest import CORPUS, FIXTURES, make_m2, make_torus, make_trefoil
-from genutil import oracle_sphere_gluings, random_one_vertex_complex
+from conftest import CORPUS, FIXTURES, fixture_text, make_m2, make_torus, make_trefoil
+from genutil import (
+    oracle_glue_faces,
+    oracle_side_gluings,
+    oracle_sphere_gluings,
+    random_one_vertex_complex,
+)
 
 
 def two_monogon_sphere():
@@ -269,6 +277,73 @@ class TestGluingOracle:
             for n in (1, 2, 3):
                 spheres += self.assert_matches_oracle(X, n)
         assert spheres > 500
+
+
+def diagram_stream(X, max_faces, require_reduced, prune_isomorphs):
+    return [(S.to_jsonable(), f.to_jsonable())
+            for S, f in enumerate_diagrams(X, max_faces, require_reduced, prune_isomorphs)]
+
+
+def assert_stream_matches_oracle(X, max_faces):
+    """Under each pair of flags, ``enumerate_diagrams`` yields what it yields
+    when ``oracle_glue_faces`` does the gluing, element by element; returns
+    the stream lengths."""
+    lengths = []
+    for require_reduced in (False, True):
+        for prune_isomorphs in (False, True):
+            got = diagram_stream(X, max_faces, require_reduced, prune_isomorphs)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(drtool.diagrams, "_glue_faces", oracle_glue_faces)
+                want = diagram_stream(X, max_faces, require_reduced, prune_isomorphs)
+            assert got == want, (require_reduced, prune_isomorphs)
+            lengths.append(len(got))
+    return lengths
+
+
+@st.composite
+def small_presentations(draw):
+    """A one-vertex complex of one or two relators of at most 8 letters over
+    two or three generators."""
+    names = "abc"[:draw(st.integers(2, 3))]
+    letter = st.tuples(st.sampled_from(names), st.sampled_from(["", "-"])).map("".join)
+    relators = draw(st.lists(st.lists(letter, min_size=1, max_size=8), min_size=1, max_size=2))
+    return build_complex(edges=[(g, "*", "*") for g in names],
+                         cells=[(f"r{i + 1}", " ".join(w)) for i, w in enumerate(relators)],
+                         vertices=["*"])
+
+
+STREAM_FIXTURES = [p.name for p in sorted(CORPUS.glob("*.pres"))] + ["trefoil LOT"]
+
+
+class TestGluingStreamOracle:
+    @pytest.mark.parametrize("name", STREAM_FIXTURES)
+    def test_fixtures_up_to_four_faces(self, name):
+        if name == "trefoil LOT":
+            X = lot_complex(make_trefoil())
+        else:
+            X = parse_presentation(fixture_text(name))
+        unreduced, unreduced_pruned, _, _ = assert_stream_matches_oracle(X, 4)
+        assert unreduced > unreduced_pruned > 0
+
+    @settings(max_examples=150)
+    @given(small_presentations())
+    def test_random_presentations_up_to_three_faces(self, X):
+        assert_stream_matches_oracle(X, 3)
+
+    def test_torus_disconnected_pairings_at_three_faces_are_not_yielded(self):
+        # four complete pairings of three torus squares have the vertex
+        # count of a sphere but glue a torus beside a two-square sphere
+        X = parse_presentation(fixture_text("torus.pres"))
+        disconnected = [
+            S for _, glued in oracle_side_gluings(X, 3) for _, S, _ in glued
+            if validate_sphere(S).witness == {"reason": "disconnected", "components": 2}
+            and euler_characteristic(sphere_to_complex(S)) == 2
+        ]
+        assert len(disconnected) == 4
+        for require_reduced in (False, True):
+            stream = list(enumerate_diagrams(X, 3, require_reduced, prune_isomorphs=False))
+            assert all(validate_sphere(S).passed for S, _ in stream)
+            assert [S for S, _ in stream if len(S.faces) == 3] == []
 
 
 class TestPullback:

@@ -232,7 +232,7 @@ class TestCanonicalKey:
         pairs = {(canonical_lot_key(lot), oracle_lot_key(lot)) for lot in lots_}
         assert len({key for key, _ in pairs}) == len(pairs) == len({oracle for _, oracle in pairs})
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(st.integers(1, 9), st.integers(1, 9), st.randoms(use_true_random=False))
     def test_renaming_and_reordering_keep_the_key(self, n, label_count, rng):
         lot = random_lot(rng, max_vertices=n, min_vertices=n, label_count=label_count)
@@ -379,7 +379,7 @@ def pruning_case(rng, n, labels):
 
 
 class TestSubLots:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(st.integers(3, 16), st.sampled_from(["injective", "repeated", "absent"]),
            st.randoms(use_true_random=False))
     def test_pruned_components_match_the_union_find_oracle(self, n, labels, rng):
