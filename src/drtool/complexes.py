@@ -58,6 +58,14 @@ def coerce_word(word):
     return tuple(out)
 
 
+def coerce_integer(value, what):
+    """An int read from an int or a string. A float or a boolean, which
+    Python's ``int`` would round or count as 0 or 1, is a ``ComplexError``."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        return int(value)
+    raise ComplexError(f"cannot interpret {what} {value!r} as an integer")
+
+
 def word_inverse(word):
     return tuple(letter.inverse() for letter in reversed(word))
 

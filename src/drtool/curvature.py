@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import caps
-from .complexes import LinkGraph, TwoComplex, euler_characteristic
+from .complexes import LinkGraph, TwoComplex, coerce_integer, euler_characteristic
 from .errors import (
     CapExceeded,
     ComplexError,
@@ -54,12 +54,6 @@ def _coerce_weight(value):
     return value.numerator if value.denominator == 1 else value
 
 
-def _coerce_position(position):
-    if isinstance(position, (int, str)) and not isinstance(position, bool):
-        return int(position)
-    raise ComplexError(f"cannot interpret corner position {position!r} as an integer")
-
-
 class AngleAssignment:
     """Map from corners (keyed by ``(cell, position)``) to exact rational angles."""
 
@@ -67,7 +61,7 @@ class AngleAssignment:
         table = {}
         for key, value in dict(weights).items():
             cell, position = key
-            table[(str(cell), _coerce_position(position))] = _coerce_weight(value)
+            table[(str(cell), coerce_integer(position, "corner position"))] = _coerce_weight(value)
         self._table = table
 
     @classmethod

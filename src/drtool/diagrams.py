@@ -26,6 +26,7 @@ from .complexes import (
     Letter,
     TwoComplex,
     build_complex,
+    coerce_integer,
     word_inverse,
 )
 from .curvature import AngleAssignment, CurvatureReport, TestVerdict, check_gauss_bonnet
@@ -75,9 +76,12 @@ class DiagramMap:
 
 
 def diagram_map_from_jsonable(data) -> DiagramMap:
+    """A rotation or orientation that is a float or a boolean is refused,
+    as a corner position is."""
     labels = {str(k): str(v) for k, v in data["labels"].items()}
     cellmap = {
-        str(f): (str(row["cell"]), int(row["rotation"]), int(row["orientation"]))
+        str(f): (str(row["cell"]), coerce_integer(row["rotation"], "rotation"),
+                 coerce_integer(row["orientation"], "orientation"))
         for f, row in data["cellmap"].items()
     }
     return DiagramMap(labels, cellmap)
@@ -428,12 +432,17 @@ def _glue_faces(chosen, require_reduced, prune_isomorphs):
     target_V = 2 - len(chosen) + total // 2
     if target_V < 1:
         return
-    # the slot before side s: the corner that side s follows
-    before = [s - 1 if p else first[i + 1] - 1 for s, (i, p, _, _) in enumerate(sides)]
+    # Round a sphere vertex, slot s is followed by the partner of after[s],
+    # the side that follows corner s. Part way, each open orbit is a path
+    # that ends at the one slot whose next side is unglued, so the vertices
+    # number the closed orbits plus the unglued sides. A sphere has target_V
+    # vertices, and each pair still to glue closes at most two orbits.
+    after = [s + 1 if s + 1 < first[i + 1] else first[i]
+             for s, (i, _, _, _) in enumerate(sides)]
     # the later sides each side may glue to: the inverse letter and, when
     # folds are refused, another cell position. An isomorph key fixes the
     # cell position, so refusing a fold before the key is seen skips no
-    # pairing. Each entry carries the two slot unions the pair makes.
+    # pairing.
     later = []
     for s, (_, _, letter, cell_position) in enumerate(sides):
         want = letter.inverse()
@@ -444,13 +453,10 @@ def _glue_faces(chosen, require_reduced, prune_isomorphs):
                     require_reduced and cell_position == other_cell_position):
                 continue
             t = chosen[other_face]
-            plus, minus = (s, other) if letter.sign > 0 else (other, s)
-            candidates.append((other, other_face, (t.cell, t.orientation, other_position),
-                               plus, before[minus], before[plus], minus))
+            candidates.append((other, other_face, (t.cell, t.orientation, other_position)))
         later.append(candidates)
     partner = [None] * total
     glued = [0] * len(chosen)  # glued sides of each face
-    slots = UnionFind(range(total))  # the sphere vertices
 
     def connected():
         """Whether the complete pairing reaches every face from face 0."""
@@ -464,7 +470,7 @@ def _glue_faces(chosen, require_reduced, prune_isomorphs):
                     stack.append(other_face)
         return len(reached) == len(chosen)
 
-    def glue(free, pairs_left):
+    def glue(free, pairs_left, closed):
         if not pairs_left:
             if connected():
                 yield _assemble(chosen, partner, sides)
@@ -472,30 +478,42 @@ def _glue_faces(chosen, require_reduced, prune_isomorphs):
         while partner[free] is not None:
             free += 1
         face = sides[free][0]
+        least_closed = target_V - 2 * (pairs_left - 1)
         seen_types = set()
-        for other, other_face, key, plus, minus_before, plus_before, minus in later[free]:
+        for other, other_face, key in later[free]:
             if partner[other] is not None:
                 continue
             if prune_isomorphs and not glued[other_face]:
                 if key in seen_types:
                     continue
                 seen_types.add(key)
-            mark = slots.mark()
             partner[free], partner[other] = other, free
-            glued[face] += 1
-            glued[other_face] += 1
-            slots.union(plus, minus_before)
-            slots.union(plus_before, minus)
-            # a sphere has target_V vertices; each pair still to glue joins
-            # at most two classes of slots
-            if target_V <= slots.count <= target_V + 2 * (pairs_left - 1):
-                yield from glue(free + 1, pairs_left - 1)
-            slots.rollback(mark)
+            # the new pair closes at most the orbits through slots other and
+            # free, which may be one orbit
+            now = closed
+            met_free = False
+            s = partner[after[other]]
+            while s is not None and s != other:
+                if s == free:
+                    met_free = True
+                s = partner[after[s]]
+            if s is not None:
+                now += 1
+            if not met_free:
+                s = partner[after[free]]
+                while s is not None and s != free:
+                    s = partner[after[s]]
+                if s is not None:
+                    now += 1
+            if least_closed <= now <= target_V:
+                glued[face] += 1
+                glued[other_face] += 1
+                yield from glue(free + 1, pairs_left - 1, now)
+                glued[face] -= 1
+                glued[other_face] -= 1
             partner[free] = partner[other] = None
-            glued[face] -= 1
-            glued[other_face] -= 1
 
-    yield from glue(0, total // 2)
+    yield from glue(0, total // 2, 0)
 
 
 def _assemble(chosen, partner, sides):

@@ -466,6 +466,20 @@ def test_a_boolean_in_a_rows_file_is_an_input_error(tmp_path, row, message):
     assert_one_error_line(result, message)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("rotation", 0.9), ("rotation", True), ("orientation", 1.5), ("orientation", True),
+], ids=["float-rotation", "bool-rotation", "float-orientation", "bool-orientation"])
+def test_a_float_or_boolean_in_a_diagram_cellmap_is_an_input_error(tmp_path, field, value):
+    # a bare int() would read 0.9 as rotation 0 and true as orientation 1,
+    # and verify a diagram the file does not describe
+    data = json.loads((FIXTURES / "diagrams" / "m2_reduced.json").read_text(encoding="utf-8"))
+    data["cellmap"]["f0"][field] = value
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    result = run_cli("diagram", "verify", str(path), "--complex", str(CORPUS / "m2.pres"))
+    assert_one_error_line(result, f"error: cannot interpret {field} {value!r} as an integer")
+
+
 @pytest.mark.parametrize("command", [
     ["verify-cert"],
     ["diagram", "verify", "--complex", TORUS],

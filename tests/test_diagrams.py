@@ -27,6 +27,7 @@ from drtool.diagrams import diagram_map_from_jsonable, sphere_from_jsonable
 from drtool.errors import CapExceeded, IllFormedMap, InvalidSearchCap
 from drtool.lots import lot_complex
 from drtool.parsing import parse_presentation
+from drtool.unionfind import UnionFind
 
 from conftest import CORPUS, FIXTURES, fixture_text, make_m2, make_torus, make_trefoil
 from genutil import (
@@ -313,6 +314,7 @@ def small_presentations(draw):
 
 
 STREAM_FIXTURES = [p.name for p in sorted(CORPUS.glob("*.pres"))] + ["trefoil LOT"]
+FIVE_FACE_FIXTURES = ["torus.pres", "m2.pres", "power4.pres", "dh.pres", "ktrefoil.pres"]
 
 
 class TestGluingStreamOracle:
@@ -323,6 +325,12 @@ class TestGluingStreamOracle:
         else:
             X = parse_presentation(fixture_text(name))
         unreduced, unreduced_pruned, _, _ = assert_stream_matches_oracle(X, 4)
+        assert unreduced > unreduced_pruned > 0
+
+    @pytest.mark.parametrize("name", FIVE_FACE_FIXTURES)
+    def test_fixtures_at_five_faces(self, name):
+        X = parse_presentation(fixture_text(name))
+        unreduced, unreduced_pruned, _, _ = assert_stream_matches_oracle(X, 5)
         assert unreduced > unreduced_pruned > 0
 
     @settings(max_examples=150)
@@ -344,6 +352,69 @@ class TestGluingStreamOracle:
             stream = list(enumerate_diagrams(X, 3, require_reduced, prune_isomorphs=False))
             assert all(validate_sphere(S).passed for S, _ in stream)
             assert [S for S, _ in stream if len(S.faces) == 3] == []
+
+
+@st.composite
+def faces_and_partial_pairing(draw):
+    """Words of one to four faces, and the pairs of a random partial pairing
+    of their sides, each pair two sides with inverse letters, in the order
+    they were made."""
+    letter = st.builds(Letter, st.sampled_from("ab"), st.sampled_from([1, -1]))
+    words = draw(st.lists(st.lists(letter, min_size=1, max_size=5), min_size=1, max_size=4))
+    letters = [l for word in words for l in word]
+    free = set(range(len(letters)))
+    pairs = []
+    for s in draw(st.permutations(range(len(letters)))):
+        choices = sorted(t for t in free if t != s and letters[t] == letters[s].inverse())
+        if s in free and choices and draw(st.booleans()):
+            t = draw(st.sampled_from(choices))
+            free -= {s, t}
+            pairs.append((s, t))
+    return words, pairs
+
+
+class TestSlotOrbits:
+    """Sides are numbered face by face, and slot s is the corner after side
+    s; the slot after slot s round its vertex is the partner of the side
+    that follows corner s. ``_glue_faces`` counts only the closed orbits:
+    each open orbit is a path ending at the one slot whose next side is
+    unglued, and a new pair closes at most the orbits through its sides."""
+
+    @settings(max_examples=300)
+    @given(faces_and_partial_pairing())
+    def test_slot_classes_are_closed_orbits_plus_unglued_sides(self, case):
+        words, pairs = case
+        after, before = [], []
+        for word in words:
+            first = len(after)
+            m = len(word)
+            after += [first + (p + 1) % m for p in range(m)]
+            before += [first + (p - 1) % m for p in range(m)]
+        total = len(after)
+        partner = [None] * total
+        slots = UnionFind(range(total))
+
+        def walk(start):
+            """The orbit of slot ``start`` from it onwards, and whether it
+            comes back to ``start``."""
+            orbit, s = [start], partner[after[start]]
+            while s is not None and s != start:
+                orbit.append(s)
+                s = partner[after[s]]
+            return orbit, s is not None
+
+        closed = 0
+        for k, (x, y) in enumerate(pairs):
+            partner[x], partner[y] = y, x
+            slots.union(before[x], y)
+            slots.union(before[y], x)
+            # the count _glue_faces keeps: the orbits through y and x, once
+            # when they are one orbit
+            orbit_of_y, closes_y = walk(y)
+            closed += closes_y + (x not in orbit_of_y and walk(x)[1])
+            orbits = {frozenset(orbit) for orbit, closes in map(walk, range(total)) if closes}
+            assert closed == len(orbits)
+            assert slots.count == closed + total - 2 * (k + 1)
 
 
 class TestPullback:

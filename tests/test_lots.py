@@ -30,6 +30,7 @@ from drtool.certificates import CheckOutcome, check_dr2_zero_one
 from drtool.complexes import format_word
 from drtool.errors import (
     AmbiguousCollapseVertex,
+    ComplexError,
     GeneratorCountExceedsSearchCap,
     InvariantViolation,
     NotInjective,
@@ -710,6 +711,34 @@ class TestDecide:
         data["evidence"]["collapsed_vertex"] = "e"
         ok, problems = verify_li_tree(LiCertificateTree.from_jsonable(data))
         assert not ok
+
+    @pytest.mark.parametrize("make", [make_trefoil, make_w5, make_chain6])
+    def test_verifier_rebuilds_only_certificates_about_another_complex(self, monkeypatch, make):
+        # an embedded certificate whose JSON complex is the node's own is
+        # verified on that complex; any other is built from its JSON
+        data = decide_locally_indicable(make()).to_jsonable()
+        built = []
+        original = complexes.build_complex
+        monkeypatch.setattr(complexes, "build_complex",
+                            lambda *args, **kw: built.append(args) or original(*args, **kw))
+        ok, problems = verify_li_tree(LiCertificateTree.from_jsonable(data))
+        assert ok, problems
+        assert built == []
+        node = data if "dr2_certificate" in data["evidence"] else data["children"][0]
+        node["evidence"]["dr2_certificate"]["complex"]["vertices"].append("v9")
+        ok, problems = verify_li_tree(LiCertificateTree.from_jsonable(data))
+        assert len(built) == 1
+        assert any(p.endswith("about a different complex") or p.endswith("quotient complex")
+                   for p in problems)
+
+    def test_a_certificate_whose_json_reads_back_otherwise_is_rebuilt(self):
+        # the letter of an edge named "a-" is written "a-", which reads back
+        # as edge a inverted: equal JSON does not mean the node's complex
+        lot = build_lot(["a-", "b", "c"], [("e1", "a-", "b", "c"), ("e2", "b", "c", "a-")])
+        data = decide_locally_indicable(lot).evidence["dr2_certificate"]
+        assert data["complex"] == complexes.complex_to_jsonable(lot.complex)
+        with pytest.raises(ComplexError, match="unknown edge id 'a'"):
+            lots._check_embedded_certificate(data, lot.complex, [].append, "not about K")
 
     def test_verifier_rejects_orientation_without_two_forests(self):
         data = decide_locally_indicable(make_trefoil()).to_jsonable()
