@@ -14,7 +14,6 @@ from .complexes import (
     TwoComplex,
     build_complex,
     euler_characteristic,
-    is_reduced_path,
     link_graph,
 )
 from .curvature import (
@@ -22,12 +21,9 @@ from .curvature import (
     CurvatureReport,
     TestVerdict,
     ZeroOneAssignment,
-    cell_curvature,
     check_gauss_bonnet,
     coloring_test,
     find_zero_one_structure,
-    lk0_components,
-    min_reduced_cycle_weight,
     vertex_curvature,
     weight_test,
 )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import ComplexError, NotAWalk
+from .errors import ComplexError
 
 
 class Letter(NamedTuple):
@@ -40,11 +40,23 @@ def parse_letter(token):
     return Letter(name, sign)
 
 
+def check_name(kind, name):
+    """A name that reads back as itself: nonempty, without whitespace
+    (``str.split`` separates tokens), without ``#`` (it starts a comment),
+    and not ending in ``-`` (the letter ``x-`` reads back as ``x`` inverted)."""
+    if name.split() != [name] or "#" in name or name.endswith("-"):
+        raise ComplexError(
+            f"{kind} name {name!r} must be nonempty, without whitespace or '#', "
+            "and not end in '-'"
+        )
+
+
 Word = "tuple[Letter, ...]"
 
 
 def coerce_word(word):
-    """Accept a word given as a string (``"a b a- b-"``) or a letter sequence."""
+    """Accept a word given as a string (``"a b a- b-"``) or a sequence of
+    letters and letter strings."""
     if isinstance(word, str):
         return tuple(parse_letter(tok) for tok in word.split())
     out = []
@@ -54,7 +66,7 @@ def coerce_word(word):
         elif isinstance(item, str):
             out.append(parse_letter(item))
         else:
-            out.append(Letter(str(item[0]), int(item[1])))
+            raise ComplexError(f"cannot interpret {item!r} as a letter")
     return tuple(out)
 
 
@@ -186,6 +198,7 @@ def build_complex(edges, cells, vertices=None) -> TwoComplex:
     edge_list = []
     for item in edges:
         e = Edge(str(item[0]), str(item[1]), str(item[2]))
+        check_name("edge", e.id)
         edge_list.append(e)
     ids = [e.id for e in edge_list]
     if len(set(ids)) != len(ids):
@@ -303,31 +316,6 @@ def link_graph(X: TwoComplex, v) -> LinkGraph:
 class _Links(dict):
     def __missing__(self, v):
         raise ComplexError(f"vertex {v!r} not in complex")
-
-
-def is_reduced_path(path, G: LinkGraph, cyclic=False) -> bool:
-    """True iff no step immediately reverses the previous one.
-
-    ``path`` is a sequence of CornerStep; it must be a walk in G (consecutive
-    endpoints match; for ``cyclic`` also around the wrap), else NotAWalk.
-    The wrap pair of a cycle is checked as well; a single loop step is a
-    reduced cycle because a step never equals its own reverse.
-    """
-    steps = list(path)
-    for step in steps:
-        if step.corner not in G.corners:
-            raise NotAWalk(f"corner {step.corner} not in link of {G.base!r}")
-    for a, b in zip(steps, steps[1:]):
-        if a.end != b.start:
-            raise NotAWalk(f"step ending at {a.end} followed by step starting at {b.start}")
-    if cyclic and steps and steps[-1].end != steps[0].start:
-        raise NotAWalk("cycle does not close up")
-    for a, b in zip(steps, steps[1:]):
-        if b == a.reversed_step():
-            return False
-    if cyclic and steps and steps[0] == steps[-1].reversed_step():
-        return False
-    return True
 
 
 def complex_to_jsonable(X: TwoComplex):

@@ -84,11 +84,6 @@ class AngleAssignment:
     def __len__(self):
         return len(self._table)
 
-    def __add__(self, other):
-        if self._table.keys() != other._table.keys():
-            raise MissingWeight("assignments have different corner domains")
-        return AngleAssignment({k: v + other._table[k] for k, v in self._table.items()})
-
     def _least_key(self, bad):
         """The least corner key whose angle is ``bad``, or None."""
         return min((k for k, v in self._table.items() if bad(v)), default=None)
@@ -154,10 +149,6 @@ class CurvatureReport:
     total: int | Fraction
     euler: int
 
-    @property
-    def positive_vertices(self):
-        return [v for v, k in sorted(self.vertex_curvatures.items()) if k > 0]
-
     def to_jsonable(self):
         return {
             "vertex_curvatures": {v: str(k) for v, k in sorted(self.vertex_curvatures.items())},
@@ -171,13 +162,6 @@ def vertex_curvature(X: TwoComplex, omega: AngleAssignment, v):
     G = X.links[v]
     total = sum(omega.weight(c) for c in G.corners)
     return 2 - G.euler_characteristic() - total
-
-
-def cell_curvature(X: TwoComplex, omega: AngleAssignment, cell_id):
-    cell = X.cell_map().get(cell_id)
-    if cell is None:
-        raise ComplexError(f"unknown cell {cell_id!r}")
-    return _cell_curvature(cell, omega)
 
 
 def _cell_curvature(cell, omega):
@@ -278,13 +262,6 @@ def min_reduced_cycle(G: LinkGraph, omega) -> tuple | None:
     return best
 
 
-def min_reduced_cycle_weight(G: LinkGraph, omega):
-    """Minimum of the weight over all reduced cycles in G, or None for a
-    multigraph without reduced cycles (a simple forest)."""
-    found = min_reduced_cycle(G, omega)
-    return None if found is None else found[0]
-
-
 def _shortest_reduced_cycle(G: LinkGraph):
     """The shortest reduced cycle as ``(length, steps)``, or None."""
     found = min_reduced_cycle(G, AngleAssignment({c.key: 1 for c in G.corners}))
@@ -344,16 +321,6 @@ def weight_test(X: TwoComplex, omega: AngleAssignment) -> TestVerdict:
         if found is not None and found[0] < 2:
             return TestVerdict(False, _cycle_witness(v, found), notes)
     return TestVerdict(True, None, notes)
-
-
-def lk0_components(X: TwoComplex, v, omega01: ZeroOneAssignment):
-    """Connected components of the angle-0 subgraph of the link at v.
-
-    Every node is retained, so isolated nodes appear as singleton components.
-    Components are returned sorted by their smallest node.
-    """
-    uf, _ = _zero_forest(X.links[v], omega01)
-    return uf.components()
 
 
 def _zero_forest(G, omega01):

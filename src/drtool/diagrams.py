@@ -531,18 +531,12 @@ def _assemble(chosen, partner, sides):
     return SphereComplex(faces), DiagramMap(labels, cellmap)
 
 
-def face_cap():
-    """Most faces the diagram search accepts: ``DRTOOL_SEARCH_CAP`` if set,
-    else ``caps.DIAGRAM_FACE_CAP``."""
-    return caps.search_cap(caps.DIAGRAM_FACE_CAP)
-
-
 def search_reduced_diagram(X: TwoComplex, max_faces=None):
     """First reduced spherical diagram over X with at most ``max_faces``
     faces (default: the cap), or None.  A bounded falsification oracle for DR.
     A bound that is not a non-negative integer is an input error, not a
     search that found nothing."""
-    cap = face_cap()
+    cap = caps.search_cap(caps.DIAGRAM_FACE_CAP)
     if max_faces is None:
         max_faces = cap
     if isinstance(max_faces, bool) or not isinstance(max_faces, int) or max_faces < 0:

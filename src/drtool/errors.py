@@ -24,10 +24,6 @@ class ParseError(DrtoolError):
         super().__init__(message + where)
 
 
-class NotAWalk(DrtoolError):
-    """A purported link path is not a walk in the graph."""
-
-
 class MissingWeight(DrtoolError):
     """An angle assignment does not cover every corner it must."""
 

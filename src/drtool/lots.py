@@ -23,7 +23,7 @@ from .certificates import (
     check_dr2_zero_one,
     verify_dr2_certificate,
 )
-from .complexes import Letter, TwoComplex, build_complex, complex_to_jsonable
+from .complexes import Letter, TwoComplex, build_complex, check_name, complex_to_jsonable
 from .curvature import ZeroOneAssignment
 from .errors import (
     _WRONG_SHAPE,
@@ -84,25 +84,16 @@ class Lot:
         return lot_complex(self)
 
 
-def _check_name(kind, name):
-    """A name the LOT text grammar reads back: nonempty, without whitespace
-    (``str.split`` separates tokens) and without ``#`` (it starts a comment)."""
-    if name.split() != [name] or "#" in name:
-        raise ComplexError(
-            f"{kind} name {name!r} must be nonempty, without whitespace or '#'"
-        )
-
-
 def build_lot(vertices, edges) -> Lot:
     vertex_set = sorted(str(v) for v in vertices)
     for v in vertex_set:
-        _check_name("vertex", v)
+        check_name("vertex", v)
     if len(set(vertex_set)) != len(vertex_set):
         raise ComplexError("duplicate vertex id")
     edge_list = []
     for item in edges:
         e = LotEdge(str(item[0]), str(item[1]), str(item[2]), str(item[3]))
-        _check_name("edge", e.id)
+        check_name("edge", e.id)
         for v in (e.source, e.target, e.label):
             if v not in vertex_set:
                 raise ComplexError(f"unknown vertex {v!r} in edge {e.id!r}")
@@ -913,11 +904,9 @@ def _check_embedded_certificate(data, K, problem, not_about_K):
     """Re-verify a node's embedded DR(2) certificate and report ``not_about_K``
     when its complex is not ``K``. A certificate about ``K`` is verified on
     ``K`` itself, whose links are already built, and is not rebuilt when its
-    JSON complex is ``K``'s. An edge named ``x-`` rules that shortcut out:
-    its letter is written ``x-``, which reads back as ``x`` inverted."""
+    JSON complex is ``K``'s."""
     method = data["method"]  # read first, as from_jsonable does
-    if (data["complex"] == complex_to_jsonable(K)
-            and not any(e.id.endswith("-") for e in K.edges)):
+    if data["complex"] == complex_to_jsonable(K):
         cert = Dr2Certificate(method, K, data["hypotheses"], data["conclusion"])
     else:
         cert = Dr2Certificate.from_jsonable(data)

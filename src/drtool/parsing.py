@@ -19,7 +19,7 @@ graph.  Serialization emits a canonical form whose re-parse is identical.
 
 from __future__ import annotations
 
-from .complexes import TwoComplex, build_complex, format_word, parse_letter
+from .complexes import TwoComplex, build_complex, check_name, format_word, parse_letter
 from .errors import ComplexError, ParseError
 from .lots import Lot, build_lot
 
@@ -55,6 +55,10 @@ def parse_presentation(text) -> TwoComplex:
             for g in rest:
                 if g in gens:
                     raise ParseError(f"duplicate generator {g!r}", line=lineno)
+                try:
+                    check_name("generator", g)
+                except ComplexError as exc:
+                    raise ParseError(str(exc), line=lineno) from exc
                 gens.append(g)
         elif head == "rel":
             if not rest:

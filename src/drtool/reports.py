@@ -13,6 +13,7 @@ import json
 import os
 from dataclasses import dataclass
 
+from . import caps
 from .certificates import check_dr2_c4t4, check_dr2_weighted, check_dr2_zero_one
 from .complexes import euler_characteristic
 from .curvature import (
@@ -24,7 +25,7 @@ from .curvature import (
     find_zero_one_structure,
     weight_test,
 )
-from .diagrams import face_cap, search_reduced_diagram
+from .diagrams import search_reduced_diagram
 from .errors import DrtoolError, InvalidSearchCap, InvariantViolation
 from .lots import (
     Lot,
@@ -90,9 +91,11 @@ def _attempt(diagnostics, label, func, *args, failed=None):
 def diagram_search_section(X, max_faces=None):
     """The diagram search's report: the face bound it ran with (default: the
     cap) and the first reduced diagram it found, or None."""
+    if max_faces is None:
+        max_faces = caps.search_cap(caps.DIAGRAM_FACE_CAP)
     found = search_reduced_diagram(X, max_faces)
     return {
-        "max_faces": face_cap() if max_faces is None else max_faces,
+        "max_faces": max_faces,
         "reduced_diagram": None if found is None else {
             "sphere": found[0].to_jsonable(), "map": found[1].to_jsonable()
         },

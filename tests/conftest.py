@@ -1,9 +1,11 @@
+import json
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
-from drtool import build_complex, build_lot
+from drtool import build_complex, build_lot, parse_presentation
+from drtool.diagrams import diagram_map_from_jsonable, sphere_from_jsonable
 
 # One profile for every property test: no deadline, examples derived from the
 # test itself, and no example database, so runs repeat and leave no files.
@@ -12,10 +14,25 @@ settings.load_profile("drtool")
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS = FIXTURES / "corpus"  # the presentations and LOTs the tests read
+DIAGRAM_FIXTURES = [  # in FIXTURES / "diagrams"
+    "m2_reduced.json",
+    "m2_folded.json",
+    "torus_pillow.json",
+    "torus_pillow_rot.json",
+    "trefoil_pillow.json",
+]
 
 
 def fixture_text(name):
     return (CORPUS / name).read_text(encoding="utf-8")
+
+
+def load_diagram(name):
+    data = json.loads((FIXTURES / "diagrams" / name).read_text())
+    S = sphere_from_jsonable(data)
+    dmap = diagram_map_from_jsonable(data)
+    X = parse_presentation((FIXTURES / data["complex"]).read_text())
+    return S, dmap, X
 
 
 @pytest.fixture(autouse=True)

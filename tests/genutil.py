@@ -21,6 +21,20 @@ from drtool.unionfind import UnionFind
 
 
 # ---------------------------------------------------------------------------
+# names
+
+# characters that a name must not end in or hold, beside plain ones
+WIDE_NAME_ALPHABET = "ab*-#\u00e9\u5b57 \t\x85\u2028"
+
+
+def readable_name(name):
+    """The name rule of ``complexes.check_name``, restated one character at
+    a time: nonempty, no whitespace, no ``#``, no trailing ``-``."""
+    return (bool(name) and not any(c.isspace() or c == "#" for c in name)
+            and not name.endswith("-"))
+
+
+# ---------------------------------------------------------------------------
 # random complexes and assignments
 
 
@@ -219,6 +233,23 @@ def oracle_min_reduced_path(G, omega, source, target):
 
     extend(source, {source}, Fraction(0))
     return best[0]
+
+
+# ---------------------------------------------------------------------------
+# reference: a reduced walk in a link, checked step by step
+
+
+def is_reduced_walk(steps, G, cyclic=False):
+    """True iff every step traverses a corner of G, each step starts where the
+    one before ends, and no step immediately reverses the one before; with
+    ``cyclic`` the last and first steps count as consecutive too.  A single
+    loop step is a reduced cycle, since a step never equals its own reverse."""
+    steps = list(steps)
+    pairs = list(zip(steps, steps[1:]))
+    if cyclic and steps:
+        pairs.append((steps[-1], steps[0]))
+    return (all(step.corner in G.corners for step in steps)
+            and all(a.end == b.start and b != a.reversed_step() for a, b in pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -274,17 +274,15 @@ class TestC4T4:
 
     def test_t4_matches_short_cycle_enumeration(self):
         import genutil
-        from drtool import link_graph
+        from drtool import AngleAssignment
+        from drtool.curvature import min_reduced_cycle
 
         rng = random.Random(41)
         for _ in range(25):
             G = genutil.random_link(rng, max_corners=8)
             short = genutil.oracle_reduced_cycles_up_to(G, 3)
-            from drtool import AngleAssignment, min_reduced_cycle_weight
-
-            girth = min_reduced_cycle_weight(
-                G, AngleAssignment({c.key: 1 for c in G.corners})
-            )
+            found = min_reduced_cycle(G, AngleAssignment({c.key: 1 for c in G.corners}))
+            girth = None if found is None else found[0]
             if short:
                 assert girth is not None and girth <= 3
             else:

@@ -315,13 +315,30 @@ def li_certificate_with_a_vertex_name(name, in_sub_lot=False):
     (["verify-cert"], lambda: {"format": "li-certificate/1"}),
     (["verify-cert"], li_certificate_without_lot),
     (["verify-cert"], li_certificate_with_a_vertex_name("a\x85")),
+    (["verify-cert"], lambda: trefoil_tree_with_a_pair_form_word()["evidence"]["dr2_certificate"]),
     (["diagram", "verify", "--complex", str(CORPUS / "torus.pres")], lambda: {"faces": 1}),
 ], ids=["not-an-object", "li-without-kind", "li-lot-null", "li-lot-name-nel",
-        "diagram-faces-int"])
+        "zero-one-pair-form-word", "diagram-faces-int"])
 def test_json_of_the_wrong_shape_is_an_input_error(tmp_path, command, make_data):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(make_data()), encoding="utf-8")
     assert_one_error_line(run_cli(*command, str(path)))
+
+
+@pytest.mark.parametrize("command, text, message", [
+    (["lot", "decide"], "lot\nvertex a- b c\nedge e1 a- b c\nedge e2 b c a-\n",
+     "vertex name 'a-' must be nonempty, without whitespace or '#', and not end in '-'"),
+    (["complex", "c4t4"], "presentation\ngens a- b\nrel b b\n",
+     "generator name 'a-' must be nonempty, without whitespace or '#', and not end in '-' "
+     "(line 2)"),
+], ids=["lot-decide-vertex", "c4t4-generator"])
+def test_a_name_ending_in_minus_is_an_input_error(tmp_path, command, text, message):
+    # the letter a- of such an edge would read back as edge a inverted
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    result = run_cli(*command, str(path))
+    assert_one_error_line(result)
+    assert result.stderr == f"error: {message}\n"
 
 
 def quotient_step_without_evidence():
@@ -339,6 +356,17 @@ def base_node_whose_epsilon_lacks_a_generator():
 def quotient_step_of_a_lot_that_is_not_injective():
     data = decide_locally_indicable(make_w5()).to_jsonable()
     data["lot"]["edges"][3][3] = "a"  # e4 now shares e2's label
+    return data
+
+
+def trefoil_tree_with_a_pair_form_word():
+    """The trefoil's LI certificate, with the first cell word of its
+    embedded ZERO_ONE certificate written as ``[edge, sign]`` pairs, a form
+    drtool never writes."""
+    data = decide_locally_indicable(make_trefoil()).to_jsonable()
+    cell = data["evidence"]["dr2_certificate"]["complex"]["cells"][0]
+    cell[1] = [[letter.removesuffix("-"), -1 if letter.endswith("-") else 1]
+               for letter in cell[1]]
     return data
 
 
@@ -379,11 +407,13 @@ def zero_one_certificate_with_first_angle(key, value):
      "root: evidence does not re-check: NotInjective: quotients are taken of injective LOTs"),
     (li_certificate_with_a_vertex_name("", in_sub_lot=True),
      "root: evidence does not re-check: ComplexError: "
-     "vertex name '' must be nonempty, without whitespace or '#'"),
+     "vertex name '' must be nonempty, without whitespace or '#', and not end in '-'"),
     (c4t4_certificate_without_hypotheses,
      "hypotheses do not re-check: KeyError: 'piece_counts'"),
     (zero_one_certificate_with_a_zero_denominator_angle,
      "hypotheses do not re-check: ComplexError: weight '1/0' has a zero denominator"),
+    (trefoil_tree_with_a_pair_form_word,
+     "root: evidence does not re-check: ComplexError: cannot interpret ['a', 1] as a letter"),
     (trefoil_tree_with_a_zero_denominator_angle,
      "root: embedded DR(2) certificate fails: "
      "[\"hypotheses do not re-check: ComplexError: weight '1/0' has a zero denominator\"]"),
@@ -399,7 +429,8 @@ def zero_one_certificate_with_first_angle(key, value):
      "cannot interpret corner position True as an integer"),
 ], ids=["quotient-step-evidence-empty", "base-epsilon-short", "quotient-step-lot-not-injective",
         "quotient-step-sub-lot-name-empty",
-        "c4t4-hypotheses-empty", "zero-one-angle-1-over-0", "li-tree-angle-1-over-0",
+        "c4t4-hypotheses-empty", "zero-one-angle-1-over-0", "li-tree-pair-form-word",
+        "li-tree-angle-1-over-0",
         "zero-one-float-angle", "zero-one-float-position", "zero-one-bool-angle",
         "zero-one-bool-position"])
 def test_verify_cert_reports_malformed_evidence_as_a_problem(tmp_path, make_data, problem):
@@ -411,7 +442,6 @@ def test_verify_cert_reports_malformed_evidence_as_a_problem(tmp_path, make_data
     assert json.loads(result.stdout) == {"ok": False, "problems": [problem]}
 
 
-TORUS = str(CORPUS / "torus.pres")
 ROWS = "ROWS"  # stands for a JSON file of angle rows
 
 

@@ -1,25 +1,34 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drtool import (
     CornerStep,
     LinkNode,
     build_complex,
     euler_characteristic,
-    is_reduced_path,
     link_graph,
 )
 from drtool.complexes import (
     Letter,
+    coerce_word,
     complex_from_jsonable,
     complex_to_jsonable,
     rotate_word,
 )
-from drtool.errors import ComplexError, NotAWalk
+from drtool.errors import ComplexError
 
 from conftest import make_m2, make_torus, make_trefoil
-from genutil import random_complex, random_multi_vertex_complex, random_one_vertex_complex
+from genutil import (
+    WIDE_NAME_ALPHABET,
+    is_reduced_walk,
+    random_complex,
+    random_multi_vertex_complex,
+    random_one_vertex_complex,
+    readable_name,
+)
 from drtool.lots import lot_complex
 
 
@@ -58,8 +67,43 @@ class TestBuildComplex:
         with pytest.raises(ComplexError, match="empty boundary word"):
             build_complex(edges=[("a", "*", "*")], cells=[("r1", "")])
 
+    @pytest.mark.parametrize("name", ["a-", "-", "", "a b", "a\x85", "a#"])
+    def test_edge_id_that_does_not_read_back_as_a_letter_is_refused(self, name):
+        with pytest.raises(ComplexError, match="must be nonempty, without whitespace or '#', "
+                                               "and not end in '-'"):
+            build_complex(edges=[(name, "*", "*")], cells=[], vertices=["*"])
+
+    @pytest.mark.parametrize("item", [["a", 1], ("a", 0.5), ["b", True], 3, None])
+    def test_word_item_that_is_not_a_letter_or_a_string_is_refused(self, item):
+        with pytest.raises(ComplexError, match="as a letter"):
+            coerce_word(["a", item])
+
     def test_jsonable_round_trip(self):
         X = make_torus()
+        assert complex_from_jsonable(complex_to_jsonable(X)) == X
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_jsonable_round_trip_of_every_accepted_complex(self, data):
+        # names from an alphabet that holds what the letter grammar cannot
+        # read back; every edge is a loop, so any word over the loops at one
+        # vertex closes up
+        names = st.text(alphabet=WIDE_NAME_ALPHABET, max_size=3)
+        vertices = data.draw(st.lists(names, min_size=1, max_size=3, unique=True))
+        edges = data.draw(st.lists(st.tuples(names, st.sampled_from(vertices)),
+                                   max_size=4, unique_by=lambda e: e[0]))
+        cells = []
+        for cid in data.draw(st.lists(names, max_size=3, unique=True)):
+            at = data.draw(st.sampled_from(vertices))
+            loops = [e for e, v in edges if v == at]
+            if loops:
+                letters = st.builds(Letter, st.sampled_from(loops), st.sampled_from((1, -1)))
+                cells.append((cid, data.draw(st.lists(letters, min_size=1, max_size=5))))
+        try:
+            X = build_complex(edges=[(e, v, v) for e, v in edges], cells=cells, vertices=vertices)
+        except ComplexError:
+            assert not all(readable_name(e) for e, _ in edges)
+            return
         assert complex_from_jsonable(complex_to_jsonable(X)) == X
 
 
@@ -168,10 +212,12 @@ class TestCornerTable:
 
 
 class TestReducedPaths:
+    """The reference walk check that the curvature tests apply to witnesses."""
+
     def test_immediate_backtrack(self):
         G = link_graph(make_torus(), "*")
         step = CornerStep(G.corners[0])
-        assert is_reduced_path([step, step.reversed_step()], G) is False
+        assert is_reduced_walk([step, step.reversed_step()], G) is False
 
     def test_torus_four_cycle_is_reduced(self):
         G = link_graph(make_torus(), "*")
@@ -186,13 +232,13 @@ class TestReducedPaths:
             )
             path.append(nxt)
         assert path[-1].end == path[0].start
-        assert is_reduced_path(path, G, cyclic=True) is True
+        assert is_reduced_walk(path, G, cyclic=True) is True
 
     def test_single_loop_cycle_is_reduced(self):
         X = build_complex(edges=[("a", "*", "*")], cells=[("r1", "a a-")], vertices=["*"])
         G = link_graph(X, "*")
         loop = next(c for c in G.corners if c.nodes[0] == c.nodes[1])
-        assert is_reduced_path([CornerStep(loop)], G, cyclic=True) is True
+        assert is_reduced_walk([CornerStep(loop)], G, cyclic=True) is True
 
     def test_not_a_walk(self):
         G = link_graph(make_torus(), "*")
@@ -200,14 +246,12 @@ class TestReducedPaths:
         bad = next(
             CornerStep(c) for c in G.corners if CornerStep(c).start != s0.end
         )
-        with pytest.raises(NotAWalk):
-            is_reduced_path([s0, bad], G)
+        assert is_reduced_walk([s0, bad], G) is False
 
     def test_foreign_corner_rejected(self):
         G = link_graph(make_torus(), "*")
         H = link_graph(make_m2(), "*")
-        with pytest.raises(NotAWalk):
-            is_reduced_path([CornerStep(H.corners[0])], G)
+        assert is_reduced_walk([CornerStep(H.corners[0])], G) is False
 
 
 class TestLinkNodes:

@@ -9,14 +9,10 @@ from drtool import (
     AngleAssignment,
     ZeroOneAssignment,
     build_complex,
-    cell_curvature,
     check_gauss_bonnet,
     coloring_test,
     find_zero_one_structure,
-    is_reduced_path,
     link_graph,
-    lk0_components,
-    min_reduced_cycle_weight,
     parse_presentation,
     vertex_curvature,
     weight_test,
@@ -37,6 +33,7 @@ from drtool.unionfind import UnionFind
 
 from conftest import make_m2, make_torus, make_trefoil
 from genutil import (
+    is_reduced_walk,
     oracle_min_reduced_cycle_weight,
     oracle_min_reduced_path,
     oracle_zero_one_structure,
@@ -74,18 +71,18 @@ class TestCurvatureValues:
     def test_torus_cell(self):
         X = make_torus()
         w = AngleAssignment.uniform(X, Fraction(1, 2))
-        assert cell_curvature(X, w, "r1") == 0
+        assert check_gauss_bonnet(X, w).cell_curvatures["r1"] == 0
 
     def test_lot_square_two_ones(self):
         K = lot_complex(make_trefoil())
-        w = trefoil_zero_one()
+        curvatures = check_gauss_bonnet(K, trefoil_zero_one()).cell_curvatures
         for cell in K.cells:
-            assert cell_curvature(K, w, cell.id) == 0
+            assert curvatures[cell.id] == 0
 
     def test_monogon_weight_one(self):
         X = make_m2()
         w = AngleAssignment.uniform(X, 1)
-        assert cell_curvature(X, w, "r1") == 2
+        assert check_gauss_bonnet(X, w).cell_curvatures["r1"] == 2
 
     def test_missing_weight(self):
         X = make_torus()
@@ -100,17 +97,17 @@ class TestCurvatureValues:
                 continue
             w1 = random_rationals(rng, X, allow_negative=True)
             w2 = random_rationals(rng, X, allow_negative=True)
+            w12 = AngleAssignment({k: v + w2.weight(k) for k, v in w1.items()})
             for v in X.vertices:
                 G = link_graph(X, v)
                 const = 2 - G.euler_characteristic()
-                assert vertex_curvature(X, w1 + w2, v) == (
+                assert vertex_curvature(X, w12, v) == (
                     vertex_curvature(X, w1, v) + vertex_curvature(X, w2, v) - const
                 )
+            k1, k2, k12 = (check_gauss_bonnet(X, w).cell_curvatures for w in (w1, w2, w12))
             for c in X.cells:
                 const = len(c.word) - 2
-                assert cell_curvature(X, w1 + w2, c.id) == (
-                    cell_curvature(X, w1, c.id) + cell_curvature(X, w2, c.id) + const
-                )
+                assert k12[c.id] == k1[c.id] + k2[c.id] + const
 
 
 def fraction_rule(value):
@@ -267,7 +264,7 @@ class TestMinReducedCycle:
     def test_torus_half(self):
         G = link_graph(make_torus(), "*")
         w = AngleAssignment.uniform(make_torus(), Fraction(1, 2))
-        assert min_reduced_cycle_weight(G, w) == 2
+        assert min_reduced_cycle(G, w)[0] == 2
 
     def test_forest_link_is_none(self):
         X = build_complex(
@@ -276,25 +273,25 @@ class TestMinReducedCycle:
         G = link_graph(X, "v")
         # two corners joining distinct node pairs: a path, no reduced cycle
         w = AngleAssignment.uniform(X, Fraction(1, 3))
-        assert min_reduced_cycle_weight(G, w) is None
+        assert min_reduced_cycle(G, w) is None
 
     def test_loop_corner_counts_once(self):
         X = build_complex(edges=[("a", "*", "*")], cells=[("r1", "a a-")], vertices=["*"])
         G = link_graph(X, "*")
         w = AngleAssignment({("r1", 0): Fraction(3, 7), ("r1", 1): Fraction(5, 7)})
-        assert min_reduced_cycle_weight(G, w) == Fraction(3, 7)
+        assert min_reduced_cycle(G, w)[0] == Fraction(3, 7)
 
     def test_parallel_corners_make_a_two_cycle(self):
         X = build_complex(edges=[("a", "*", "*")], cells=[("r1", "a a")], vertices=["*"])
         G = link_graph(X, "*")
         w = AngleAssignment({("r1", 0): Fraction(1, 4), ("r1", 1): Fraction(1, 3)})
-        assert min_reduced_cycle_weight(G, w) == Fraction(7, 12)
+        assert min_reduced_cycle(G, w)[0] == Fraction(7, 12)
 
     def test_negative_weight_rejected(self):
         G = link_graph(make_torus(), "*")
         w = AngleAssignment.uniform(make_torus(), Fraction(-1, 2))
         with pytest.raises(UnsupportedWeights):
-            min_reduced_cycle_weight(G, w)
+            min_reduced_cycle(G, w)
 
     def test_matches_exhaustive_enumeration(self):
         rng = random.Random(23)
@@ -305,7 +302,8 @@ class TestMinReducedCycle:
                 for c in G.corners
             }
             w = AngleAssignment(table)
-            assert min_reduced_cycle_weight(G, w) == oracle_min_reduced_cycle_weight(G, w)
+            found = min_reduced_cycle(G, w)
+            assert (None if found is None else found[0]) == oracle_min_reduced_cycle_weight(G, w)
 
     def test_witness_is_a_closed_reduced_walk(self):
         rng = random.Random(29)
@@ -317,10 +315,7 @@ class TestMinReducedCycle:
                 continue
             weight, steps = found
             assert weight == len(steps)
-            for i, step in enumerate(steps):
-                nxt = steps[(i + 1) % len(steps)]
-                assert step.end == nxt.start
-                assert nxt != step.reversed_step()
+            assert is_reduced_walk(steps, G, cyclic=True)
 
 
 class TestMinReducedPath:
@@ -348,7 +343,7 @@ class TestMinReducedPath:
                     assert nodes[0] == source and nodes[-1] == target
                     assert [s.start for s in steps] == nodes[:-1]
                     assert [s.end for s in steps] == nodes[1:]
-                    assert is_reduced_path(steps, G)
+                    assert is_reduced_walk(steps, G)
                     assert sum((w.weight(s.corner) for s in steps), Fraction(0)) == weight
                     checked += 1
         assert zeros > 10 and parallel > 10 and checked > 500
@@ -440,21 +435,25 @@ class TestColoringTest:
 
 
 class TestLk0Components:
+    @staticmethod
+    def components(X, v, omega01):
+        return curvature._zero_forest(X.links[v], omega01)[0].components()
+
     def test_trefoil_split(self):
         K = lot_complex(make_trefoil())
-        comps = lk0_components(K, BASE_VERTEX, trefoil_zero_one())
+        comps = self.components(K, BASE_VERTEX, trefoil_zero_one())
         rendered = sorted(tuple(str(n) for n in comp) for comp in comps)
         assert rendered == [("a+", "b+", "c+"), ("a-", "b-", "c-")]
 
     def test_all_ones_isolates_every_node(self):
         X = make_torus()
-        comps = lk0_components(X, "*", ZeroOneAssignment.uniform(X, 1))
+        comps = self.components(X, "*", ZeroOneAssignment.uniform(X, 1))
         assert all(len(comp) == 1 for comp in comps)
         assert len(comps) == 4
 
     def test_all_zeros_single_component(self):
         X = make_torus()
-        comps = lk0_components(X, "*", ZeroOneAssignment.uniform(X, 0))
+        comps = self.components(X, "*", ZeroOneAssignment.uniform(X, 0))
         assert len(comps) == 1
         assert len(comps[0]) == 4
 
@@ -462,7 +461,8 @@ class TestLk0Components:
 class TestGirth:
     @staticmethod
     def girth(X):
-        return min_reduced_cycle_weight(link_graph(X, "*"), AngleAssignment.uniform(X, 1))
+        found = min_reduced_cycle(link_graph(X, "*"), AngleAssignment.uniform(X, 1))
+        return None if found is None else found[0]
 
     def test_torus_girth_four(self):
         assert self.girth(make_torus()) == 4

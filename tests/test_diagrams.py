@@ -27,9 +27,18 @@ from drtool.diagrams import diagram_map_from_jsonable, sphere_from_jsonable
 from drtool.errors import CapExceeded, IllFormedMap, InvalidSearchCap
 from drtool.lots import lot_complex
 from drtool.parsing import parse_presentation
+from drtool.reports import canonical_json
 from drtool.unionfind import UnionFind
 
-from conftest import CORPUS, FIXTURES, fixture_text, make_m2, make_torus, make_trefoil
+from conftest import (
+    CORPUS,
+    DIAGRAM_FIXTURES,
+    fixture_text,
+    load_diagram,
+    make_m2,
+    make_torus,
+    make_trefoil,
+)
 from genutil import (
     oracle_glue_faces,
     oracle_side_gluings,
@@ -40,23 +49,6 @@ from genutil import (
 
 def two_monogon_sphere():
     return SphereComplex((Cell("f0", (Letter("s0", 1),)), Cell("f1", (Letter("s0", -1),))))
-
-
-def load_diagram(name):
-    data = json.loads((FIXTURES / "diagrams" / name).read_text())
-    S = sphere_from_jsonable(data)
-    dmap = diagram_map_from_jsonable(data)
-    X = parse_presentation((FIXTURES / data["complex"]).read_text())
-    return S, dmap, X
-
-
-DIAGRAM_FIXTURES = [
-    "m2_reduced.json",
-    "m2_folded.json",
-    "torus_pillow.json",
-    "torus_pillow_rot.json",
-    "trefoil_pillow.json",
-]
 
 
 class TestValidateSphere:
@@ -317,14 +309,17 @@ STREAM_FIXTURES = [p.name for p in sorted(CORPUS.glob("*.pres"))] + ["trefoil LO
 FIVE_FACE_FIXTURES = ["torus.pres", "m2.pres", "power4.pres", "dh.pres", "ktrefoil.pres"]
 
 
+def stream_fixture(name):
+    """The complex a name of ``STREAM_FIXTURES`` stands for."""
+    if name == "trefoil LOT":
+        return lot_complex(make_trefoil())
+    return parse_presentation(fixture_text(name))
+
+
 class TestGluingStreamOracle:
     @pytest.mark.parametrize("name", STREAM_FIXTURES)
     def test_fixtures_up_to_four_faces(self, name):
-        if name == "trefoil LOT":
-            X = lot_complex(make_trefoil())
-        else:
-            X = parse_presentation(fixture_text(name))
-        unreduced, unreduced_pruned, _, _ = assert_stream_matches_oracle(X, 4)
+        unreduced, unreduced_pruned, _, _ = assert_stream_matches_oracle(stream_fixture(name), 4)
         assert unreduced > unreduced_pruned > 0
 
     @pytest.mark.parametrize("name", FIVE_FACE_FIXTURES)
@@ -371,6 +366,22 @@ def faces_and_partial_pairing(draw):
             free -= {s, t}
             pairs.append((s, t))
     return words, pairs
+
+
+class TestDiagramJson:
+    @settings(max_examples=120)
+    @given(st.sampled_from(STREAM_FIXTURES), st.integers(1, 4), st.booleans(), st.booleans(),
+           st.integers(0, 10_000))
+    def test_a_streamed_diagram_reads_back_as_itself(self, name, faces, require_reduced,
+                                                     prune_isomorphs, index):
+        stream = list(enumerate_diagrams(stream_fixture(name), faces, require_reduced,
+                                         prune_isomorphs))
+        if not stream:
+            return
+        S, f = stream[index % len(stream)]
+        data = json.loads(canonical_json({**S.to_jsonable(), **f.to_jsonable()}))
+        assert sphere_from_jsonable(data) == S
+        assert diagram_map_from_jsonable(data) == f
 
 
 class TestSlotOrbits:
@@ -453,7 +464,7 @@ class TestPullback:
         S, dmap, X = load_diagram("torus_pillow.json")
         w = AngleAssignment.uniform(X, Fraction(1, 2))
         report = diagram_gauss_bonnet(S, dmap, X, w)
-        assert report.positive_vertices
+        assert [v for v, k in report.vertex_curvatures.items() if k > 0]
 
     def test_trefoil_pillow_zero_one_pullback(self):
         from drtool import bi_forest_orientation
@@ -470,7 +481,7 @@ class TestPullback:
         )
         report = diagram_gauss_bonnet(S, renamed, K, w01)
         assert report.total == 4
-        for v in report.positive_vertices:
+        for v in [v for v, k in report.vertex_curvatures.items() if k > 0]:
             # positive curvature forces total link angle zero in a passing
             # zero/one structure
             assert report.vertex_curvatures[v] == 2

@@ -1,10 +1,11 @@
 import itertools
+import json
 import random
 import time
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from drtool import (
@@ -50,14 +51,17 @@ from drtool.lots import (
     lot_from_jsonable,
     lot_to_jsonable,
 )
+from drtool.reports import canonical_json
 from drtool.unionfind import UnionFind
 
 from conftest import make_chain6, make_trefoil, make_w5
 from genutil import (
+    WIDE_NAME_ALPHABET,
     lot_relabellings,
     oracle_lot_key,
     oracle_pruned_components,
     random_reduced_injective_lot,
+    readable_name,
     reduced_injective_lot_candidates,
     tree_shapes,
 )
@@ -731,14 +735,13 @@ class TestDecide:
         assert any(p.endswith("about a different complex") or p.endswith("quotient complex")
                    for p in problems)
 
-    def test_a_certificate_whose_json_reads_back_otherwise_is_rebuilt(self):
-        # the letter of an edge named "a-" is written "a-", which reads back
-        # as edge a inverted: equal JSON does not mean the node's complex
-        lot = build_lot(["a-", "b", "c"], [("e1", "a-", "b", "c"), ("e2", "b", "c", "a-")])
-        data = decide_locally_indicable(lot).evidence["dr2_certificate"]
-        assert data["complex"] == complexes.complex_to_jsonable(lot.complex)
-        with pytest.raises(ComplexError, match="unknown edge id 'a'"):
-            lots._check_embedded_certificate(data, lot.complex, [].append, "not about K")
+    def test_a_name_ending_in_minus_is_refused(self):
+        # vertex a- would be the complex's edge a-, whose letter a- reads
+        # back as edge a inverted
+        with pytest.raises(ComplexError, match="vertex name 'a-' .* not end in '-'"):
+            build_lot(["a-", "b", "c"], [("e1", "a-", "b", "c"), ("e2", "b", "c", "a-")])
+        with pytest.raises(ComplexError, match="edge name 'e1-' .* not end in '-'"):
+            build_lot(["a", "b", "c"], [("e1-", "a", "b", "c"), ("e2", "b", "c", "a")])
 
     def test_verifier_rejects_orientation_without_two_forests(self):
         data = decide_locally_indicable(make_trefoil()).to_jsonable()
@@ -782,6 +785,34 @@ class TestDecide:
         )
         ok, problems = verify_li_tree(bad)
         assert not ok
+
+
+class TestNames:
+    @settings(max_examples=120)
+    @given(st.sampled_from([make_trefoil, make_w5, make_chain6]), st.data())
+    def test_an_accepted_name_survives_the_certificate_round_trip(self, make, data):
+        # rename a certified LOT with distinct names, one of them from a wide
+        # alphabet: build_lot refuses it, or its certificate verifies after
+        # canonical JSON
+        lot = make()
+        n, k = len(lot.vertices), len(lot.vertices) + len(lot.edges)
+        good = st.text(alphabet="ab*-\u00e9\u5b57", min_size=1, max_size=3).filter(readable_name)
+        names = data.draw(st.lists(good, min_size=k, max_size=k, unique=True))
+        names[data.draw(st.integers(0, k - 1))] = data.draw(
+            st.text(alphabet=WIDE_NAME_ALPHABET, max_size=3))
+        assume(len(set(names)) == k)
+        vertex = dict(zip(lot.vertices, names[:n]))
+        edges = [(eid, vertex[e.source], vertex[e.target], vertex[e.label])
+                 for eid, e in zip(names[n:], lot.edges)]
+        try:
+            lot = build_lot(names[:n], edges)
+        except ComplexError:
+            assert not all(map(readable_name, names))
+            return
+        assert all(map(readable_name, names))
+        text = canonical_json(decide_locally_indicable(lot).to_jsonable())
+        ok, problems = verify_li_tree(LiCertificateTree.from_jsonable(json.loads(text)))
+        assert ok, problems
 
 
 class TestJsonable:
