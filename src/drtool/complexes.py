@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import ComplexError
+from .errors import ComplexError, ParseError
 
 
 class Letter(NamedTuple):
@@ -40,15 +40,15 @@ def parse_letter(token):
     return Letter(name, sign)
 
 
-def check_name(kind, name):
+def check_name(kind, name, line=None):
     """A name that reads back as itself: nonempty, without whitespace
     (``str.split`` separates tokens), without ``#`` (it starts a comment),
-    and not ending in ``-`` (the letter ``x-`` reads back as ``x`` inverted)."""
+    and not ending in ``-`` (the letter ``x-`` reads back as ``x`` inverted).
+    A bad name read from line ``line`` of a text is a ParseError there."""
     if name.split() != [name] or "#" in name or name.endswith("-"):
-        raise ComplexError(
-            f"{kind} name {name!r} must be nonempty, without whitespace or '#', "
-            "and not end in '-'"
-        )
+        message = (f"{kind} name {name!r} must be nonempty, without whitespace or '#', "
+                   "and not end in '-'")
+        raise ComplexError(message) if line is None else ParseError(message, line=line)
 
 
 Word = "tuple[Letter, ...]"

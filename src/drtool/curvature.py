@@ -22,7 +22,7 @@ from .errors import (
     MissingWeight,
     UnsupportedWeights,
 )
-from .unionfind import UnionFind
+from .unionfind import UnionFind, first_acyclic_choices
 
 LOOP_CONVENTION = (
     "a corner traversal is never its own reverse; "
@@ -386,10 +386,10 @@ def coloring_forests(X: TwoComplex, omega01: ZeroOneAssignment):
 def find_zero_one_structure(X: TwoComplex):
     """Exhaustive search for a zero/one structure passing the coloring test.
 
-    Backtracks over corners, pruning choices that break the forest condition,
-    the per-cell curvature budget, or the component condition.  The angle-0
-    forest of each vertex link is one union-find for the whole search: an
-    angle-0 choice unions its corner's ends, and retreating rolls it back.
+    One ``first_acyclic_choices`` level per corner, angle 0 before 1, pruning
+    choices that break the forest condition or the per-cell curvature budget;
+    the component condition judges each full choice.  The angle-0 forest of
+    each vertex link is one union-find: an angle-0 choice unions its ends.
     Refuses complexes with more than the zero/one search cap of corners; LOT
     complexes should use the dedicated bi-forest search instead.
     """
@@ -400,39 +400,25 @@ def find_zero_one_structure(X: TwoComplex):
             f"{len(corners)} corners exceeds the zero/one search cap {cap}; "
             "for LOT complexes use the bi-forest search"
         )
-    budget = {cell.id: len(cell.word) - 2 for cell in X.cells}
-    if any(b < 0 for b in budget.values()):
+    room = {cell.id: len(cell.word) - 2 for cell in X.cells}  # angles 1 a cell may still take
+    if any(r < 0 for r in room.values()):
         return None  # a monogon's curvature is positive under any zero/one angles
-    assignment = {}
-    ones_used = {cell.id: 0 for cell in X.cells}
     forests = {v: UnionFind(X.links[v].nodes) for v in X.vertices}
 
-    def solve(index):
-        if index == len(corners):
-            # the component condition, on the finished forests
-            return all(assignment[c.key] == 0 or not forests[v].together(*c.nodes)
-                       for v, c in corners)
+    def options(index, chosen):
         v, corner = corners[index]
         uf = forests[v]
         if uf.together(*corner.nodes):
             # angle 0 would close a cycle (a loop corner closes one alone), and
             # angle 1 can never satisfy the component condition
-            return False
-        mark = uf.mark()
-        uf.union(*corner.nodes)
-        assignment[corner.key] = 0
-        if solve(index + 1):
-            return True
-        uf.rollback(mark)
-        if ones_used[corner.cell] < budget[corner.cell]:
-            assignment[corner.key] = 1
-            ones_used[corner.cell] += 1
-            if solve(index + 1):
-                return True
-            ones_used[corner.cell] -= 1
-        del assignment[corner.key]
-        return False
+            return
+        yield 0, uf, (corner.nodes,)
+        if room[corner.cell] > 0:
+            room[corner.cell] -= 1
+            yield 1, uf, ()
+            room[corner.cell] += 1
 
-    if solve(0):
-        return ZeroOneAssignment(assignment)
-    return None
+    angles = first_acyclic_choices(len(corners), options, lambda chosen: all(
+        angle == 0 or not forests[v].together(*c.nodes) for (v, c), angle in zip(corners, chosen)))
+    return None if angles is None else ZeroOneAssignment(
+        {c.key: angle for (_, c), angle in zip(corners, angles)})

@@ -15,6 +15,7 @@ computed and cross-checked.
 from __future__ import annotations
 
 import itertools
+import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -53,11 +54,17 @@ class SphereComplex:
         return {"faces": {f.id: [str(l) for l in f.word] for f in self.faces}}
 
 
+def _natural_key(face_id):
+    """Each run of ASCII digits read as a number (``f2`` before ``f10``), then the id."""
+    parts = re.split("([0-9]+)", face_id)
+    return [int(p) if i % 2 else p for i, p in enumerate(parts)], face_id
+
+
 def sphere_from_jsonable(data) -> SphereComplex:
     from .complexes import coerce_word
 
-    faces = tuple(Cell(str(fid), coerce_word(word)) for fid, word in sorted(data["faces"].items()))
-    return SphereComplex(faces)
+    items = sorted(data["faces"].items(), key=lambda item: _natural_key(str(item[0])))
+    return SphereComplex(tuple(Cell(str(fid), coerce_word(word)) for fid, word in items))
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from .errors import (
     NotInjective,
     NotSubLot,
 )
-from .unionfind import UnionFind
+from .unionfind import UnionFind, first_acyclic_choices
 
 BASE_VERTEX = "*"
 
@@ -601,29 +601,42 @@ class BiForestStructure:
         }
 
 
-def _bi_forest(link, epsilon):
-    """The bi-forest structure of the orientation choice ``epsilon`` on the
-    link, or None when one of its two sides is not a forest.
+def _bi_forest(link, generators, signs):
+    """First bi-forest structure with epsilon[generators[i]] from ``signs[i]``, or None.
 
     A node (x, end) lies in side 1 when epsilon[x] == end and in side 2
     otherwise.  A corner with both ends in one side gets angle 0, any other
     corner angle 1.  Angle-0 corners never join the two sides, so one
     union-find over all of them is a forest exactly when both sides are."""
-    side = {n: epsilon[n.edge] * n.end for n in link.nodes}
+    position = {g: i for i, g in enumerate(generators)}
+    ready = [[] for _ in generators]  # corners by the later of their generators
+    for c in link.corners:
+        a, b = c.nodes
+        i, j = position[a.edge], position[b.edge]
+        # angle 0 when epsilon[a.edge] * a.end == epsilon[b.edge] * b.end
+        ready[max(i, j)].append((min(i, j), a.end * b.end, c.nodes))
     uf = UnionFind(link.nodes)
+
+    def options(level, chosen):
+        for sign in signs[level]:
+            yield sign, uf, (pair for i, parity, pair in ready[level]
+                             if chosen[i] * parity == sign)
+
+    found = first_acyclic_choices(len(generators), options, lambda chosen: True)
+    if found is None:
+        return None
+    side = {n: found[position[n.edge]] * n.end for n in link.nodes}
     zeros = {1: [], -1: []}
     table = {}
     for c in link.corners:
         a, b = c.nodes
         if side[a] != side[b]:
             table[c.key] = 1
-        elif uf.union(a, b):
+        else:
             table[c.key] = 0
             zeros[side[a]].append(c.key)
-        else:
-            return None
     return BiForestStructure(
-        epsilon=epsilon,
+        epsilon=dict(zip(generators, found)),
         lambda1_nodes=tuple(n for n in link.nodes if side[n] > 0),
         lambda2_nodes=tuple(n for n in link.nodes if side[n] < 0),
         lambda1_corners=tuple(zeros[1]),
@@ -632,46 +645,12 @@ def _bi_forest(link, epsilon):
     )
 
 
-def _first_bi_forest_signs(link, generators):
-    """The first signs (lexicographic over ``generators``, ``+`` before
-    ``-``) under which the angle-0 corners of the link form a forest, or
-    None.
-
-    Backtracks over the generators with one union-find, rolled back on each
-    retreat: a corner is added once both of its generators have a sign, and
-    a branch ends as soon as an angle-0 corner closes a cycle.  Signs s and
-    -s give the same angle-0 corners, so the first hit starts with ``+``, the
-    only first sign tried."""
-    position = {g: i for i, g in enumerate(generators)}
-    ready = [[] for _ in generators]  # corners by the later of their generators
-    for c in link.corners:
-        a, b = c.nodes
-        i, j = position[a.edge], position[b.edge]
-        ready[max(i, j)].append((i, a.end, j, b.end, a, b))
-    signs = [1] * len(generators)
-    uf = UnionFind(link.nodes)
-
-    def extend(level):
-        if level == len(generators):
-            return True
-        for sign in (1, -1) if level else (1,):
-            signs[level] = sign
-            mark = uf.mark()
-            if all(signs[i] * end_a != signs[j] * end_b or uf.union(a, b)
-                   for i, end_a, j, end_b, a, b in ready[level]) and extend(level + 1):
-                return True
-            uf.rollback(mark)
-        return False
-
-    return dict(zip(generators, signs)) if extend(0) else None
-
-
 def bi_forest_orientation(lot: Lot):
     """First orientation choice (lexicographic over sorted generators, ``+``
     before ``-``) whose two spanned link subgraphs are both forests, or None.
 
-    Found by ``_first_bi_forest_signs``, a backtracking search that prunes
-    each sign prefix whose angle-0 corners already close a cycle.
+    Found by ``_bi_forest``, which prunes each sign prefix whose angle-0 corners
+    close a cycle; -epsilon has epsilon's angle-0 corners, so the first sign is ``+``.
     """
     cap = caps.search_cap(caps.BI_FOREST_CAP)
     props = check_properties(lot)
@@ -683,8 +662,7 @@ def bi_forest_orientation(lot: Lot):
             f"{len(generators)} generators exceeds the bi-forest search cap {cap}"
         )
     link = lot.complex.links[BASE_VERTEX]
-    epsilon = _first_bi_forest_signs(link, generators)
-    return None if epsilon is None else _bi_forest(link, epsilon)
+    return _bi_forest(link, generators, [(1,)] + [(1, -1)] * (len(generators) - 1))
 
 
 def _zero_one_certificate(lot: Lot, structure: BiForestStructure) -> Dr2Certificate:
@@ -933,9 +911,13 @@ def _check_node(tree: LiCertificateTree, problem):
     elif tree.kind == KIND_HUCK_ROSE_BASE:
         if maximal_proper_sub_lot(lot) is not None:
             problem("HUCK_ROSE_BASE trigger violated: a proper sub-LOT exists")
-        epsilon = {g: (1 if s == "+" else -1) for g, s in tree.evidence["epsilon"].items()}
+        recorded = tree.evidence["epsilon"]
+        signs = [recorded[g] for g in lot.vertices]
+        if len(recorded) != len(signs) or any(s not in ("+", "-") for s in signs):
+            raise ValueError("recorded orientation must map exactly the LOT's vertices to + or -")
         K = lot.complex
-        structure = _bi_forest(K.links[BASE_VERTEX], epsilon)
+        structure = _bi_forest(K.links[BASE_VERTEX], lot.vertices,
+                               [(1,) if s == "+" else (-1,) for s in signs])
         if structure is None:
             problem("recorded orientation does not give two forests")
         elif structure.assignment.to_jsonable() != tree.evidence["zero_one"]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .complexes import TwoComplex, build_complex, check_name, format_word, parse_letter
 from .errors import ComplexError, ParseError
-from .lots import Lot, build_lot
+from .lots import Lot, LotEdge
 
 
 def read_text(path) -> str:
@@ -55,10 +55,7 @@ def parse_presentation(text) -> TwoComplex:
             for g in rest:
                 if g in gens:
                     raise ParseError(f"duplicate generator {g!r}", line=lineno)
-                try:
-                    check_name("generator", g)
-                except ComplexError as exc:
-                    raise ParseError(str(exc), line=lineno) from exc
+                check_name("generator", g, lineno)
                 gens.append(g)
         elif head == "rel":
             if not rest:
@@ -112,6 +109,7 @@ def parse_lot(text) -> Lot:
             for v in rest:
                 if v in vertices:
                     raise ParseError(f"duplicate vertex {v!r}", line=lineno)
+                check_name("vertex", v, lineno)
                 vertices.append(v)
         elif head == "edge":
             if len(rest) != 4:
@@ -119,6 +117,7 @@ def parse_lot(text) -> Lot:
             name, source, target, label = rest
             if name in edge_ids:
                 raise ParseError(f"duplicate edge {name!r}", line=lineno)
+            check_name("edge", name, lineno)
             for v, role in ((source, "source"), (target, "target"), (label, "label")):
                 if v not in vertices:
                     raise ParseError(f"unknown {role} vertex {v!r}", line=lineno)
@@ -128,7 +127,7 @@ def parse_lot(text) -> Lot:
             raise ParseError(f"unknown directive {head!r}", line=lineno)
     if not vertices:
         raise ParseError("a LOT needs at least one vertex")
-    lot = build_lot(vertices, edges)
+    lot = Lot(tuple(sorted(vertices)), tuple(LotEdge(*edge) for edge in edges))  # checked per line
     if demand_tree and not lot.is_tree:
         raise ParseError("not a tree: 'lot' header demands a tree, use 'log' otherwise")
     return lot

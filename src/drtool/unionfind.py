@@ -68,3 +68,29 @@ class UnionFind:
                 if bumped:
                     rank[root] -= 1
             self.count += undone
+
+
+def first_acyclic_choices(levels, options, accept):
+    """The first choices, one value a level, whose unions keep every union-find
+    a forest and that ``accept(chosen)`` takes; a list, or None.  ``options(level,
+    chosen)`` yields ``(value, uf, pairs)`` in the order to try; ``pairs``, read
+    after ``chosen[level] = value``, are the end pairs the value unions in ``uf``.
+    Its generator resumes only once every choice below has been rolled back."""
+    chosen = [None] * levels
+
+    def extend(level):
+        if level == levels:
+            return accept(chosen)
+        for value, uf, pairs in options(level, chosen):
+            chosen[level] = value
+            mark = uf.mark()
+            for a, b in pairs:
+                if not uf.union(a, b):
+                    break
+            else:
+                if extend(level + 1):
+                    return True
+            uf.rollback(mark)
+        return False
+
+    return chosen if extend(0) else None

@@ -5,7 +5,9 @@ minimisation is re-done by depth-first enumeration, piece counts by
 enumerating every decomposition, short cycles by direct walks, the LOT
 isomorphism key by trying every vertex bijection, the sub-LOT prune's
 components by a fresh union-find each round instead of a traversal, and
-the gluing search's connectivity by a face union-find at every node.
+the gluing search's connectivity by a face union-find at every node.  The
+zero/one and bi-forest references backtrack by hand instead of through
+``unionfind.first_acyclic_choices``, so they reach past the 2^n scans.
 """
 
 from __future__ import annotations
@@ -88,6 +90,18 @@ def random_complex(rng, **kwargs):
         if X.cells:
             return X
     return random_one_vertex_complex(rng, **kwargs)
+
+
+def random_surface_word_complex(rng, n_generators):
+    """One-vertex complex with one relator that holds each of ``n_generators``
+    generators once with each sign, in random order: a surface-like word,
+    about a third of which have a zero/one structure."""
+    names = [chr(ord("a") + i) for i in range(n_generators)]
+    word = [Letter(g, sign) for g in names for sign in (1, -1)]
+    rng.shuffle(word)
+    return build_complex(
+        edges=[(g, "*", "*") for g in names], cells=[("r1", tuple(word))], vertices=["*"]
+    )
 
 
 def random_rationals(rng, X, denominator_max=12, allow_negative=False):
@@ -268,6 +282,80 @@ def oracle_zero_one_structure(X):
         if coloring_test(X, omega).passed:
             return omega
     return None
+
+
+# ---------------------------------------------------------------------------
+# references: the zero/one and bi-forest searches as hand-written backtrackers
+
+
+def reference_zero_one_structure(X):
+    """The zero/one search as its own recursive backtracker, without a cap:
+    corners in search order, angle 0 before 1, a corner whose ends are
+    already joined takes neither, at most ``len(word) - 2`` angles 1 per
+    cell, and the component condition on the finished forests."""
+    from drtool import ZeroOneAssignment
+
+    corners = list(X.corners.values())
+    budget = {cell.id: len(cell.word) - 2 for cell in X.cells}
+    if any(b < 0 for b in budget.values()):
+        return None
+    assignment = {}
+    ones_used = {cell.id: 0 for cell in X.cells}
+    forests = {v: UnionFind(X.links[v].nodes) for v in X.vertices}
+
+    def solve(index):
+        if index == len(corners):
+            return all(assignment[c.key] == 0 or not forests[v].together(*c.nodes)
+                       for v, c in corners)
+        v, corner = corners[index]
+        uf = forests[v]
+        if uf.together(*corner.nodes):
+            return False
+        mark = uf.mark()
+        uf.union(*corner.nodes)
+        assignment[corner.key] = 0
+        if solve(index + 1):
+            return True
+        uf.rollback(mark)
+        if ones_used[corner.cell] < budget[corner.cell]:
+            assignment[corner.key] = 1
+            ones_used[corner.cell] += 1
+            if solve(index + 1):
+                return True
+            ones_used[corner.cell] -= 1
+        del assignment[corner.key]
+        return False
+
+    return ZeroOneAssignment(assignment) if solve(0) else None
+
+
+def reference_bi_forest_signs(link, generators):
+    """The first signs (lexicographic over ``generators``, ``+`` before
+    ``-``, the first sign ``+`` only) under which the angle-0 corners of the
+    link form a forest, or None, by a hand-written backtracker: a corner is
+    added once both of its generators have a sign."""
+    position = {g: i for i, g in enumerate(generators)}
+    ready = [[] for _ in generators]
+    for c in link.corners:
+        a, b = c.nodes
+        i, j = position[a.edge], position[b.edge]
+        ready[max(i, j)].append((i, a.end, j, b.end, a, b))
+    signs = [1] * len(generators)
+    uf = UnionFind(link.nodes)
+
+    def extend(level):
+        if level == len(generators):
+            return True
+        for sign in (1, -1) if level else (1,):
+            signs[level] = sign
+            mark = uf.mark()
+            if all(signs[i] * end_a != signs[j] * end_b or uf.union(a, b)
+                   for i, end_a, j, end_b, a, b in ready[level]) and extend(level + 1):
+                return True
+            uf.rollback(mark)
+        return False
+
+    return dict(zip(generators, signs)) if extend(0) else None
 
 
 # ---------------------------------------------------------------------------

@@ -327,11 +327,15 @@ def test_json_of_the_wrong_shape_is_an_input_error(tmp_path, command, make_data)
 
 @pytest.mark.parametrize("command, text, message", [
     (["lot", "decide"], "lot\nvertex a- b c\nedge e1 a- b c\nedge e2 b c a-\n",
-     "vertex name 'a-' must be nonempty, without whitespace or '#', and not end in '-'"),
+     "vertex name 'a-' must be nonempty, without whitespace or '#', and not end in '-' "
+     "(line 2)"),
+    (["lot", "decide"], "lot\nvertex a b c\nedge e1 a b c\nedge e2- b c a\n",
+     "edge name 'e2-' must be nonempty, without whitespace or '#', and not end in '-' "
+     "(line 4)"),
     (["complex", "c4t4"], "presentation\ngens a- b\nrel b b\n",
      "generator name 'a-' must be nonempty, without whitespace or '#', and not end in '-' "
      "(line 2)"),
-], ids=["lot-decide-vertex", "c4t4-generator"])
+], ids=["lot-decide-vertex", "lot-decide-edge", "c4t4-generator"])
 def test_a_name_ending_in_minus_is_an_input_error(tmp_path, command, text, message):
     # the letter a- of such an edge would read back as edge a inverted
     path = tmp_path / "input.txt"
@@ -351,6 +355,14 @@ def base_node_whose_epsilon_lacks_a_generator():
     data = decide_locally_indicable(make_w5()).to_jsonable()
     del data["children"][0]["evidence"]["epsilon"]["a"]
     return data
+
+
+def base_node_whose_epsilon_has(generator, sign):
+    def make_data():
+        data = decide_locally_indicable(make_w5()).to_jsonable()
+        data["children"][0]["evidence"]["epsilon"][generator] = sign
+        return data
+    return make_data
 
 
 def quotient_step_of_a_lot_that_is_not_injective():
@@ -403,6 +415,12 @@ def zero_one_certificate_with_first_angle(key, value):
      "root: evidence does not re-check: KeyError: 'sub_lot'"),
     (base_node_whose_epsilon_lacks_a_generator,
      "quotient_step[0]: evidence does not re-check: KeyError: 'a'"),
+    (base_node_whose_epsilon_has("a", "banana"),
+     "quotient_step[0]: evidence does not re-check: ValueError: "
+     "recorded orientation must map exactly the LOT's vertices to + or -"),
+    (base_node_whose_epsilon_has("zz", "+"),
+     "quotient_step[0]: evidence does not re-check: ValueError: "
+     "recorded orientation must map exactly the LOT's vertices to + or -"),
     (quotient_step_of_a_lot_that_is_not_injective,
      "root: evidence does not re-check: NotInjective: quotients are taken of injective LOTs"),
     (li_certificate_with_a_vertex_name("", in_sub_lot=True),
@@ -427,7 +445,8 @@ def zero_one_certificate_with_first_angle(key, value):
     (zero_one_certificate_with_first_angle("position", True),
      "hypotheses do not re-check: ComplexError: "
      "cannot interpret corner position True as an integer"),
-], ids=["quotient-step-evidence-empty", "base-epsilon-short", "quotient-step-lot-not-injective",
+], ids=["quotient-step-evidence-empty", "base-epsilon-short", "base-epsilon-not-a-sign",
+        "base-epsilon-extra-generator", "quotient-step-lot-not-injective",
         "quotient-step-sub-lot-name-empty",
         "c4t4-hypotheses-empty", "zero-one-angle-1-over-0", "li-tree-pair-form-word",
         "li-tree-angle-1-over-0",

@@ -383,6 +383,16 @@ class TestDiagramJson:
         assert sphere_from_jsonable(data) == S
         assert diagram_map_from_jsonable(data) == f
 
+    def test_a_ring_of_twelve_digons_reads_back_as_itself(self):
+        # a string sort would read the faces back as f0, f1, f10, f11, f2, ...
+        S = SphereComplex(tuple(
+            Cell(f"f{i}", (Letter(f"s{i}", 1), Letter(f"s{(i + 1) % 12}", -1))) for i in range(12)
+        ))
+        assert validate_sphere(S).passed
+        data = json.loads(canonical_json(S.to_jsonable()))
+        assert list(data["faces"])[:3] == ["f0", "f1", "f10"]
+        assert sphere_from_jsonable(data) == S
+
 
 class TestSlotOrbits:
     """Sides are numbered face by face, and slot s is the corner after side

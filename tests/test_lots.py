@@ -63,6 +63,7 @@ from genutil import (
     random_reduced_injective_lot,
     readable_name,
     reduced_injective_lot_candidates,
+    reference_bi_forest_signs,
     tree_shapes,
 )
 
@@ -328,7 +329,7 @@ def sign_scan(lot):
     order, each checked by ``_bi_forest``; None when there is none."""
     link = lot_complex(lot).links[BASE_VERTEX]
     for signs in itertools.product((1, -1), repeat=len(lot.vertices)):
-        structure = _bi_forest(link, dict(zip(lot.vertices, signs)))
+        structure = _bi_forest(link, lot.vertices, [(s,) for s in signs])
         if structure is not None:
             return structure
     return None
@@ -576,7 +577,7 @@ class TestBiForest:
                 }
                 for e in lot.edges:
                     assert sum(1 for i in range(4) if table[(e.id, i)] == 0) == 2
-                structure = _bi_forest(link, epsilon)
+                structure = _bi_forest(link, lot.vertices, [(s,) for s in signs])
                 if structure is not None:
                     assert dict(structure.assignment.items()) == table
 
@@ -597,6 +598,20 @@ class TestBiForest:
             assert bf.lambda1_corners == corners1 and bf.lambda2_corners == corners2
             assert dict(bf.assignment.items()) == table
         assert 0 < found < 150
+
+    # The reference backtracker takes under 0.1 s a LOT up to 18 vertices
+    # (0.6 s at 22), where the 2^n scans of the tests around stop at 12.
+    @settings(max_examples=80)
+    @given(st.sampled_from(range(8, 19)), st.integers(0, 2**32 - 1))
+    def test_search_matches_reference_backtracker_past_the_scans(self, n, seed):
+        lot = random_reduced_injective_lot(random.Random(seed), n)
+        link = lot_complex(lot).links[BASE_VERTEX]
+        bf = bi_forest_orientation(lot)
+        assert (bf and bf.epsilon) == reference_bi_forest_signs(link, list(lot.vertices))
+        if bf is not None:
+            # the verifier's call, one recorded sign a level, gives the same structure
+            recorded = _bi_forest(link, lot.vertices, [(s,) for s in bf.epsilon.values()])
+            assert recorded.to_jsonable() == bf.to_jsonable()
 
     def test_search_matches_sign_scan_up_to_12_generators(self):
         rng = random.Random(4242)
