@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .complexes import TwoComplex, build_complex, check_name, format_word, parse_letter
 from .errors import ComplexError, ParseError
-from .lots import Lot, LotEdge
+from .lots import Lot, build_lot
 
 
 def read_text(path) -> str:
@@ -127,7 +127,7 @@ def parse_lot(text) -> Lot:
             raise ParseError(f"unknown directive {head!r}", line=lineno)
     if not vertices:
         raise ParseError("a LOT needs at least one vertex")
-    lot = Lot(tuple(sorted(vertices)), tuple(LotEdge(*edge) for edge in edges))  # checked per line
+    lot = build_lot(vertices, edges)
     if demand_tree and not lot.is_tree:
         raise ParseError("not a tree: 'lot' header demands a tree, use 'log' otherwise")
     return lot

@@ -44,6 +44,7 @@ from drtool.lots import (
     KIND_QUOTIENT_STEP,
     KIND_SINGLE_VERTEX,
     KIND_UNKNOWN,
+    BiForestStructure,
     LiCertificateTree,
     _bi_forest,
     boundary_reducible_sub_lots,
@@ -326,12 +327,25 @@ def injective_lots(n):
 
 def sign_scan(lot):
     """The first bi-forest of the 2^n sign vectors in ``itertools.product``
-    order, each checked by ``_bi_forest``; None when there is none."""
+    order, each checked without the search: the sides are read off the
+    signs and the angle-0 corners unioned one by one; None when there is
+    none."""
     link = lot_complex(lot).links[BASE_VERTEX]
     for signs in itertools.product((1, -1), repeat=len(lot.vertices)):
-        structure = _bi_forest(link, lot.vertices, [(s,) for s in signs])
-        if structure is not None:
-            return structure
+        epsilon = dict(zip(lot.vertices, signs))
+        side = {n: epsilon[n.edge] * n.end for n in link.nodes}
+        zeros = [c for c in link.corners if side[c.nodes[0]] == side[c.nodes[1]]]
+        uf = UnionFind(link.nodes)
+        if all(uf.union(*c.nodes) for c in zeros):
+            return BiForestStructure(
+                epsilon=epsilon,
+                lambda1_nodes=tuple(n for n in link.nodes if side[n] > 0),
+                lambda2_nodes=tuple(n for n in link.nodes if side[n] < 0),
+                lambda1_corners=tuple(c.key for c in zeros if side[c.nodes[0]] > 0),
+                lambda2_corners=tuple(c.key for c in zeros if side[c.nodes[0]] < 0),
+                assignment=ZeroOneAssignment(
+                    {c.key: 0 if c in zeros else 1 for c in link.corners}),
+            )
     return None
 
 
