@@ -65,8 +65,19 @@ class AngleAssignment:
         self._table = table
 
     @classmethod
+    def _of_table(cls, table):
+        """The assignment over ``table``, taken as it is: a table the library
+        builds itself, keyed by corner keys, its angles ints or Fractions of
+        denominator above 1, as the constructor leaves them."""
+        assignment = cls.__new__(cls)
+        assignment._table = table
+        return assignment
+
+    @classmethod
     def uniform(cls, X: TwoComplex, value):
-        return cls(dict.fromkeys(X.corners, _coerce_weight(value)))
+        table = dict.fromkeys(X.corners, _coerce_weight(value))
+        # a subclass checks its own angle rule in its constructor
+        return cls._of_table(table) if cls is AngleAssignment else cls(table)
 
     def weight(self, corner):
         key = corner.key if hasattr(corner, "key") else tuple(corner)
@@ -264,7 +275,7 @@ def min_reduced_cycle(G: LinkGraph, omega) -> tuple | None:
 
 def _shortest_reduced_cycle(G: LinkGraph):
     """The shortest reduced cycle as ``(length, steps)``, or None."""
-    found = min_reduced_cycle(G, AngleAssignment({c.key: 1 for c in G.corners}))
+    found = min_reduced_cycle(G, AngleAssignment._of_table({c.key: 1 for c in G.corners}))
     return None if found is None else (int(found[0]), found[1])
 
 
@@ -404,6 +415,9 @@ def find_zero_one_structure(X: TwoComplex):
     if any(r < 0 for r in room.values()):
         return None  # a monogon's curvature is positive under any zero/one angles
     forests = {v: UnionFind(X.links[v].nodes) for v in X.vertices}
+    # an angle-0 pair depends on every level up to its own: the budgets leave
+    # values out, so the search stays chronological
+    zero_pairs = [(*c.nodes, (2 << index) - 1) for index, (_, c) in enumerate(corners)]
 
     def options(index, chosen):
         v, corner = corners[index]
@@ -412,13 +426,15 @@ def find_zero_one_structure(X: TwoComplex):
             # angle 0 would close a cycle (a loop corner closes one alone), and
             # angle 1 can never satisfy the component condition
             return
-        yield 0, uf, (corner.nodes,)
+        yield 0, uf, (zero_pairs[index],)
         if room[corner.cell] > 0:
             room[corner.cell] -= 1
-            yield 1, uf, ()
-            room[corner.cell] += 1
+            try:
+                yield 1, uf, ()
+            finally:
+                room[corner.cell] += 1
 
     angles = first_acyclic_choices(len(corners), options, lambda chosen: all(
         angle == 0 or not forests[v].together(*c.nodes) for (v, c), angle in zip(corners, chosen)))
-    return None if angles is None else ZeroOneAssignment(
+    return None if angles is None else ZeroOneAssignment._of_table(
         {c.key: angle for (_, c), angle in zip(corners, angles)})

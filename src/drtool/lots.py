@@ -84,18 +84,26 @@ class Lot:
         return lot_complex(self)
 
 
-def build_lot(vertices, edges) -> Lot:
+def build_lot(vertices, edges, names_checked=False) -> Lot:
+    """The Lot on ``vertices`` and the ``(id, source, target, label)`` edges.
+    Each vertex and edge name is checked once: here, or, with
+    ``names_checked``, by the caller, as ``parse_lot`` checks each on its
+    line while it reads, so that a bad name is reported before the faults
+    of later lines."""
     vertex_set = sorted(str(v) for v in vertices)
-    for v in vertex_set:
-        check_name("vertex", v)
-    if len(set(vertex_set)) != len(vertex_set):
+    if not names_checked:
+        for v in vertex_set:
+            check_name("vertex", v)
+    known = set(vertex_set)
+    if len(known) != len(vertex_set):
         raise ComplexError("duplicate vertex id")
     edge_list = []
     for item in edges:
         e = LotEdge(str(item[0]), str(item[1]), str(item[2]), str(item[3]))
-        check_name("edge", e.id)
+        if not names_checked:
+            check_name("edge", e.id)
         for v in (e.source, e.target, e.label):
-            if v not in vertex_set:
+            if v not in known:
                 raise ComplexError(f"unknown vertex {v!r} in edge {e.id!r}")
         edge_list.append(e)
     ids = [e.id for e in edge_list]
@@ -434,82 +442,121 @@ def enumerate_sub_lots(lot: Lot):
     """All sub-LOTs as (sub_lot, is_proper) pairs.
 
     A sub-LOT is a subtree with a nonempty edge set whose edge labels lie
-    among its own vertices.  Listed from the whole tree down by
-    ``_sub_lots_below``, at most m prunes per sub-LOT listed.
+    among its own vertices.  Listed from the whole tree down through the
+    ``_DropTable``, at most m component splits per sub-LOT listed.
     """
     if not lot.is_tree:
         raise NotATree("sub-LOT enumeration requires a tree")
-    found = {frozenset(e.id for e in lot.edges): lot.edges} if lot.edges else {}
-    pending = list(found.values())
-    for edges in pending:  # grows as sub-LOTs are found
-        for ids, part in _sub_lots_below(edges).items():
-            if ids not in found:
-                found[ids] = part
+    table = _DropTable(lot)
+    found = dict.fromkeys([table.whole] if lot.edges else [])
+    pending = list(found)
+    for mask in pending:  # grows as sub-LOTs are found
+        for part in table.below(mask):
+            if part not in found:
+                found[part] = None
                 pending.append(part)
-    out = [(_spanned_lot(edges), len(edges) != len(lot.edges)) for edges in found.values()]
+    out = [(_spanned_lot(table.edges_of(mask)), mask != table.whole) for mask in found]
     out.sort(key=lambda pair: (len(pair[0].edges), pair[0].vertices,
                                tuple(e.id for e in pair[0].edges)))
     return out
 
 
-def _pruned_components(edges):
-    """The largest sub-LOTs among ``edges`` of a tree, as edge lists in the
-    order given.
+class _DropTable:
+    """The sub-LOTs of a tree ``lot`` on edge bitmasks, edge i of ``lot.edges``
+    as bit i.
 
-    Drop every edge whose label lies outside its component and repeat until
-    nothing is dropped.  A sub-LOT within ``edges`` keeps its labels inside
-    its own component, so none of its edges is ever dropped; every component
-    that keeps an edge carries all its labels, so it is a sub-LOT.  Each
-    round labels the components of the kept edges in one traversal."""
-    while True:
-        adjacent = {}
-        for e in edges:
-            adjacent.setdefault(e.source, []).append(e.target)
-            adjacent.setdefault(e.target, []).append(e.source)
-        root = {}  # vertex -> the first vertex reached in its component
-        for start in adjacent:
-            if start in root:
-                continue
-            root[start] = start
-            stack = [start]
-            while stack:
-                for w in adjacent[stack.pop()]:
-                    if w not in root:
-                        root[w] = start
-                        stack.append(w)
-        kept = [e for e in edges if root.get(e.label) == root[e.source]]
-        if len(kept) == len(edges):
-            break
-        edges = kept
-    components = {}
-    for e in edges:
-        components.setdefault(root[e.source], []).append(e)
-    return components.values()
+    An edge survives in a sub-forest only while every edge on the tree path
+    from its source to its label survives, so ``reach[i]`` is the set of
+    edges that fall when edge i is dropped: edge i, and closed under that
+    rule.  A sub-LOT's label paths stay inside it, so the largest sub-LOTs
+    of a sub-LOT S less edge i are the components of ``S & ~reach[i]``."""
+
+    def __init__(self, lot: Lot):
+        self.edges = lot.edges
+        m = len(lot.edges)
+        self.whole = (1 << m) - 1
+        touching = {v: 0 for v in lot.vertices}  # vertex -> its edges
+        neighbours = {v: [] for v in lot.vertices}
+        for i, e in enumerate(lot.edges):
+            touching[e.source] |= 1 << i
+            touching[e.target] |= 1 << i
+            neighbours[e.source].append((e.target, i))
+            neighbours[e.target].append((e.source, i))
+        self.adjacent = [touching[e.source] | touching[e.target] for e in lot.edges]
+        # up[v]: the edges from v to the first vertex; a tree path is the
+        # symmetric difference of its ends' paths up
+        up = {lot.vertices[0]: 0}
+        stack = [lot.vertices[0]]
+        while stack:
+            v = stack.pop()
+            for w, i in neighbours[v]:
+                if w not in up:
+                    up[w] = up[v] | 1 << i
+                    stack.append(w)
+        reach = [1 << i for i in range(m)]
+        for i, e in enumerate(lot.edges):
+            # a label off the tree is in no sub-forest with the edge
+            path = up[e.source] ^ up[e.label] if e.label in up else self.whole
+            for j in _bits(path):
+                reach[j] |= 1 << i
+        for k in range(m):  # transitive closure, Warshall's order
+            bit, through = 1 << k, reach[k]
+            reach = [r | through if r & bit else r for r in reach]
+        self.reach = reach
+
+    def edges_of(self, mask):
+        """The edges of ``mask`` in LOT order."""
+        return tuple(self.edges[i] for i in _bits(mask))
+
+    def below(self, mask):
+        """The largest sub-LOTs in the sub-LOT ``mask`` less one edge, over each
+        edge, as the keys of a dict in the order found; a proper sub-LOT
+        avoids an edge, so lies in one."""
+        found = {}
+        for i in _bits(mask):
+            found.update(dict.fromkeys(_edge_components(mask & ~self.reach[i], self.adjacent)))
+        return found
 
 
-def _sub_lots_below(edges):
-    """The largest sub-LOTs in the sub-LOT ``edges`` less one edge, over each
-    edge, by edge-id frozenset; a proper sub-LOT avoids an edge, so lies in one."""
-    found = {}
-    for skip in edges:
-        rest = [e for e in edges if e is not skip]
-        for part in _pruned_components(rest):
-            found[frozenset(e.id for e in part)] = part
-    return found
+def _bits(mask):
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _edge_components(mask, adjacent):
+    """The connected components of the edges in ``mask``, as masks ordered by
+    their lowest edge; ``adjacent[i]`` holds the edges that share an end with
+    edge i."""
+    parts = []
+    while mask:
+        part = todo = mask & -mask
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            new = adjacent[low.bit_length() - 1] & mask & ~part
+            part |= new
+            todo |= new
+        parts.append(part)
+        mask &= ~part
+    return parts
 
 
 def maximal_proper_sub_lot(lot: Lot):
     """A maximal proper sub-LOT, ties broken by the smallest vertex tuple;
     None when there is no proper sub-LOT.
 
-    The maximal ones among ``_sub_lots_below`` the whole tree; edges in LOT
-    order, as in ``enumerate_sub_lots``.
+    The maximal ones among the ``_DropTable`` sub-LOTs below the whole tree;
+    edges in LOT order, as in ``enumerate_sub_lots``.
     """
     if not lot.is_tree:
         raise NotATree("sub-LOT search requires a tree")
-    found = _sub_lots_below(lot.edges)
-    maximal = [_spanned_lot(edges) for ids, edges in found.items()
-               if not any(ids < other for other in found)]
+    table = _DropTable(lot)
+    found = table.below(table.whole)
+    maximal = [_spanned_lot(table.edges_of(mask)) for mask in found
+               if not any(mask & other == mask != other for other in found)]
     return min(maximal, key=lambda sub: sub.vertices, default=None)
 
 
@@ -612,9 +659,10 @@ def _bi_forest(link, generators, signs):
     ready = [[] for _ in generators]  # corners by the later of their generators
     for c in link.corners:
         a, b = c.nodes
-        i, j = position[a.edge], position[b.edge]
-        # angle 0 when epsilon[a.edge] * a.end == epsilon[b.edge] * b.end
-        ready[max(i, j)].append((min(i, j), a.end * b.end, c.nodes))
+        i, j = sorted((position[a.edge], position[b.edge]))
+        # angle 0 when epsilon[a.edge] * a.end == epsilon[b.edge] * b.end,
+        # which the signs of the corner's two generators decide
+        ready[j].append((i, a.end * b.end, (a, b, 1 << i | 1 << j)))
     uf = UnionFind(link.nodes)
 
     def options(level, chosen):
@@ -641,7 +689,7 @@ def _bi_forest(link, generators, signs):
         lambda2_nodes=tuple(n for n in link.nodes if side[n] < 0),
         lambda1_corners=tuple(zeros[1]),
         lambda2_corners=tuple(zeros[-1]),
-        assignment=ZeroOneAssignment(table),
+        assignment=ZeroOneAssignment._of_table(table),
     )
 
 
@@ -650,7 +698,8 @@ def bi_forest_orientation(lot: Lot):
     before ``-``) whose two spanned link subgraphs are both forests, or None.
 
     Found by ``_bi_forest``, which prunes each sign prefix whose angle-0 corners
-    close a cycle; -epsilon has epsilon's angle-0 corners, so the first sign is ``+``.
+    close a cycle and backjumps to the latest generator such a cycle depends on;
+    -epsilon has epsilon's angle-0 corners, so the first sign is ``+``.
     """
     cap = caps.search_cap(caps.BI_FOREST_CAP)
     props = check_properties(lot)

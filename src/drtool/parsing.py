@@ -100,7 +100,7 @@ def parse_lot(text) -> Lot:
         lineno = lines[0][0] if lines else 1
         raise ParseError("expected 'lot' or 'log' header", line=lineno)
     demand_tree = lines[0][1] == ["lot"]
-    vertices = []
+    vertices = set()
     edges = []
     edge_ids = set()
     for lineno, tokens in lines[1:]:
@@ -110,7 +110,7 @@ def parse_lot(text) -> Lot:
                 if v in vertices:
                     raise ParseError(f"duplicate vertex {v!r}", line=lineno)
                 check_name("vertex", v, lineno)
-                vertices.append(v)
+                vertices.add(v)
         elif head == "edge":
             if len(rest) != 4:
                 raise ParseError("edge needs: name source target label", line=lineno)
@@ -127,7 +127,7 @@ def parse_lot(text) -> Lot:
             raise ParseError(f"unknown directive {head!r}", line=lineno)
     if not vertices:
         raise ParseError("a LOT needs at least one vertex")
-    lot = build_lot(vertices, edges)
+    lot = build_lot(vertices, edges, names_checked=True)
     if demand_tree and not lot.is_tree:
         raise ParseError("not a tree: 'lot' header demands a tree, use 'log' otherwise")
     return lot

@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 
@@ -173,6 +174,22 @@ class TestWeightCoercion:
         whole = check_gauss_bonnet(X, AngleAssignment.uniform(X, "1"))
         assert type(whole.total) is int
         assert whole.to_jsonable()["cell_curvatures"] == {"r1": "2"}
+
+    @pytest.mark.parametrize("value", ["1/2", Fraction(4, 2), 3, True, 1.0, "1/0"])
+    def test_a_uniform_table_is_coerced_once_like_any_other(self, value):
+        X = make_torus()
+        assert outcome(lambda v: AngleAssignment.uniform(X, v).items(), value) == outcome(
+            lambda v: AngleAssignment(dict.fromkeys(X.corners, v)).items(), value)
+
+    def test_a_zero_one_uniform_table_keeps_its_angle_rule(self):
+        with pytest.raises(ComplexError, match=r"^angle at corner \('r1', 0\) is 2, not 0 or 1$"):
+            ZeroOneAssignment.uniform(make_torus(), 2)
+
+    def test_a_searched_table_has_the_angles_the_constructor_gives(self):
+        found = find_zero_one_structure(make_torus())
+        coerced = ZeroOneAssignment(dict(found.items()))
+        assert [(k, v, type(v)) for k, v in found.items()] == [
+            (k, v, type(v)) for k, v in coerced.items()]
 
 
 class TestGaussBonnet:
@@ -544,6 +561,26 @@ class TestZeroOneSearch:
         assert (None if got is None else got.items()) == (
             None if expected is None else expected.items()
         )
+
+    def test_budgets_are_restored_when_the_engine_closes_a_generator(self, monkeypatch):
+        # the engine leaves every level's generator open when it succeeds and
+        # closes each; a generator closed while it holds an angle 1 gives the
+        # cell's budget back
+        engine = curvature.first_acyclic_choices
+        seen = {}
+
+        def watched(levels, options, accept):
+            room = inspect.getclosurevars(options).nonlocals["room"]
+            seen["before"] = dict(room)
+            found = engine(levels, options, accept)
+            seen["after"] = dict(room)
+            seen["ones"] = found.count(1)
+            return found
+
+        monkeypatch.setattr(curvature, "first_acyclic_choices", watched)
+        assert find_zero_one_structure(make_torus()) is not None
+        assert seen["ones"] > 0
+        assert seen["after"] == seen["before"]
 
     def test_one_union_find_per_vertex_link(self, monkeypatch):
         built = []

@@ -403,8 +403,17 @@ class TestSubLots:
     @given(st.integers(3, 16), st.sampled_from(["injective", "repeated", "absent"]),
            st.randoms(use_true_random=False))
     def test_pruned_components_match_the_union_find_oracle(self, n, labels, rng):
+        # the largest sub-LOTs among any edge subset: the components of what
+        # is left once every edge that the missing ones reach has fallen
         lot, edges = pruning_case(rng, n, labels)
-        got = [list(part) for part in lots._pruned_components(edges)]
+        table = lots._DropTable(lot)
+        kept = sum(1 << lot.edges.index(e) for e in edges)
+        fallen = 0
+        for i, reach in enumerate(table.reach):
+            if not kept >> i & 1:
+                fallen |= reach
+        got = [list(table.edges_of(part))
+               for part in lots._edge_components(kept & ~fallen, table.adjacent)]
         assert got == oracle_pruned_components(lot.vertices, edges)
 
     def test_enumeration_matches_brute_force_oracle(self):
@@ -450,13 +459,13 @@ class TestSubLots:
 
     def test_enumeration_prunes_at_most_m_times_per_sub_lot(self, monkeypatch):
         calls = []
-        pruned_components = lots._pruned_components
+        edge_components = lots._edge_components
 
-        def counted(edges):
-            calls.append(len(edges))
-            return pruned_components(edges)
+        def counted(mask, adjacent):
+            calls.append(mask)
+            return edge_components(mask, adjacent)
 
-        monkeypatch.setattr(lots, "_pruned_components", counted)
+        monkeypatch.setattr(lots, "_edge_components", counted)
         lot = random_reduced_injective_lot(random.Random(1300), 40)
         listed = enumerate_sub_lots(lot)
         # 2^39 edge subsets: only work per sub-LOT listed finishes here
@@ -613,14 +622,17 @@ class TestBiForest:
             assert dict(bf.assignment.items()) == table
         assert 0 < found < 150
 
-    # The reference backtracker takes under 0.1 s a LOT up to 18 vertices
-    # (0.6 s at 22), where the 2^n scans of the tests around stop at 12.
-    @settings(max_examples=80)
-    @given(st.sampled_from(range(8, 19)), st.integers(0, 2**32 - 1))
+    # The reference backtracker takes under 0.1 s a LOT up to 20 vertices
+    # (1.5 s at 24), where the 2^n scans of the tests around stop at 12.
+    # Past 25 generators the search runs above its built-in cap.
+    @settings(max_examples=70)
+    @given(st.sampled_from(range(8, 27)), st.integers(0, 2**32 - 1))
     def test_search_matches_reference_backtracker_past_the_scans(self, n, seed):
         lot = random_reduced_injective_lot(random.Random(seed), n)
         link = lot_complex(lot).links[BASE_VERTEX]
-        bf = bi_forest_orientation(lot)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("DRTOOL_SEARCH_CAP", "26")
+            bf = bi_forest_orientation(lot)
         assert (bf and bf.epsilon) == reference_bi_forest_signs(link, list(lot.vertices))
         if bf is not None:
             # the verifier's call, one recorded sign a level, gives the same structure

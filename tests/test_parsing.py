@@ -9,6 +9,7 @@ from drtool import (
     serialize_lot,
     serialize_presentation,
 )
+from drtool import complexes, lots, parsing
 from drtool.errors import ComplexError, ParseError
 from drtool.parsing import sniff_kind
 
@@ -78,6 +79,25 @@ class TestLotGrammar:
             build_lot([name, "b"], [])
         with pytest.raises(ComplexError, match="must be nonempty, without whitespace or '#'"):
             build_lot(["a", "b", "c"], [(name, "a", "b", "c")])
+
+    def test_each_name_is_checked_once_on_its_line(self, monkeypatch):
+        trefoil, checked = make_trefoil(), []
+
+        def counted(kind, name, line=None):
+            checked.append((kind, name, line))
+            return complexes.check_name(kind, name, line)
+
+        monkeypatch.setattr(parsing, "check_name", counted)
+        monkeypatch.setattr(lots, "check_name", counted)
+        lot = parse_lot("lot\nvertex a b\nvertex c\nedge e1 a b c\nedge e2 b c a\n")
+        assert lot == trefoil
+        assert checked == [("vertex", "a", 2), ("vertex", "b", 2), ("vertex", "c", 3),
+                           ("edge", "e1", 4), ("edge", "e2", 5)]
+
+    def test_a_bad_name_is_reported_before_a_later_fault(self):
+        # the bad vertex is also unknown to the edge on the next line
+        with pytest.raises(ParseError, match=r"vertex name 'b-' .* \(line 2\)$"):
+            parse_lot("lot\nvertex a b- c\nedge e1 a b c\n")
 
 
 class TestRoundTrips:
