@@ -100,7 +100,8 @@ def _read_json(path):
 
 def _load_weights(value):
     """``--weights``: the Fraction it gives as ``p/q`` or ``uniform:p/q``,
-    else the AngleAssignment in the JSON file it names."""
+    else the AngleAssignment in the JSON file it names; a ``uniform:`` value
+    never names a file."""
     try:
         return parse_weight_value(value)
     except ValueError:
@@ -332,9 +333,8 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"drtool {VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dot=True, cert=False, json_flag=True):
-        if json_flag:
-            p.add_argument("--json", action="store_true", help="emit canonical JSON")
+    def common(p, dot=True, cert=False):
+        p.add_argument("--json", action="store_true", help="emit canonical JSON")
         if dot:
             p.add_argument("--dot", metavar="PATH", help="write a DOT rendering")
         if cert:

@@ -384,13 +384,8 @@ def _find_boundary(lot: Lot):
 
 def apply_move(lot: Lot, move) -> Lot:
     kind = move["move"]
-    if kind == "compression":
-        lot = _drop_edge(lot, move["edge"])
-        if move["merged"] != move["into"]:
-            lot = _rename_vertex(lot, move["merged"], move["into"])
-        return lot
-    if kind == "interior":
-        lot = _drop_edge(lot, move["removed_edge"])
+    if kind in ("compression", "interior"):
+        lot = _drop_edge(lot, move["edge" if kind == "compression" else "removed_edge"])
         if move["merged"] != move["into"]:
             lot = _rename_vertex(lot, move["merged"], move["into"])
         return lot
@@ -407,11 +402,7 @@ def reduce_lot_with_log(lot: Lot):
         raise NotATree("reduction is only defined for LOTs here")
     log = []
     while True:
-        move = _find_compression(lot)
-        if move is None:
-            move = _find_interior(lot)
-        if move is None:
-            move = _find_boundary(lot)
+        move = _find_compression(lot) or _find_interior(lot) or _find_boundary(lot)
         if move is None:
             break
         lot = apply_move(lot, move)
@@ -763,17 +754,16 @@ class LiCertificateTree:
         )
 
 
-def _unknown(lot, reason, extra=None, children=()):
-    evidence = {"reason": reason}
-    if extra:
-        evidence.update(extra)
-    return LiCertificateTree(
-        kind=KIND_UNKNOWN,
-        lot=lot,
-        evidence=evidence,
-        children=tuple(children),
-        conclusion={"locally_indicable": "unknown"},
-    )
+def _node(kind, lot, evidence, children=()):
+    """A certificate node: certified exactly when every child is, and never
+    when it is UNKNOWN."""
+    certified = kind != KIND_UNKNOWN and all(child.certified for child in children)
+    return LiCertificateTree(kind, lot, evidence, tuple(children),
+                             {"locally_indicable": "certified" if certified else "unknown"})
+
+
+def _unknown(lot, reason, evidence, children=()):
+    return _node(KIND_UNKNOWN, lot, {"reason": reason, **evidence}, children)
 
 
 def _seek_dr2_for_quotient(quotient_lot: Lot):
@@ -786,7 +776,8 @@ def _seek_dr2_for_quotient(quotient_lot: Lot):
 
 
 def _amalgam_split(lot: Lot, sub: Lot):
-    """Split into the collapsed part and the literal outside subtree.
+    """The outside subtree of the amalgam split along ``sub``, and the vertex
+    where the two parts meet.
 
     The outside part meets the sub-LOT in the single attachment vertex and
     is isomorphic to the quotient (rename the attachment vertex to y).
@@ -808,18 +799,13 @@ def _amalgam_split(lot: Lot, sub: Lot):
         _validate_sub_lot(lot, part2)
     except NotSubLot as exc:
         raise InvariantViolation(f"outside part is not a sub-LOT: {exc}") from exc
-    return sub, part2, attach
+    return part2, attach
 
 
 def _decide(lot: Lot) -> LiCertificateTree:
     # lot is reduced and injective here
     if len(lot.vertices) == 1:
-        return LiCertificateTree(
-            kind=KIND_SINGLE_VERTEX,
-            lot=lot,
-            evidence={"vertex": lot.vertices[0], "group": "Z"},
-            conclusion={"locally_indicable": "certified"},
-        )
+        return _node(KIND_SINGLE_VERTEX, lot, {"vertex": lot.vertices[0], "group": "Z"})
 
     sub = maximal_proper_sub_lot(lot)
     if sub is None:
@@ -830,12 +816,7 @@ def _decide(lot: Lot) -> LiCertificateTree:
         evidence = {"trigger": "no_proper_sub_lot"}
         evidence.update(structure.to_jsonable())
         evidence["dr2_certificate"] = _zero_one_certificate(lot, structure).to_jsonable()
-        return LiCertificateTree(
-            kind=KIND_HUCK_ROSE_BASE,
-            lot=lot,
-            evidence=evidence,
-            conclusion={"locally_indicable": "certified"},
-        )
+        return _node(KIND_HUCK_ROSE_BASE, lot, evidence)
 
     quotient_lot, y = quotient(lot, sub)
     qprops = check_properties(quotient_lot)
@@ -846,47 +827,25 @@ def _decide(lot: Lot) -> LiCertificateTree:
         )
 
     if not qprops.boundary_reduced:
-        part1, part2, x = _amalgam_split(lot, sub)
-        child1 = _decide(reduce_lot(part1))
-        child2 = _decide(reduce_lot(part2))
-        certified = child1.certified and child2.certified
-        return LiCertificateTree(
-            kind=KIND_AMALGAM,
-            lot=lot,
-            evidence={
-                "part1": lot_to_jsonable(part1),
-                "part2": lot_to_jsonable(part2),
-                "intersection_vertex": x,
-                "collapsed_vertex": y,
-                "axiom": AMALGAM_AXIOM,
-            },
-            children=(child1, child2),
-            conclusion={"locally_indicable": "certified" if certified else "unknown"},
-        )
+        part2, x = _amalgam_split(lot, sub)
+        children = (_decide(reduce_lot(sub)), _decide(reduce_lot(part2)))
+        evidence = {
+            "part1": lot_to_jsonable(sub),
+            "part2": lot_to_jsonable(part2),
+            "intersection_vertex": x,
+            "collapsed_vertex": y,
+            "axiom": AMALGAM_AXIOM,
+        }
+        return _node(KIND_AMALGAM, lot, evidence, children)
 
     dr2_cert = _seek_dr2_for_quotient(quotient_lot)
     child = _decide(reduce_lot(sub))
+    evidence = {"sub_lot": lot_to_jsonable(sub), "quotient": lot_to_jsonable(quotient_lot),
+                "collapsed_vertex": y}
     if dr2_cert is None:
-        return _unknown(
-            lot,
-            "no_dr2_certificate_for_quotient",
-            {"sub_lot": lot_to_jsonable(sub), "quotient": lot_to_jsonable(quotient_lot),
-             "collapsed_vertex": y},
-            children=(child,),
-        )
-    certified = child.certified
-    return LiCertificateTree(
-        kind=KIND_QUOTIENT_STEP,
-        lot=lot,
-        evidence={
-            "sub_lot": lot_to_jsonable(sub),
-            "quotient": lot_to_jsonable(quotient_lot),
-            "collapsed_vertex": y,
-            "dr2_certificate": dr2_cert.to_jsonable(),
-        },
-        children=(child,),
-        conclusion={"locally_indicable": "certified" if certified else "unknown"},
-    )
+        return _unknown(lot, "no_dr2_certificate_for_quotient", evidence, (child,))
+    evidence["dr2_certificate"] = dr2_cert.to_jsonable()
+    return _node(KIND_QUOTIENT_STEP, lot, evidence, (child,))
 
 
 def decide_locally_indicable(lot: Lot) -> LiCertificateTree:

@@ -26,7 +26,7 @@ from .curvature import (
     weight_test,
 )
 from .diagrams import search_reduced_diagram
-from .errors import DrtoolError, InvalidSearchCap, InvariantViolation
+from .errors import ComplexError, DrtoolError, InvalidSearchCap, InvariantViolation
 from .lots import (
     Lot,
     bi_forest_orientation,
@@ -54,11 +54,16 @@ def input_sha256(canonical_text) -> str:
 
 
 def parse_weight_value(value):
-    """A rational given as ``p/q`` or ``uniform:p/q``."""
+    """A rational given as ``p/q`` or ``uniform:p/q``.  A ``uniform:`` value
+    that is not a rational is an input error; other such text, a ValueError."""
     text = str(value).strip()
-    if text.startswith("uniform:"):
-        text = text.split(":", 1)[1]
-    return _rational(text)
+    if not text.startswith("uniform:"):
+        return _rational(text)
+    text = text.split(":", 1)[1]
+    try:
+        return _rational(text)
+    except ValueError:
+        raise ComplexError(f"cannot interpret weight {text!r} as an exact rational") from None
 
 
 @dataclass
@@ -157,13 +162,13 @@ def analyze_text(text, options: AnalyzeOptions = None, name=None) -> dict:
     if options.timestamp:
         report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
+    angles = searched = options.angles
     if kind == "lot":
         lot = parse_lot(text)
         canonical = serialize_lot(lot)
         reduced, log = reduce_lot_with_log(lot)
         props = check_properties(lot)
         X = reduced.complex
-        weights = _resolve_weights(options.weights, X)
 
         lot_section = {
             "properties": props.to_jsonable(),
@@ -172,7 +177,6 @@ def analyze_text(text, options: AnalyzeOptions = None, name=None) -> dict:
             "reduction_log": list(log),
             "bi_forest": None,
         }
-        angles = options.angles
         if angles is None and reduced.is_injective:
             biforest = _attempt(
                 diagnostics, "bi_forest", bi_forest_orientation, reduced, failed=False
@@ -181,48 +185,33 @@ def analyze_text(text, options: AnalyzeOptions = None, name=None) -> dict:
                 del lot_section["bi_forest"]  # the search raised: no claim either way
             elif biforest is not None:
                 lot_section["bi_forest"] = biforest.to_jsonable()
-                angles = biforest.assignment
-
-        section, tests = _complex_section(X, weights, angles, diagnostics)
-        attempts = _dr2_attempts(X, weights, angles, diagnostics)
-
-        li_tree = None
-        if lot.is_injective:
-            tree = _attempt(diagnostics, "decide", decide_locally_indicable, lot)
-            if tree is not None:
-                li_tree = tree.to_jsonable()
-
-        report.update(
-            {
-                "input": {"kind": "lot", "name": name, "sha256": input_sha256(canonical),
-                          "canonical": canonical},
-                "lot": lot_section,
-                "complex": section,
-                "tests": tests,
-                "certificates": {"dr2": attempts, "local_indicability": li_tree},
-            }
-        )
+                angles = searched = biforest.assignment
+        report["lot"] = lot_section
     else:
+        lot = None
         X = parse_presentation(text)
         canonical = serialize_presentation(X)
-        weights = _resolve_weights(options.weights, X)
-        angles = options.angles
         if angles is None:
             # searched structures back the coloring test report only
             searched = _attempt(diagnostics, "zero_one_search", find_zero_one_structure, X)
-            section, tests = _complex_section(X, weights, searched, diagnostics)
-        else:
-            section, tests = _complex_section(X, weights, angles, diagnostics)
-        attempts = _dr2_attempts(X, weights, angles, diagnostics)
-        report.update(
-            {
-                "input": {"kind": "presentation", "name": name,
-                          "sha256": input_sha256(canonical), "canonical": canonical},
-                "complex": section,
-                "tests": tests,
-                "certificates": {"dr2": attempts, "local_indicability": None},
-            }
-        )
+
+    weights = _resolve_weights(options.weights, X)
+    section, tests = _complex_section(X, weights, searched, diagnostics)
+    attempts = _dr2_attempts(X, weights, angles, diagnostics)
+    li_tree = None
+    if lot is not None and lot.is_injective:
+        tree = _attempt(diagnostics, "decide", decide_locally_indicable, lot)
+        if tree is not None:
+            li_tree = tree.to_jsonable()
+    report.update(
+        {
+            "input": {"kind": kind, "name": name, "sha256": input_sha256(canonical),
+                      "canonical": canonical},
+            "complex": section,
+            "tests": tests,
+            "certificates": {"dr2": attempts, "local_indicability": li_tree},
+        }
+    )
 
     if options.max_faces is not None:
         search = _attempt(

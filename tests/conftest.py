@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from drtool import build_complex, build_lot, parse_presentation
+from drtool import parse_lot, parse_presentation
 from drtool.diagrams import diagram_map_from_jsonable, sphere_from_jsonable
 
 # One profile for every property test: no deadline, examples derived from the
@@ -41,47 +41,27 @@ def no_search_cap_override(monkeypatch):
     monkeypatch.delenv("DRTOOL_SEARCH_CAP", raising=False)
 
 
+# Each call parses the fixture's corpus file again: no two callers share an object.
+
+
 def make_torus():
-    return build_complex(
-        edges=[("a", "*", "*"), ("b", "*", "*")],
-        cells=[("r1", "a b a- b-")],
-        vertices=["*"],
-    )
+    return parse_presentation(fixture_text("torus.pres"))
 
 
 def make_m2():
-    return build_complex(
-        edges=[("a", "*", "*")], cells=[("r1", "a"), ("r2", "a")], vertices=["*"]
-    )
+    return parse_presentation(fixture_text("m2.pres"))
 
 
 def make_trefoil():
-    return build_lot("abc", [("e1", "a", "b", "c"), ("e2", "b", "c", "a")])
+    return parse_lot(fixture_text("trefoil.lot"))
 
 
 def make_w5():
-    return build_lot(
-        "abcde",
-        [
-            ("e1", "a", "b", "c"),
-            ("e2", "b", "c", "a"),
-            ("e3", "c", "d", "e"),
-            ("e4", "d", "e", "b"),
-        ],
-    )
+    return parse_lot(fixture_text("w5.lot"))
 
 
 def make_chain6():
-    return build_lot(
-        "abcdef",
-        [
-            ("e1", "a", "b", "c"),
-            ("e2", "b", "c", "a"),
-            ("e3", "c", "d", "e"),
-            ("e4", "d", "e", "f"),
-            ("e5", "e", "f", "d"),
-        ],
-    )
+    return parse_lot(fixture_text("chain6.lot"))
 
 
 @pytest.fixture

@@ -482,6 +482,17 @@ def test_a_zero_denominator_is_an_input_error(tmp_path, args):
     assert_one_error_line(result, "error: weight '1/0' has a zero denominator")
 
 
+@pytest.mark.parametrize("args", [
+    ["complex", "weighttest", TORUS],
+    ["complex", "dr2", TORUS],
+    ["analyze", TORUS],
+    ["corpus", str(CORPUS)],
+], ids=["weighttest", "dr2", "analyze", "corpus"])
+def test_a_uniform_weight_is_never_read_as_a_file_name(args):
+    result = run_cli(*args, "--weights", "uniform:abc")
+    assert_one_error_line(result, "error: cannot interpret weight 'abc' as an exact rational")
+
+
 @pytest.mark.parametrize("row, message", [
     ({"cell": "r1", "position": 0, "weight": 0.1},
      "error: cannot interpret weight 0.1 as an exact rational"),

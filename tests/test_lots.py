@@ -705,6 +705,25 @@ class TestDecide:
         ok, problems = verify_li_tree(tree)
         assert ok, problems
 
+    @pytest.mark.parametrize("make, kind", [(make_chain6, KIND_AMALGAM),
+                                            (make_w5, KIND_QUOTIENT_STEP)])
+    def test_an_unknown_child_leaves_its_parent_unknown(self, monkeypatch, make, kind):
+        # the first child, on a b c, finds no bi-forest; w5's quotient is a
+        # trefoil too, on b d e, and keeps its own
+        original = lots.bi_forest_orientation
+        monkeypatch.setattr(lots, "bi_forest_orientation",
+                            lambda lot: None if lot.vertices == ("a", "b", "c") else original(lot))
+        tree = decide_locally_indicable(make())
+        monkeypatch.undo()
+        assert tree.kind == kind
+        assert tree.conclusion == {"locally_indicable": "unknown"}
+        first, *rest = tree.children
+        assert first.kind == KIND_UNKNOWN
+        assert first.evidence["reason"] == "bi_forest_search_failed"
+        assert all(child.certified for child in rest)
+        ok, problems = verify_li_tree(tree)
+        assert ok, problems
+
     def test_non_injective_rejected(self):
         lot = build_lot("abc", [("e1", "a", "b", "c"), ("e2", "b", "c", "c")])
         with pytest.raises(NotInjective):

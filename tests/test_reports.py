@@ -92,6 +92,14 @@ class TestWeightParsing:
         with pytest.raises(ComplexError, match="zero denominator"):
             parse_weight_value("uniform:1/0")
 
+    def test_a_uniform_value_is_always_a_rational(self):
+        # other text that is not a rational raises ValueError: the CLI then
+        # reads it as the name of a weights file
+        with pytest.raises(ComplexError, match="cannot interpret weight 'abc'"):
+            parse_weight_value("uniform:abc")
+        with pytest.raises(ValueError):
+            parse_weight_value("abc")
+
 
 class TestExportDot:
     def test_link_with_zero_one_styles(self):
