@@ -162,9 +162,13 @@ def analyze_text(text, options: AnalyzeOptions = None, name=None) -> dict:
     if options.timestamp:
         report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
+    parsed = parse_lot(text) if kind == "lot" else parse_presentation(text)
+    weight = options.weights
+    if weight is not None and not isinstance(weight, AngleAssignment):
+        weight = _rational(weight)  # a bad weight fails the run before any search
     angles = searched = options.angles
     if kind == "lot":
-        lot = parse_lot(text)
+        lot = parsed
         canonical = serialize_lot(lot)
         reduced, log = reduce_lot_with_log(lot)
         props = check_properties(lot)
@@ -188,14 +192,13 @@ def analyze_text(text, options: AnalyzeOptions = None, name=None) -> dict:
                 angles = searched = biforest.assignment
         report["lot"] = lot_section
     else:
-        lot = None
-        X = parse_presentation(text)
+        lot, X = None, parsed
         canonical = serialize_presentation(X)
         if angles is None:
             # searched structures back the coloring test report only
             searched = _attempt(diagnostics, "zero_one_search", find_zero_one_structure, X)
 
-    weights = _resolve_weights(options.weights, X)
+    weights = _resolve_weights(weight, X)
     section, tests = _complex_section(X, weights, searched, diagnostics)
     attempts = _dr2_attempts(X, weights, angles, diagnostics)
     li_tree = None

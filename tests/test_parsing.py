@@ -3,6 +3,7 @@ import random
 import pytest
 
 from drtool import (
+    build_complex,
     build_lot,
     parse_lot,
     parse_presentation,
@@ -13,14 +14,18 @@ from drtool import complexes, lots, parsing
 from drtool.errors import ComplexError, ParseError
 from drtool.parsing import sniff_kind
 
-from conftest import fixture_text, make_torus, make_trefoil
+from conftest import fixture_text, make_trefoil
 from genutil import random_reduced_injective_lot
 
 
 class TestPresentationGrammar:
     def test_torus_fixture(self):
         X = parse_presentation(fixture_text("torus.pres"))
-        assert X == make_torus()
+        assert X == build_complex(
+            edges=[("a", "*", "*"), ("b", "*", "*")],
+            cells=[("r1", "a b a- b-")],
+            vertices=["*"],
+        )
 
     def test_non_reduced_relator_flagged(self):
         X = parse_presentation(fixture_text("dh.pres"))
@@ -46,7 +51,7 @@ class TestPresentationGrammar:
 class TestLotGrammar:
     def test_trefoil_fixture(self):
         lot = parse_lot(fixture_text("trefoil.lot"))
-        assert lot == make_trefoil()
+        assert lot == build_lot("abc", [("e1", "a", "b", "c"), ("e2", "b", "c", "a")])
 
     def test_unknown_label_vertex(self):
         text = "lot\nvertex a b\nedge e1 a b z\n"

@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from drtool import AngleAssignment, ZeroOneAssignment, export_dot, link_graph
-from drtool.errors import ComplexError, DrtoolError, InvalidSearchCap
+from drtool import reports
+from drtool.errors import ComplexError, DrtoolError, InvalidSearchCap, ParseError
 from drtool.lots import bi_forest_orientation, lot_complex
 from drtool.reports import (
     AnalyzeOptions,
     analyze,
+    analyze_text,
     canonical_json,
     input_sha256,
     parse_weight_value,
@@ -43,6 +45,22 @@ class TestAnalyze:
         assert weighted["ok"] is False
         assert weighted["witness"]["path_nodes"] == ["a+", "b-", "a-"]
         assert rep["complex"]["gauss_bonnet"]["total"] == "0"
+
+    @pytest.mark.parametrize("name, unparsable", [
+        ("trefoil.lot", "lot\nvertex a b\nedge e1 a b z\n"),
+        ("torus.pres", "presentation\ngens a\nrel a z\n"),
+    ], ids=["lot", "presentation"])
+    def test_a_bad_weight_fails_after_parsing_and_before_any_search(
+            self, name, unparsable, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("searched before the weight was read")
+
+        monkeypatch.setattr(reports, "bi_forest_orientation", no_search)
+        monkeypatch.setattr(reports, "find_zero_one_structure", no_search)
+        with pytest.raises(ComplexError, match="zero denominator"):
+            analyze(CORPUS / name, AnalyzeOptions(weights="1/0"))
+        with pytest.raises(ParseError):
+            analyze_text(unparsable, AnalyzeOptions(weights="1/0"))
 
     def test_searched_coloring_structure_reported(self):
         rep = analyze(CORPUS / "torus.pres")

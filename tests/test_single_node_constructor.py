@@ -1,7 +1,10 @@
-"""drtool builds certificate-tree nodes in one place: ``lots._node`` is the
-only code in the package that calls ``LiCertificateTree(``, beside
-``LiCertificateTree.from_jsonable``, so the rule for a node's conclusion is
-written once."""
+"""drtool builds certificate-tree nodes in one place, so the rule for a
+node's conclusion is written once.  Outside ``lots._node`` no code in the
+package calls ``LiCertificateTree(`` by that name (plain or dotted), and no
+method of the class calls ``cls(`` except ``LiCertificateTree.from_jsonable``,
+which reads a tree back with the conclusions it was written with.  The check
+reads calls by name only: it does not follow aliases of the class or copies
+made with ``dataclasses.replace``."""
 
 import ast
 from pathlib import Path
@@ -11,8 +14,9 @@ ALLOWED = {"lots.py:_node", "lots.py:LiCertificateTree.from_jsonable"}
 
 
 def node_constructions(source):
-    """(line, enclosing qualified name) of each ``LiCertificateTree(...)``
-    call in ``source``, by its plain or dotted name."""
+    """(line, enclosing qualified name) of each call in ``source`` that
+    builds a node: ``LiCertificateTree(...)`` by its plain or dotted name, or
+    ``cls(...)`` inside the class."""
     found = []
 
     def visit(node, scope):
@@ -23,7 +27,8 @@ def node_constructions(source):
             if isinstance(child, ast.Call):
                 func = child.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "LiCertificateTree":
+                if name == "LiCertificateTree" or (
+                        name == "cls" and scope[:1] == ["LiCertificateTree"]):
                     found.append((child.lineno, ".".join(scope) or "<module>"))
             visit(child, scope)
 
@@ -42,19 +47,23 @@ def constructions_outside_node(package):
 
 def test_only_node_builds_certificate_nodes():
     lots = (PACKAGE / "lots.py").read_text(encoding="utf-8")
-    assert [scope for _, scope in node_constructions(lots)] == ["_node"]
+    assert sorted({scope for _, scope in node_constructions(lots)}) == [
+        "LiCertificateTree.from_jsonable", "_node"]
     assert constructions_outside_node(PACKAGE) == []
 
 
 def test_the_check_finds_a_node_built_by_hand(tmp_path):
     (tmp_path / "lots.py").write_text(
         "class LiCertificateTree:\n    @classmethod\n    def from_jsonable(cls, data):\n"
-        "        return LiCertificateTree(**data)\n\n\n"
+        "        return cls(**data)\n\n"
+        "    @classmethod\n    def unknown(cls, lot):\n        return cls('UNKNOWN', lot)\n\n\n"
         "def _node(kind):\n    return LiCertificateTree(kind)\n\n\n"
-        "def _decide(lot):\n    return LiCertificateTree('UNKNOWN', lot)\n", encoding="utf-8")
+        "def _decide(lot):\n    return LiCertificateTree('UNKNOWN', lot)\n\n\n"
+        "def _other(cls):\n    return cls()\n", encoding="utf-8")
     (tmp_path / "cli.py").write_text(
         "from . import lots\n\nNOTE = 'LiCertificateTree(kind)'\n\n\n"
         "def forge(kind):\n    return lots.LiCertificateTree(kind)\n\n\n"
         "def read(data):\n    return lots.LiCertificateTree.from_jsonable(data)\n",
         encoding="utf-8")
-    assert constructions_outside_node(tmp_path) == ["cli.py:7 forge", "lots.py:12 _decide"]
+    assert constructions_outside_node(tmp_path) == [
+        "cli.py:7 forge", "lots.py:16 _decide", "lots.py:8 LiCertificateTree.unknown"]
