@@ -12,6 +12,8 @@ third party can re-derive every condition without re-running searches.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 from .complexes import (
@@ -102,8 +104,6 @@ def check_dr2_weighted(X: TwoComplex, omega: AngleAssignment) -> CheckOutcome:
     e+ to e- or a minimum reduced-path weight of at least 2.
     """
     _require_single_vertex(X)
-    omega.validate_total(X)
-    omega.validate_nonnegative()
     wt = weight_test(X, omega)
     if not wt.passed:
         return CheckOutcome(witness={"reason": "weight_test", "witness": wt.witness})
@@ -186,18 +186,26 @@ def check_dr2_zero_one(X: TwoComplex, omega01: ZeroOneAssignment) -> CheckOutcom
 # pieces and C(4)-T(4)
 
 
-def _adjacent_inverse_positions(word):
+def _first_cyclic_pair(word, related):
+    """The 1-based positions of the first cyclic pair of neighbouring letters
+    ``a, b`` with ``related(a, b)``, or None; a one-letter word has none."""
     L = len(word)
-    return [i for i in range(L) if L > 1 and word[(i + 1) % L] == word[i].inverse()]
+    for i in range(L if L > 1 else 0):
+        if related(word[i], word[(i + 1) % L]):
+            return [i + 1, (i + 1) % L + 1]
+    return None
+
+
+def _inverse_pair(a, b):
+    return b == a.inverse()
 
 
 def _require_reduced_relators(X):
     for cell in X.cells:
-        bad = _adjacent_inverse_positions(cell.word)
-        if bad:
-            i = bad[0]
+        pair = _first_cyclic_pair(cell.word, _inverse_pair)
+        if pair is not None:
             raise NonReducedRelator(
-                f"cell {cell.id} has an inverse pair at positions ({i + 1},{(i + 1) % len(cell.word) + 1})"
+                f"cell {cell.id} has an inverse pair at positions ({pair[0]},{pair[1]})"
             )
 
 
@@ -215,40 +223,28 @@ def word_period(word):
     return L
 
 
-class _PieceTable:
-    """Occurrence counting over all cyclic relators and their inverses.
+def _piece_predicate(X):
+    """Memoised ``is_piece(word)``: whether the word occurs at two distinct
+    positions among the cyclic relators and their inverses.  A position is
+    (cell, inverse-flag, start), so self-overlaps of periodic relators count."""
+    words = [w for cell in X.cells for w in (cell.word, word_inverse(cell.word))]
 
-    A piece is a word occurring at two distinct positions; positions are
-    (cell, inverse-flag, start), so self-overlaps of periodic relators count.
-    """
-
-    def __init__(self, X):
-        self.words = []
-        for cell in X.cells:
-            self.words.append((cell.id, False, cell.word))
-            self.words.append((cell.id, True, word_inverse(cell.word)))
-        self._cache = {}
-
-    def occurrences(self, piece, stop_at=None):
-        found = []
+    @functools.cache
+    def is_piece(piece):
         k = len(piece)
-        for cell_id, inv, word in self.words:
+        seen = 0
+        for word in words:
             L = len(word)
             if k > L:
                 continue
             for p in range(L):
                 if _cyclic_subword(word, p, k) == piece:
-                    found.append((cell_id, inv, p))
-                    if stop_at is not None and len(found) >= stop_at:
-                        return found
-        return found
+                    seen += 1
+                    if seen == 2:
+                        return True
+        return False
 
-    def is_piece(self, piece):
-        cached = self._cache.get(piece)
-        if cached is None:
-            cached = len(self.occurrences(piece, stop_at=2)) >= 2
-            self._cache[piece] = cached
-        return cached
+    return is_piece
 
 
 @dataclass(frozen=True)
@@ -266,7 +262,7 @@ def compute_pieces(X: TwoComplex) -> PieceDecomposition:
     when no decomposition into pieces exists.
     """
     _require_reduced_relators(X)
-    table = _PieceTable(X)
+    is_piece = _piece_predicate(X)
     min_counts = {}
     witnesses = {}
     periods = {}
@@ -284,7 +280,7 @@ def compute_pieces(X: TwoComplex) -> PieceDecomposition:
             dp[0] = 0
             for j in range(1, L + 1):
                 for i in range(j):
-                    if dp[i] + 1 < dp[j] and table.is_piece(lin[i:j]):
+                    if dp[i] + 1 < dp[j] and is_piece(lin[i:j]):
                         dp[j] = dp[i] + 1
                         choice[j] = i
             if dp[L] < best:
@@ -338,14 +334,6 @@ def _c4t4_pieces(X: TwoComplex):
     return TestVerdict(True, None, notes={"girth": girth}), decomposition
 
 
-def _ee_positions(word):
-    """Cyclic positions i where the same signed letter repeats at i+1."""
-    L = len(word)
-    if L == 1:
-        return []
-    return [i for i in range(L) if word[(i + 1) % L] == word[i]]
-
-
 def check_dr2_c4t4(X: TwoComplex) -> CheckOutcome:
     """Small-cancellation criterion; every unmet hypothesis is a witness."""
     if not X.is_single_vertex:
@@ -353,25 +341,19 @@ def check_dr2_c4t4(X: TwoComplex) -> CheckOutcome:
             witness={"reason": "multi_vertex", "vertices": list(X.vertices)}
         )
     for cell in X.cells:
-        bad = _adjacent_inverse_positions(cell.word)
-        if bad:
-            i = bad[0]
+        pair = _first_cyclic_pair(cell.word, _inverse_pair)
+        if pair is not None:
             return CheckOutcome(
-                witness={
-                    "reason": "non_reduced_relator",
-                    "cell": cell.id,
-                    "positions": [i + 1, (i + 1) % len(cell.word) + 1],
-                }
+                witness={"reason": "non_reduced_relator", "cell": cell.id, "positions": pair}
             )
-        rep = _ee_positions(cell.word)
-        if rep:
-            i = rep[0]
+        pair = _first_cyclic_pair(cell.word, operator.eq)  # the same signed letter twice
+        if pair is not None:
             return CheckOutcome(
                 witness={
                     "reason": "edge_repeat",
                     "cell": cell.id,
-                    "edge": cell.word[i].edge,
-                    "positions": [i + 1, (i + 1) % len(cell.word) + 1],
+                    "edge": cell.word[pair[0] - 1].edge,
+                    "positions": pair,
                 }
             )
     verdict, decomposition = _c4t4_pieces(X)
@@ -394,6 +376,17 @@ def check_dr2_c4t4(X: TwoComplex) -> CheckOutcome:
         conclusion={"dr2": True, "locally_indicable": True},
     )
     return CheckOutcome(certificate=cert)
+
+
+def dr2_routes(X: TwoComplex, weights=None, angles=None):
+    """The DR(2) criteria to try on X, in order, as ``(method, check, args)``
+    with ``check(*args)`` the CheckOutcome: ZERO_ONE when angles are given,
+    then C4T4, then WEIGHTED when weights are given."""
+    if angles is not None:
+        yield METHOD_ZERO_ONE, check_dr2_zero_one, (X, angles)
+    yield METHOD_C4T4, check_dr2_c4t4, (X,)
+    if weights is not None:
+        yield METHOD_WEIGHTED, check_dr2_weighted, (X, weights)
 
 
 # ---------------------------------------------------------------------------

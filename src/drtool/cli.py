@@ -11,14 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .certificates import (
-    Dr2Certificate,
-    check_c4t4,
-    check_dr2_c4t4,
-    check_dr2_weighted,
-    check_dr2_zero_one,
-    verify_dr2_certificate,
-)
+from .certificates import Dr2Certificate, check_c4t4, dr2_routes, verify_dr2_certificate
 from .curvature import (
     AngleAssignment,
     ZeroOneAssignment,
@@ -188,14 +181,9 @@ def _cmd_complex_c4t4(args):
 
 def _cmd_complex_dr2(args):
     X = _complex_from_args(args)
-    attempts = []
-    if args.angles:
-        omega01 = _load_angles(args.angles)
-        attempts.append(("ZERO_ONE", check_dr2_zero_one(X, omega01)))
-    attempts.append(("C4T4", check_dr2_c4t4(X)))
-    if args.weights:
-        omega = _resolve_weights(_load_weights(args.weights), X)
-        attempts.append(("WEIGHTED", check_dr2_weighted(X, omega)))
+    angles = _load_angles(args.angles) if args.angles else None
+    weights = _resolve_weights(_load_weights(args.weights), X) if args.weights else None
+    attempts = [(method, check(*a)) for method, check, a in dr2_routes(X, weights, angles)]
     result = {"attempts": [{"method": m, **o.to_jsonable()} for m, o in attempts]}
     winner = next((o for _, o in attempts if o.ok), None)
     if winner is not None and args.emit_cert:
@@ -244,13 +232,10 @@ def _options_from_args(args):
 def _cmd_analyze(args):
     report = analyze(args.path, _options_from_args(args))
     if args.emit_cert:
-        tree = report.get("certificates", {}).get("local_indicability")
-        cert = tree
+        certificates = report["certificates"]
+        cert = certificates["local_indicability"]  # the LI tree comes first
         if cert is None:
-            for attempt in report.get("certificates", {}).get("dr2", []):
-                if attempt.get("ok"):
-                    cert = attempt["certificate"]
-                    break
+            cert = next((a["certificate"] for a in certificates["dr2"] if a["ok"]), None)
         if cert is not None:
             _write_output(args.emit_cert, canonical_json(cert))
     _emit(report, args.json)

@@ -51,9 +51,6 @@ def check_name(kind, name, line=None):
         raise ComplexError(message) if line is None else ParseError(message, line=line)
 
 
-Word = "tuple[Letter, ...]"
-
-
 def coerce_word(word):
     """Accept a word given as a string (``"a b a- b-"``) or a sequence of
     letters and letter strings."""

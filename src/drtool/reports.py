@@ -14,11 +14,12 @@ import os
 from dataclasses import dataclass
 
 from . import caps
-from .certificates import check_dr2_c4t4, check_dr2_weighted, check_dr2_zero_one
+from .certificates import dr2_routes
 from .complexes import euler_characteristic
 from .curvature import (
     AngleAssignment,
     ZeroOneAssignment,
+    _coerce_weight,
     _rational,
     check_gauss_bonnet,
     coloring_test,
@@ -53,22 +54,27 @@ def input_sha256(canonical_text) -> str:
     return hashlib.sha256(canonical_text.encode("utf-8")).hexdigest()
 
 
+def _exact_weight(value):
+    """``value`` read by ``_coerce_weight``; text that is not a rational is an
+    input error, as any other value it refuses."""
+    try:
+        return _coerce_weight(value)
+    except ValueError:
+        raise ComplexError(f"cannot interpret weight {value!r} as an exact rational") from None
+
+
 def parse_weight_value(value):
     """A rational given as ``p/q`` or ``uniform:p/q``.  A ``uniform:`` value
     that is not a rational is an input error; other such text, a ValueError."""
     text = str(value).strip()
     if not text.startswith("uniform:"):
         return _rational(text)
-    text = text.split(":", 1)[1]
-    try:
-        return _rational(text)
-    except ValueError:
-        raise ComplexError(f"cannot interpret weight {text!r} as an exact rational") from None
+    return _exact_weight(text.split(":", 1)[1])
 
 
 @dataclass
 class AnalyzeOptions:
-    weights: object = None  # AngleAssignment, or a Fraction for a uniform assignment
+    weights: object = None  # AngleAssignment, or a rational or its text for a uniform one
     angles: ZeroOneAssignment = None
     max_faces: int = None
     timestamp: bool = False
@@ -79,7 +85,7 @@ def _resolve_weights(option, X):
         return None
     if isinstance(option, AngleAssignment):
         return option
-    return AngleAssignment.uniform(X, _rational(option))
+    return AngleAssignment.uniform(X, option)
 
 
 def _attempt(diagnostics, label, func, *args, failed=None):
@@ -108,24 +114,13 @@ def diagram_search_section(X, max_faces=None):
 
 
 def _dr2_attempts(X, weights, angles, diagnostics):
-    """Certificate attempts in a fixed order: zero/one (only with supplied
-    angles or a bi-forest structure), small cancellation, then weighted when
-    weights are given."""
+    """An attempt for each DR(2) route in its order; a check that raises is a
+    diagnostic labelled by its method, as ``dr2_zero_one``."""
     attempts = []
-
-    if angles is not None:
-        outcome = _attempt(diagnostics, "dr2_zero_one", check_dr2_zero_one, X, angles)
+    for method, check, args in dr2_routes(X, weights, angles):
+        outcome = _attempt(diagnostics, f"dr2_{method.lower()}", check, *args)
         if outcome is not None:
-            attempts.append({"method": "ZERO_ONE", **outcome.to_jsonable()})
-
-    outcome = _attempt(diagnostics, "dr2_c4t4", check_dr2_c4t4, X)
-    if outcome is not None:
-        attempts.append({"method": "C4T4", **outcome.to_jsonable()})
-
-    if weights is not None:
-        outcome = _attempt(diagnostics, "dr2_weighted", check_dr2_weighted, X, weights)
-        if outcome is not None:
-            attempts.append({"method": "WEIGHTED", **outcome.to_jsonable()})
+            attempts.append({"method": method, **outcome.to_jsonable()})
     return attempts
 
 
@@ -165,7 +160,7 @@ def analyze_text(text, options: AnalyzeOptions = None, name=None) -> dict:
     parsed = parse_lot(text) if kind == "lot" else parse_presentation(text)
     weight = options.weights
     if weight is not None and not isinstance(weight, AngleAssignment):
-        weight = _rational(weight)  # a bad weight fails the run before any search
+        weight = _exact_weight(weight)  # a bad weight fails the run before any search
     angles = searched = options.angles
     if kind == "lot":
         lot = parsed

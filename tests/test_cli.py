@@ -103,6 +103,29 @@ def test_complex_dr2_certificate_round_trip(tmp_path, capsys):
     assert main(["verify-cert", str(cert), "--json"]) == 0
 
 
+@pytest.mark.parametrize("angles, first_ok", [
+    ([1, 0, 1, 0], "ZERO_ONE"),  # the torus's zero/one structure
+    ([0, 0, 0, 0], "C4T4"),  # all zero: the coloring test fails
+])
+def test_complex_dr2_and_analyze_try_the_routes_in_one_order(tmp_path, capsys, angles, first_ok):
+    angles_file = tmp_path / "angles.json"
+    angles_file.write_text(json.dumps(
+        [{"cell": "r1", "position": p, "weight": w} for p, w in enumerate(angles)]))
+    torus = str(CORPUS / "torus.pres")
+    options = ["--angles", str(angles_file), "--weights", "1/2", "--json"]
+    dr2_cert, analyze_cert = tmp_path / "dr2.json", tmp_path / "analyze.json"
+    assert main(["complex", "dr2", torus, *options, "--emit-cert", str(dr2_cert)]) == 0
+    attempts = json.loads(capsys.readouterr().out)["attempts"]
+    assert [(a["method"], a["ok"]) for a in attempts] == [
+        ("ZERO_ONE", first_ok == "ZERO_ONE"), ("C4T4", True), ("WEIGHTED", False)]
+    assert json.loads(dr2_cert.read_text())["method"] == first_ok
+    assert main(["verify-cert", str(dr2_cert), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"ok": True, "problems": []}
+    assert main(["analyze", torus, *options, "--emit-cert", str(analyze_cert)]) == 0
+    assert json.loads(capsys.readouterr().out)["certificates"]["dr2"] == attempts
+    assert analyze_cert.read_text() == dr2_cert.read_text()
+
+
 def test_diagram_verify(capsys):
     code = main(
         ["diagram", "verify", str(FIXTURES / "diagrams" / "torus_pillow.json"),

@@ -62,6 +62,13 @@ class TestAnalyze:
         with pytest.raises(ParseError):
             analyze_text(unparsable, AnalyzeOptions(weights="1/0"))
 
+    @pytest.mark.parametrize("weight, shown", [("abc", "'abc'"), (0.1, "0.1"), (True, "True")],
+                             ids=["text", "float", "bool"])
+    def test_a_weight_that_is_not_an_exact_rational_is_an_input_error(self, weight, shown):
+        with pytest.raises(ComplexError) as caught:
+            analyze(CORPUS / "torus.pres", AnalyzeOptions(weights=weight))
+        assert str(caught.value) == f"cannot interpret weight {shown} as an exact rational"
+
     def test_searched_coloring_structure_reported(self):
         rep = analyze(CORPUS / "torus.pres")
         assert rep["tests"]["coloring_test"]["pass"] is True
