@@ -54,6 +54,15 @@ def _coerce_weight(value):
     return value.numerator if value.denominator == 1 else value
 
 
+def _exact_weight(value):
+    """``value`` read by ``_coerce_weight``; text that is not a rational is an
+    input error, as any other value it refuses."""
+    try:
+        return _coerce_weight(value)
+    except ValueError:
+        raise ComplexError(f"cannot interpret weight {value!r} as an exact rational") from None
+
+
 class AngleAssignment:
     """Map from corners (keyed by ``(cell, position)``) to exact rational angles."""
 
@@ -61,7 +70,7 @@ class AngleAssignment:
         table = {}
         for key, value in dict(weights).items():
             cell, position = key
-            table[(str(cell), coerce_integer(position, "corner position"))] = _coerce_weight(value)
+            table[(str(cell), coerce_integer(position, "corner position"))] = _exact_weight(value)
         self._table = table
 
     @classmethod
@@ -75,7 +84,7 @@ class AngleAssignment:
 
     @classmethod
     def uniform(cls, X: TwoComplex, value):
-        table = dict.fromkeys(X.corners, _coerce_weight(value))
+        table = dict.fromkeys(X.corners, _exact_weight(value))
         # a subclass checks its own angle rule in its constructor
         return cls._of_table(table) if cls is AngleAssignment else cls(table)
 

@@ -17,12 +17,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from . import caps
-from .certificates import (
-    Dr2Certificate,
-    check_dr2_c4t4,
-    check_dr2_zero_one,
-    verify_dr2_certificate,
-)
+from .certificates import METHOD_ZERO_ONE, Dr2Certificate, dr2_routes, verify_dr2_certificate
 from .complexes import Letter, TwoComplex, build_complex, check_name, complex_to_jsonable
 from .curvature import ZeroOneAssignment
 from .errors import (
@@ -705,18 +700,6 @@ def bi_forest_orientation(lot: Lot):
     return _bi_forest(link, generators, [(1,)] + [(1, -1)] * (len(generators) - 1))
 
 
-def _zero_one_certificate(lot: Lot, structure: BiForestStructure) -> Dr2Certificate:
-    """ZERO_ONE certificate of the structure's zero/one angles on the LOT
-    complex.  The two disjoint forests guarantee the coloring test and the
-    per-edge component condition, so a failure is an invariant violation."""
-    outcome = check_dr2_zero_one(lot.complex, structure.assignment)
-    if not outcome.ok:
-        raise InvariantViolation(
-            f"bi-forest structure failed the zero/one criterion: {outcome.witness}"
-        )
-    return outcome.certificate
-
-
 # ---------------------------------------------------------------------------
 # the decision procedure
 
@@ -766,13 +749,23 @@ def _unknown(lot, reason, evidence, children=()):
     return _node(KIND_UNKNOWN, lot, {"reason": reason, **evidence}, children)
 
 
-def _seek_dr2_for_quotient(quotient_lot: Lot):
-    """DR(2) certificate for a quotient complex, or None: zero/one route via
-    the bi-forest search first, the C(4)-T(4) route second."""
-    structure = bi_forest_orientation(quotient_lot)
-    if structure is not None:
-        return _zero_one_certificate(quotient_lot, structure)
-    return check_dr2_c4t4(quotient_lot.complex).certificate
+def _dr2_certificate(lot: Lot, structure):
+    """The first DR(2) certificate of the LOT complex along ``dr2_routes``,
+    or None; the zero/one route runs on the angles of the bi-forest
+    ``structure`` when one is given.  Its two disjoint forests guarantee the
+    coloring test and the per-edge component condition, so a failure of that
+    route is an invariant violation.  A later route runs only when every
+    earlier one fails."""
+    angles = structure.assignment if structure is not None else None
+    for method, check, args in dr2_routes(lot.complex, angles=angles):
+        outcome = check(*args)
+        if outcome.ok:
+            return outcome.certificate
+        if method == METHOD_ZERO_ONE:
+            raise InvariantViolation(
+                f"bi-forest structure failed the zero/one criterion: {outcome.witness}"
+            )
+    return None
 
 
 def _amalgam_split(lot: Lot, sub: Lot):
@@ -815,7 +808,7 @@ def _decide(lot: Lot) -> LiCertificateTree:
                             {"trigger": "no_proper_sub_lot"})
         evidence = {"trigger": "no_proper_sub_lot"}
         evidence.update(structure.to_jsonable())
-        evidence["dr2_certificate"] = _zero_one_certificate(lot, structure).to_jsonable()
+        evidence["dr2_certificate"] = _dr2_certificate(lot, structure).to_jsonable()
         return _node(KIND_HUCK_ROSE_BASE, lot, evidence)
 
     quotient_lot, y = quotient(lot, sub)
@@ -838,7 +831,7 @@ def _decide(lot: Lot) -> LiCertificateTree:
         }
         return _node(KIND_AMALGAM, lot, evidence, children)
 
-    dr2_cert = _seek_dr2_for_quotient(quotient_lot)
+    dr2_cert = _dr2_certificate(quotient_lot, bi_forest_orientation(quotient_lot))
     child = _decide(reduce_lot(sub))
     evidence = {"sub_lot": lot_to_jsonable(sub), "quotient": lot_to_jsonable(quotient_lot),
                 "collapsed_vertex": y}
@@ -909,6 +902,9 @@ def _check_node(tree: LiCertificateTree, problem):
     """Re-derive one node's evidence, reporting each failed check through
     ``problem``.  A missing or ill-typed field raises."""
     lot = tree.lot
+    if not lot.is_tree:
+        problem("node LOT is not a tree")
+        return
     child_certified = all(c.certified for c in tree.children)
 
     if tree.kind == KIND_SINGLE_VERTEX:

@@ -19,7 +19,7 @@ from .complexes import euler_characteristic
 from .curvature import (
     AngleAssignment,
     ZeroOneAssignment,
-    _coerce_weight,
+    _exact_weight,
     _rational,
     check_gauss_bonnet,
     coloring_test,
@@ -27,7 +27,7 @@ from .curvature import (
     weight_test,
 )
 from .diagrams import search_reduced_diagram
-from .errors import ComplexError, DrtoolError, InvalidSearchCap, InvariantViolation
+from .errors import DrtoolError, InvalidSearchCap, InvariantViolation
 from .lots import (
     Lot,
     bi_forest_orientation,
@@ -52,15 +52,6 @@ def canonical_json(data) -> str:
 
 def input_sha256(canonical_text) -> str:
     return hashlib.sha256(canonical_text.encode("utf-8")).hexdigest()
-
-
-def _exact_weight(value):
-    """``value`` read by ``_coerce_weight``; text that is not a rational is an
-    input error, as any other value it refuses."""
-    try:
-        return _coerce_weight(value)
-    except ValueError:
-        raise ComplexError(f"cannot interpret weight {value!r} as an exact rational") from None
 
 
 def parse_weight_value(value):

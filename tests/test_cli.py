@@ -394,6 +394,12 @@ def quotient_step_of_a_lot_that_is_not_injective():
     return data
 
 
+def quotient_step_of_a_lot_that_is_not_a_tree():
+    data = decide_locally_indicable(make_w5()).to_jsonable()
+    del data["lot"]["edges"][3]  # e4 goes, and e is cut off from the rest
+    return data
+
+
 def trefoil_tree_with_a_pair_form_word():
     """The trefoil's LI certificate, with the first cell word of its
     embedded ZERO_ONE certificate written as ``[edge, sign]`` pairs, a form
@@ -446,6 +452,7 @@ def zero_one_certificate_with_first_angle(key, value):
      "recorded orientation must map exactly the LOT's vertices to + or -"),
     (quotient_step_of_a_lot_that_is_not_injective,
      "root: evidence does not re-check: NotInjective: quotients are taken of injective LOTs"),
+    (quotient_step_of_a_lot_that_is_not_a_tree, "root: node LOT is not a tree"),
     (li_certificate_with_a_vertex_name("", in_sub_lot=True),
      "root: evidence does not re-check: ComplexError: "
      "vertex name '' must be nonempty, without whitespace or '#', and not end in '-'"),
@@ -470,6 +477,7 @@ def zero_one_certificate_with_first_angle(key, value):
      "cannot interpret corner position True as an integer"),
 ], ids=["quotient-step-evidence-empty", "base-epsilon-short", "base-epsilon-not-a-sign",
         "base-epsilon-extra-generator", "quotient-step-lot-not-injective",
+        "quotient-step-lot-not-a-tree",
         "quotient-step-sub-lot-name-empty",
         "c4t4-hypotheses-empty", "zero-one-angle-1-over-0", "li-tree-pair-form-word",
         "li-tree-angle-1-over-0",
@@ -521,7 +529,9 @@ def test_a_uniform_weight_is_never_read_as_a_file_name(args):
      "error: cannot interpret weight 0.1 as an exact rational"),
     ({"cell": "r1", "position": 0.7, "weight": "1/2"},
      "error: cannot interpret corner position 0.7 as an integer"),
-], ids=["float-weight", "float-position"])
+    ({"cell": "r1", "position": 0, "weight": "abc"},
+     "error: cannot interpret weight 'abc' as an exact rational"),
+], ids=["float-weight", "float-position", "text-weight"])
 @pytest.mark.parametrize("args", [
     ["complex", "weighttest", TORUS, "--weights", ROWS],
     ["complex", "dr2", TORUS, "--weights", ROWS],

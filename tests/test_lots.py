@@ -20,13 +20,14 @@ from drtool import (
     lot_complex,
     lots_isomorphic,
     maximal_proper_sub_lot,
+    parse_lot,
     quotient,
     reduce_lot,
     reduce_lot_with_log,
     replay_reduction,
     verify_li_tree,
 )
-from drtool import complexes, lots
+from drtool import certificates, complexes, lots
 from drtool.certificates import CheckOutcome, check_dr2_zero_one
 from drtool.complexes import format_word
 from drtool.errors import (
@@ -55,7 +56,7 @@ from drtool.lots import (
 from drtool.reports import canonical_json
 from drtool.unionfind import UnionFind
 
-from conftest import make_chain6, make_trefoil, make_w5
+from conftest import FIXTURES, make_chain6, make_trefoil, make_w5
 from genutil import (
     WIDE_NAME_ALPHABET,
     lot_relabellings,
@@ -756,10 +757,54 @@ class TestDecide:
                 return CheckOutcome(witness={"reason": "forced"})
             return check_dr2_zero_one(X, omega01)
 
-        monkeypatch.setattr(lots, "check_dr2_zero_one", fail_first)
+        monkeypatch.setattr(certificates, "check_dr2_zero_one", fail_first)
         with pytest.raises(InvariantViolation, match="forced"):
             decide_locally_indicable(make_w5())
         assert len(calls) == 1
+
+    def test_a_quotient_without_a_bi_forest_goes_on_to_c4t4(self, monkeypatch):
+        # the decision walks dr2_routes: with no bi-forest angles for w5's
+        # quotient, C(4)-T(4) is its one route, tried once, and the trefoil
+        # fails it; the base child never reaches C(4)-T(4)
+        w5 = make_w5()
+        quotient_lot, _ = quotient(w5, maximal_proper_sub_lot(w5))
+        original_search, original_c4t4 = lots.bi_forest_orientation, certificates.check_dr2_c4t4
+        monkeypatch.setattr(lots, "bi_forest_orientation",
+                            lambda lot: None if lot == quotient_lot else original_search(lot))
+        checked = []
+        monkeypatch.setattr(certificates, "check_dr2_c4t4",
+                            lambda X: checked.append(X) or original_c4t4(X))
+        tree = decide_locally_indicable(w5)
+        monkeypatch.undo()
+        assert checked == [quotient_lot.complex]
+        assert tree.kind == KIND_UNKNOWN
+        assert tree.evidence["reason"] == "no_dr2_certificate_for_quotient"
+        assert [child.kind for child in tree.children] == [KIND_HUCK_ROSE_BASE]
+        ok, problems = verify_li_tree(tree)
+        assert ok, problems
+
+    @settings(max_examples=150)
+    @given(st.integers(6, 14), st.integers(0, 2**32 - 1))
+    def test_every_decided_tree_verifies(self, n, seed):
+        tree = decide_locally_indicable(random_reduced_injective_lot(random.Random(seed), n))
+        data = json.loads(canonical_json(tree.to_jsonable()))
+        ok, problems = verify_li_tree(LiCertificateTree.from_jsonable(data))
+        assert ok, problems
+
+    def test_the_fixed_inputs_bring_every_node_kind_and_verify(self):
+        # random LOTs bring base and quotient-step nodes; chain6 and the
+        # seeded fixtures bring amalgams and an UNKNOWN node too
+        def kinds(node):
+            return {node.kind}.union(*(kinds(child) for child in node.children))
+
+        seen = set()
+        for lot in [make_chain6()] + [parse_lot(path.read_text(encoding="utf-8"))
+                                      for path in sorted((FIXTURES / "lots").glob("*.lot"))]:
+            tree = decide_locally_indicable(lot)
+            ok, problems = verify_li_tree(tree)
+            assert ok, problems
+            seen |= kinds(tree)
+        assert seen == {KIND_HUCK_ROSE_BASE, KIND_QUOTIENT_STEP, KIND_AMALGAM, KIND_UNKNOWN}
 
     def test_deterministic(self):
         t1 = decide_locally_indicable(make_chain6()).to_jsonable()
@@ -819,7 +864,7 @@ class TestDecide:
         structure = bi_forest_orientation(lot)
         if structure is not None:  # w5: evidence right in all but the trigger
             evidence.update(structure.to_jsonable())
-            evidence["dr2_certificate"] = lots._zero_one_certificate(lot, structure).to_jsonable()
+            evidence["dr2_certificate"] = lots._dr2_certificate(lot, structure).to_jsonable()
         forged = LiCertificateTree(
             kind=KIND_HUCK_ROSE_BASE,
             lot=lot,
