@@ -150,27 +150,28 @@ def check_dr2_zero_one(X: TwoComplex, omega01: ZeroOneAssignment) -> CheckOutcom
     ct, forests = coloring_forests(X, omega01)
     if not ct.passed:
         return CheckOutcome(witness={"reason": "coloring_test", "witness": ct.witness})
-    comps = forests[X.vertices[0]].components()
-    comp_index = {}
+    G = X.links[X.vertices[0]]
+    comps = forests[X.vertices[0]].components()  # of node positions
+    comp_of = [0] * len(G.nodes)
     for i, comp in enumerate(comps):
-        for node in comp:
-            comp_index[node] = i
+        for p in comp:
+            comp_of[p] = i
     edge_rows = []
     for e in X.edges:
-        i_plus = comp_index[(e.id, 1)]
-        i_minus = comp_index[(e.id, -1)]
+        i_plus = comp_of[G.index[(e.id, 1)]]
+        i_minus = comp_of[G.index[(e.id, -1)]]
         if i_plus == i_minus:
             return CheckOutcome(
                 witness={
                     "reason": "components",
                     "edge": e.id,
-                    "component": [str(n) for n in comps[i_plus]],
+                    "component": [str(G.nodes[p]) for p in comps[i_plus]],
                 }
             )
         edge_rows.append({"edge": e.id, "plus_component": i_plus, "minus_component": i_minus})
     hypotheses = {
         "angles": omega01.to_jsonable(),
-        "components": [[str(n) for n in comp] for comp in comps],
+        "components": [[str(G.nodes[p]) for p in comp] for comp in comps],
         "edge_components": edge_rows,
     }
     cert = Dr2Certificate(

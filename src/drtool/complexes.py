@@ -98,16 +98,6 @@ class LinkNode(NamedTuple):
         return self.edge + ("+" if self.end > 0 else "-")
 
 
-def head_node(letter):
-    """Node where a traversal of ``letter`` arrives."""
-    return LinkNode(letter.edge, letter.sign)
-
-
-def tail_node(letter):
-    """Node a traversal of ``letter`` departs from."""
-    return LinkNode(letter.edge, -letter.sign)
-
-
 class Edge(NamedTuple):
     id: str
     source: str
@@ -182,7 +172,7 @@ class TwoComplex:
     def corners(self):
         """Corner key ``(cell, position)`` -> ``(vertex, Corner)``, in vertex
         then link order: the complex's corner set, built once from ``links``."""
-        return {c.key: (v, c) for v, G in self.links.items() for c in G.corners}
+        return {k: (v, c) for v, G in self.links.items() for k, c in zip(G.keys, G.corners)}
 
 
 def build_complex(edges, cells, vertices=None) -> TwoComplex:
@@ -217,7 +207,7 @@ def build_complex(edges, cells, vertices=None) -> TwoComplex:
     if len(set(vertex_set)) != len(vertex_set):
         raise ComplexError("duplicate vertex id")
 
-    emap = {e.id: e for e in edge_list}
+    ends = {e.id: (e.source, e.target) for e in edge_list}
     cell_list = []
     flags = []
     for item in cells:
@@ -225,20 +215,21 @@ def build_complex(edges, cells, vertices=None) -> TwoComplex:
         word = coerce_word(item[1])
         if not word:
             raise ComplexError(f"empty boundary word at cell {cid!r}")
-        for letter in word:
-            if letter.edge not in emap:
-                raise ComplexError(f"unknown edge id {letter.edge!r} in cell {cid!r}")
+        path = []  # each letter's (departure, arrival) vertices
+        for edge, sign in word:
+            if edge not in ends:
+                raise ComplexError(f"unknown edge id {edge!r} in cell {cid!r}")
+            source, target = ends[edge]
+            path.append((source, target) if sign > 0 else (target, source))
         L = len(word)
-        for i in range(L):
-            u, w = word[i], word[(i + 1) % L]
-            u_target = emap[u.edge].target if u.sign > 0 else emap[u.edge].source
-            w_source = emap[w.edge].source if w.sign > 0 else emap[w.edge].target
+        for i, (u, w, (_, u_target), (w_source, _)) in enumerate(
+                zip(word, word[1:] + word[:1], path, path[1:] + path[:1])):
             if u_target != w_source:
                 raise ComplexError(
                     f"non-closed boundary path at cell {cid!r}: "
                     f"letter {u} ends at {u_target!r} but {w} starts at {w_source!r}"
                 )
-            if w == u.inverse():
+            if w.edge == u.edge and w.sign == -u.sign:
                 flags.append(
                     f"non-reduced boundary word at cell {cid} position ({i + 1},{(i + 1) % L + 1})"
                 )
@@ -271,6 +262,26 @@ class LinkGraph:
     def euler_characteristic(self):
         return len(self.nodes) - len(self.corners)
 
+    # The one numbering of a link: node i is ``nodes[i]``, and corner k of
+    # ``corners`` joins the nodes ``ends[k]`` and has the key ``keys[k]``.
+    # The zero/one and bi-forest kernels work on these integers.
+
+    @cached_property
+    def index(self):
+        """Node -> its position in ``nodes``."""
+        return {n: i for i, n in enumerate(self.nodes)}
+
+    @cached_property
+    def ends(self):
+        """Each corner's two node positions, in the order of ``Corner.nodes``."""
+        index = self.index
+        return tuple((index[a], index[b]) for _, _, (a, b) in self.corners)
+
+    @cached_property
+    def keys(self):
+        """Each corner's key ``(cell, position)``."""
+        return tuple((cell, position) for cell, position, _ in self.corners)
+
     def steps(self):
         """All directed corner traversals, forward before reverse, in corner order."""
         out = []
@@ -288,25 +299,24 @@ class LinkGraph:
 
 def link_graph(X: TwoComplex, v) -> LinkGraph:
     """Corner convention: consecutive letters (u, w) meeting at v contribute the
-    corner joining head(u) and tail(w)."""
+    corner joining head(u), where u arrives, and tail(w), where w departs."""
     if v not in X.vertices:
         raise ComplexError(f"vertex {v!r} not in complex")
-    emap = X.edge_map()
     nodes = []
     for e in X.edges:
         if e.target == v:
             nodes.append(LinkNode(e.id, 1))
         if e.source == v:
             nodes.append(LinkNode(e.id, -1))
+    # a letter (edge, sign) arrives at its node (edge, sign), and departs from
+    # (edge, -sign): the letter arrives at v when that node is here
+    at = {n: n for n in nodes}
     corners = []
     for cell in X.cells:
         word = cell.word
-        L = len(word)
-        for i in range(L):
-            u, w = word[i], word[(i + 1) % L]
-            junction = emap[u.edge].target if u.sign > 0 else emap[u.edge].source
-            if junction == v:
-                corners.append(Corner(cell.id, i, (head_node(u), tail_node(w))))
+        for i, (u, (w_edge, w_sign)) in enumerate(zip(word, word[1:] + word[:1])):
+            if u in at:
+                corners.append(Corner(cell.id, i, (at[u], at[w_edge, -w_sign])))
     return LinkGraph(base=v, nodes=tuple(sorted(nodes)), corners=tuple(corners))
 
 

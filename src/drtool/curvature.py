@@ -68,9 +68,17 @@ class AngleAssignment:
 
     def __init__(self, weights):
         table = {}
-        for key, value in dict(weights).items():
-            cell, position = key
-            table[(str(cell), coerce_integer(position, "corner position"))] = _exact_weight(value)
+        read = {}  # weight text -> its weight, each text read once
+        for (cell, position), value in dict(weights).items():
+            if type(position) is not int:  # a bool is an int to Python, never a position
+                position = coerce_integer(position, "corner position")
+            if type(value) is str:
+                if value not in read:
+                    read[value] = _exact_weight(value)
+                value = read[value]
+            elif type(value) is not int:
+                value = _exact_weight(value)
+            table[(str(cell), position)] = value
         self._table = table
 
     @classmethod
@@ -94,6 +102,11 @@ class AngleAssignment:
             return self._table[key]
         except KeyError:
             raise MissingWeight(f"no angle for corner {key}") from None
+
+    def angles(self, keys):
+        """The angles at the corner keys ``keys``, as a list; each key must
+        have one, as ``validate_total`` ensures for a complex's corners."""
+        return list(map(self._table.__getitem__, keys))
 
     def get(self, key, default=None):
         return self._table.get(key, default)
@@ -136,8 +149,8 @@ class AngleAssignment:
 class ZeroOneAssignment(AngleAssignment):
     def __init__(self, weights):
         super().__init__(weights)
-        key = self._least_key(lambda v: v not in (0, 1))
-        if key is not None:
+        if not {0, 1}.issuperset(self._table.values()):
+            key = self._least_key(lambda v: v not in (0, 1))
             raise ComplexError(f"angle at corner {key} is {self._table[key]}, not 0 or 1")
 
 
@@ -343,26 +356,29 @@ def weight_test(X: TwoComplex, omega: AngleAssignment) -> TestVerdict:
     return TestVerdict(True, None, notes)
 
 
-def _zero_forest(G, omega01):
-    """Union-find of the angle-0 subgraph of G, and its first cycle: the first
-    0-corner closing one plus the tree path it closes, or None."""
-    adj = {}  # node -> ((node, corner), neighbor, 0) over the forest's corners
-    uf = UnionFind(G.nodes)
-    cycle = None
-    for c in G.corners:
-        if omega01.weight(c) != 0:
-            continue
-        a, b = c.nodes
-        if uf.union(a, b):
-            adj.setdefault(a, []).append(((a, c), b, 0))
-            adj.setdefault(b, []).append(((b, c), a, 0))
-        elif cycle is None:
-            _, path = _least_walk(adj, a, 0, {b})
-            cycle = {
-                "cycle_nodes": [str(n) for n, _ in path] + [str(b)],
-                "cycle_corners": [list(cor.key) for _, cor in path] + [list(c.key)],
-            }
-    return uf, cycle
+def _zero_forest(G, angles):
+    """Union-find of the angle-0 subgraph of G over its node positions, under
+    ``angles`` (corner k of G has angle ``angles[k]``), and its first cycle:
+    the first 0-corner closing one plus the tree path it closes, or None."""
+    uf = UnionFind(range(len(G.nodes)))
+    first = None
+    for k, ((a, b), angle) in enumerate(zip(G.ends, angles)):
+        if angle == 0 and not uf.union(a, b) and first is None:
+            first = k
+    if first is None:
+        return uf, None
+    # every 0-corner before the first cycle joined two trees of the forest
+    adj = {}  # position -> ((position, corner), neighbour, 0) over those corners
+    for k, (a, b) in enumerate(G.ends[:first]):
+        if angles[k] == 0:
+            adj.setdefault(a, []).append(((a, k), b, 0))
+            adj.setdefault(b, []).append(((b, k), a, 0))
+    a, b = G.ends[first]
+    _, path = _least_walk(adj, a, 0, {b})
+    return uf, {
+        "cycle_nodes": [str(G.nodes[n]) for n, _ in path] + [str(G.nodes[b])],
+        "cycle_corners": [list(G.keys[k]) for _, k in path] + [list(G.keys[first])],
+    }
 
 
 def coloring_test(X: TwoComplex, omega01: ZeroOneAssignment) -> TestVerdict:
@@ -373,31 +389,38 @@ def coloring_test(X: TwoComplex, omega01: ZeroOneAssignment) -> TestVerdict:
 
 def coloring_forests(X: TwoComplex, omega01: ZeroOneAssignment):
     """The coloring test's verdict, and when it passes the angle-0 union-find
-    of every vertex link (vertex -> UnionFind); None when it fails."""
+    of every vertex link over its node positions (vertex -> UnionFind); None
+    when it fails."""
     omega01.validate_total(X)
+    angles = {}  # vertex -> the angles of its link's corners, in link order
+    ones = dict.fromkeys([cell.id for cell in X.cells], 0)  # the angles 1 of each cell
+    for v, G in X.links.items():
+        angles[v] = omega01.angles(G.keys)
+        for (cell, _), angle in zip(G.keys, angles[v]):
+            ones[cell] += angle
     for cell in X.cells:
-        k = _cell_curvature(cell, omega01)
+        k = ones[cell.id] - (len(cell.word) - 2)
         if k > 0:
             return TestVerdict(
                 False, {"condition": 1, "cell": cell.id, "curvature": str(k)}
             ), None
     forests = {}
     for v in X.vertices:
-        forests[v], cycle = _zero_forest(X.links[v], omega01)
+        forests[v], cycle = _zero_forest(X.links[v], angles[v])
         if cycle is not None:
             return TestVerdict(False, {"condition": 2, "vertex": v, **cycle}), None
     for v, uf in forests.items():
         G = X.links[v]
-        for c in G.corners:
-            if omega01.weight(c) == 1 and uf.together(c.nodes[0], c.nodes[1]):
-                members = [m for m in G.nodes if uf.together(m, c.nodes[0])]
+        root = [uf.find(p) for p in range(len(G.nodes))]
+        for (a, b), key, angle in zip(G.ends, G.keys, angles[v]):
+            if angle == 1 and root[a] == root[b]:
                 return TestVerdict(
                     False,
                     {
                         "condition": 3,
                         "vertex": v,
-                        "corner": list(c.key),
-                        "component": [str(m) for m in sorted(members)],
+                        "corner": list(key),
+                        "component": [str(n) for n, r in zip(G.nodes, root) if r == root[a]],
                     },
                 ), None
     return TestVerdict(True, None), forests

@@ -42,6 +42,8 @@ KIND_QUOTIENT_STEP = "QUOTIENT_STEP"
 KIND_UNKNOWN = "UNKNOWN"
 
 AMALGAM_AXIOM = "amalgam_of_locally_indicable_groups_over_infinite_cyclic"
+# the UNKNOWN whose evidence records a collapse, which verify-cert re-derives
+NO_QUOTIENT_CERTIFICATE = "no_dr2_certificate_for_quotient"
 
 
 class LotEdge(NamedTuple):
@@ -642,14 +644,17 @@ def _bi_forest(link, generators, signs):
     corner angle 1.  Angle-0 corners never join the two sides, so one
     union-find over all of them is a forest exactly when both sides are."""
     position = {g: i for i, g in enumerate(generators)}
+    generator = [position[n.edge] for n in link.nodes]  # of each node position
+    end = [n.end for n in link.nodes]
     ready = [[] for _ in generators]  # corners by the later of their generators
-    for c in link.corners:
-        a, b = c.nodes
-        i, j = sorted((position[a.edge], position[b.edge]))
-        # angle 0 when epsilon[a.edge] * a.end == epsilon[b.edge] * b.end,
-        # which the signs of the corner's two generators decide
-        ready[j].append((i, a.end * b.end, (a, b, 1 << i | 1 << j)))
-    uf = UnionFind(link.nodes)
+    for a, b in link.ends:
+        i, j = generator[a], generator[b]
+        if i > j:
+            i, j = j, i
+        # angle 0 when the sign of node a's generator times a's end equals
+        # that of b, which the signs of the corner's two generators decide
+        ready[j].append((i, end[a] * end[b], (a, b, 1 << i | 1 << j)))
+    uf = UnionFind(range(len(link.nodes)))
 
     def options(level, chosen):
         for sign in signs[level]:
@@ -659,20 +664,19 @@ def _bi_forest(link, generators, signs):
     found = first_acyclic_choices(len(generators), options, lambda chosen: True)
     if found is None:
         return None
-    side = {n: found[position[n.edge]] * n.end for n in link.nodes}
+    side = [found[g] * e for g, e in zip(generator, end)]
     zeros = {1: [], -1: []}
     table = {}
-    for c in link.corners:
-        a, b = c.nodes
+    for key, (a, b) in zip(link.keys, link.ends):
         if side[a] != side[b]:
-            table[c.key] = 1
+            table[key] = 1
         else:
-            table[c.key] = 0
-            zeros[side[a]].append(c.key)
+            table[key] = 0
+            zeros[side[a]].append(key)
     return BiForestStructure(
         epsilon=dict(zip(generators, found)),
-        lambda1_nodes=tuple(n for n in link.nodes if side[n] > 0),
-        lambda2_nodes=tuple(n for n in link.nodes if side[n] < 0),
+        lambda1_nodes=tuple(n for n, s in zip(link.nodes, side) if s > 0),
+        lambda2_nodes=tuple(n for n, s in zip(link.nodes, side) if s < 0),
         lambda1_corners=tuple(zeros[1]),
         lambda2_corners=tuple(zeros[-1]),
         assignment=ZeroOneAssignment._of_table(table),
@@ -836,7 +840,7 @@ def _decide(lot: Lot) -> LiCertificateTree:
     evidence = {"sub_lot": lot_to_jsonable(sub), "quotient": lot_to_jsonable(quotient_lot),
                 "collapsed_vertex": y}
     if dr2_cert is None:
-        return _unknown(lot, "no_dr2_certificate_for_quotient", evidence, (child,))
+        return _unknown(lot, NO_QUOTIENT_CERTIFICATE, evidence, (child,))
     evidence["dr2_certificate"] = dr2_cert.to_jsonable()
     return _node(KIND_QUOTIENT_STEP, lot, evidence, (child,))
 
@@ -898,6 +902,32 @@ def _check_embedded_certificate(data, K, problem, not_about_K):
         problem(not_about_K)
 
 
+def _check_collapse(tree: LiCertificateTree, problem, certified_quotient):
+    """Re-derive a node's collapse of its recorded ``sub_lot``, as
+    ``_decide`` makes it: a sub-LOT of the node's LOT, the ``quotient`` and
+    ``collapsed_vertex`` it gives, with ``certified_quotient`` the embedded
+    DR(2) certificate about that quotient, and one child, the reduced
+    sub-LOT."""
+    sub = lot_from_jsonable(tree.evidence["sub_lot"])
+    try:
+        _validate_sub_lot(tree.lot, sub)
+    except NotSubLot as exc:
+        problem(f"recorded sub-LOT invalid: {exc}")
+        return
+    qlot, y = quotient(tree.lot, sub)
+    if lot_to_jsonable(qlot) != tree.evidence["quotient"]:
+        problem("recorded quotient disagrees with recomputation")
+    if y != tree.evidence["collapsed_vertex"]:
+        problem("recorded collapse vertex disagrees with recomputation")
+    if certified_quotient:
+        _check_embedded_certificate(tree.evidence["dr2_certificate"], qlot.complex, problem,
+                                    "DR(2) certificate is not about the quotient complex")
+    if len(tree.children) != 1:
+        problem("quotient step needs exactly one child")
+    elif tree.children[0].lot != reduce_lot(sub):
+        problem("child is not the reduced sub-LOT")
+
+
 def _check_node(tree: LiCertificateTree, problem):
     """Re-derive one node's evidence, reporting each failed check through
     ``problem``.  A missing or ill-typed field raises."""
@@ -931,24 +961,7 @@ def _check_node(tree: LiCertificateTree, problem):
         if tree.certified != True:  # noqa: E712 - explicit tri-state check
             problem("verified base node must conclude certified")
     elif tree.kind == KIND_QUOTIENT_STEP:
-        sub = lot_from_jsonable(tree.evidence["sub_lot"])
-        try:
-            _validate_sub_lot(lot, sub)
-        except NotSubLot as exc:
-            problem(f"recorded sub-LOT invalid: {exc}")
-            sub = None
-        if sub is not None:
-            qlot, y = quotient(lot, sub)
-            if lot_to_jsonable(qlot) != tree.evidence["quotient"]:
-                problem("recorded quotient disagrees with recomputation")
-            if y != tree.evidence["collapsed_vertex"]:
-                problem("recorded collapse vertex disagrees with recomputation")
-            _check_embedded_certificate(tree.evidence["dr2_certificate"], qlot.complex, problem,
-                                        "DR(2) certificate is not about the quotient complex")
-            if len(tree.children) != 1:
-                problem("quotient step needs exactly one child")
-            elif tree.children[0].lot != reduce_lot(sub):
-                problem("child is not the reduced sub-LOT")
+        _check_collapse(tree, problem, certified_quotient=True)
         if tree.certified and not child_certified:
             problem("certified conclusion without certified child")
     elif tree.kind == KIND_AMALGAM:
@@ -976,6 +989,8 @@ def _check_node(tree: LiCertificateTree, problem):
         if tree.certified and not child_certified:
             problem("certified conclusion without certified children")
     elif tree.kind == KIND_UNKNOWN:
+        if tree.evidence["reason"] == NO_QUOTIENT_CERTIFICATE:
+            _check_collapse(tree, problem, certified_quotient=False)
         if tree.certified:
             problem("UNKNOWN node cannot conclude certified")
     else:

@@ -7,7 +7,9 @@ isomorphism key by trying every vertex bijection, the sub-LOT prune's
 components by a fresh union-find each round instead of a traversal, and
 the gluing search's connectivity by a face union-find at every node.  The
 zero/one and bi-forest references backtrack by hand instead of through
-``unionfind.first_acyclic_choices``, so they reach past the 2^n scans.
+``unionfind.first_acyclic_choices``, so they reach past the 2^n scans.  The
+coloring test and the zero/one criterion are re-done over link nodes, one
+``AngleAssignment.weight`` per corner, instead of the link numbering.
 """
 
 from __future__ import annotations
@@ -282,6 +284,90 @@ def oracle_zero_one_structure(X):
         if coloring_test(X, omega).passed:
             return omega
     return None
+
+
+# ---------------------------------------------------------------------------
+# oracle: the coloring test and the zero/one criterion over link nodes
+
+
+def oracle_coloring_forests(X, omega01):
+    """``curvature.coloring_forests`` as it was before the link numbering:
+    the verdict as JSON, and when it passes the angle-0 union-find of every
+    vertex link over its ``LinkNode``s (vertex -> UnionFind), else None.
+    Every angle is read through ``AngleAssignment.weight``, corner by
+    corner, and the cycle witness comes from a tree adjacency grown at each
+    union."""
+    from drtool.curvature import TestVerdict, _least_walk
+
+    omega01.validate_total(X)
+    for cell in X.cells:
+        L = len(cell.word)
+        k = sum(omega01.weight((cell.id, i)) for i in range(L)) - (L - 2)
+        if k > 0:
+            return TestVerdict(
+                False, {"condition": 1, "cell": cell.id, "curvature": str(k)}).to_jsonable(), None
+    forests = {}
+    for v in X.vertices:
+        G = X.links[v]
+        adj = {}  # node -> ((node, corner), neighbour, 0) over the forest's corners
+        uf = UnionFind(G.nodes)
+        cycle = None
+        for c in G.corners:
+            if omega01.weight(c) != 0:
+                continue
+            a, b = c.nodes
+            if uf.union(a, b):
+                adj.setdefault(a, []).append(((a, c), b, 0))
+                adj.setdefault(b, []).append(((b, c), a, 0))
+            elif cycle is None:
+                _, path = _least_walk(adj, a, 0, {b})
+                cycle = {
+                    "cycle_nodes": [str(n) for n, _ in path] + [str(b)],
+                    "cycle_corners": [list(cor.key) for _, cor in path] + [list(c.key)],
+                }
+        if cycle is not None:
+            return TestVerdict(False, {"condition": 2, "vertex": v, **cycle}).to_jsonable(), None
+        forests[v] = uf
+    for v, uf in forests.items():
+        G = X.links[v]
+        for c in G.corners:
+            if omega01.weight(c) == 1 and uf.together(c.nodes[0], c.nodes[1]):
+                members = [m for m in G.nodes if uf.together(m, c.nodes[0])]
+                return TestVerdict(False, {
+                    "condition": 3,
+                    "vertex": v,
+                    "corner": list(c.key),
+                    "component": [str(m) for m in sorted(members)],
+                }).to_jsonable(), None
+    return TestVerdict(True, None).to_jsonable(), forests
+
+
+def oracle_dr2_zero_one(X, omega01):
+    """``certificates.check_dr2_zero_one``'s outcome as JSON, built on
+    ``oracle_coloring_forests`` and its components of link nodes."""
+    from drtool.certificates import METHOD_ZERO_ONE, CheckOutcome, Dr2Certificate
+
+    verdict, forests = oracle_coloring_forests(X, omega01)
+    if forests is None:
+        return CheckOutcome(witness={"reason": "coloring_test", "witness": verdict["witness"]}
+                            ).to_jsonable()
+    comps = forests[X.vertices[0]].components()
+    comp_index = {node: i for i, comp in enumerate(comps) for node in comp}
+    edge_rows = []
+    for e in X.edges:
+        i_plus, i_minus = comp_index[(e.id, 1)], comp_index[(e.id, -1)]
+        if i_plus == i_minus:
+            return CheckOutcome(witness={"reason": "components", "edge": e.id,
+                                         "component": [str(n) for n in comps[i_plus]]}
+                                ).to_jsonable()
+        edge_rows.append({"edge": e.id, "plus_component": i_plus, "minus_component": i_minus})
+    hypotheses = {
+        "angles": omega01.to_jsonable(),
+        "components": [[str(n) for n in comp] for comp in comps],
+        "edge_components": edge_rows,
+    }
+    return CheckOutcome(certificate=Dr2Certificate(
+        METHOD_ZERO_ONE, X, hypotheses, {"dr2": True, "locally_indicable": True})).to_jsonable()
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,8 @@ from drtool.unionfind import UnionFind
 from conftest import make_m2, make_torus, make_trefoil
 from genutil import (
     is_reduced_walk,
+    oracle_coloring_forests,
+    oracle_dr2_zero_one,
     oracle_min_reduced_cycle_weight,
     oracle_min_reduced_path,
     oracle_zero_one_structure,
@@ -43,6 +45,7 @@ from genutil import (
     random_multi_vertex_complex,
     random_one_vertex_complex,
     random_rationals,
+    random_reduced_injective_lot,
     random_surface_word_complex,
     random_zero_one,
     reference_zero_one_structure,
@@ -180,6 +183,42 @@ class TestWeightCoercion:
         X = make_torus()
         assert outcome(lambda v: AngleAssignment.uniform(X, v).items(), value) == outcome(
             lambda v: AngleAssignment(dict.fromkeys(X.corners, v)).items(), value)
+
+    @staticmethod
+    def read_row(cls, read, position, weight):
+        """``cls`` over the one row, from a table or from JSON rows."""
+        if read == "table":
+            return cls({("r1", position): weight})
+        return cls.from_jsonable([{"cell": "r1", "position": position, "weight": weight}])
+
+    @pytest.mark.parametrize("cls", [AngleAssignment, ZeroOneAssignment])
+    @pytest.mark.parametrize("read", ["table", "json"])
+    @pytest.mark.parametrize("position, weight, message", [
+        (0, True, "cannot interpret weight True as an exact rational"),
+        (0, 0.5, "cannot interpret weight 0.5 as an exact rational"),
+        (0, "abc", "cannot interpret weight 'abc' as an exact rational"),
+        (0, "1/0", "weight '1/0' has a zero denominator"),
+        (True, 1, "cannot interpret corner position True as an integer"),
+        (1.0, 1, "cannot interpret corner position 1.0 as an integer"),
+    ], ids=["bool-weight", "float-weight", "text-weight", "zero-denominator", "bool-position",
+            "float-position"])
+    def test_the_constructors_refuse_a_bad_row(self, cls, read, position, weight, message):
+        with pytest.raises(ComplexError) as caught:
+            self.read_row(cls, read, position, weight)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("cls", [AngleAssignment, ZeroOneAssignment])
+    @pytest.mark.parametrize("read", ["table", "json"])
+    def test_a_text_position_is_read_by_int(self, cls, read):
+        with pytest.raises(ValueError, match=r"^invalid literal for int\(\) with base 10: 'x'$"):
+            self.read_row(cls, read, "x", 1)
+
+    @pytest.mark.parametrize("read", ["table", "json"])
+    @pytest.mark.parametrize("weight, shown", [(2, "2"), ("1/2", "1/2")], ids=["two", "half"])
+    def test_the_zero_one_constructor_refuses_another_angle(self, read, weight, shown):
+        with pytest.raises(ComplexError) as caught:
+            self.read_row(ZeroOneAssignment, read, 0, weight)
+        assert str(caught.value) == f"angle at corner ('r1', 0) is {shown}, not 0 or 1"
 
     def test_a_zero_one_uniform_table_keeps_its_angle_rule(self):
         with pytest.raises(ComplexError, match=r"^angle at corner \('r1', 0\) is 2, not 0 or 1$"):
@@ -453,10 +492,75 @@ class TestColoringTest:
         assert hits > 5  # the implication was actually exercised
 
 
+class TestColoringOracle:
+    """The zero/one kernel on the link numbering against the same test read
+    over link nodes, one ``weight`` per corner (``oracle_coloring_forests``)."""
+
+    @staticmethod
+    def agree(X, omega01, seen):
+        """Check the verdict and, on one vertex, the ZERO_ONE outcome against
+        the oracle, and count what they were in ``seen``."""
+        verdict = coloring_test(X, omega01).to_jsonable()
+        assert verdict == oracle_coloring_forests(X, omega01)[0]
+        seen["pass" if verdict["pass"] else verdict["witness"]["condition"]] += 1
+        if X.is_single_vertex:
+            outcome = check_dr2_zero_one(X, omega01).to_jsonable()
+            assert outcome == oracle_dr2_zero_one(X, omega01)
+            seen["components"] += outcome.get("witness", {}).get("reason") == "components"
+            seen["certificate"] += outcome["ok"]
+
+    @staticmethod
+    def counts():
+        return dict.fromkeys(["pass", 1, 2, 3, "components", "certificate"], 0)
+
+    def test_random_complexes(self):
+        """Random angles, and random angles of at most ``len(word) - 2`` ones
+        a cell, which pass the curvature condition more often."""
+        rng = random.Random(2323)
+        seen = {"multi_vertex": 0, "loop_corner": 0, **self.counts()}
+        for _ in range(1000):
+            X = random_complex(rng, max_edges=3, max_cells=4, max_len=5)
+            if not X.cells:
+                continue
+            budgeted = {(cell.id, i): 0 for cell in X.cells for i in range(len(cell.word))}
+            for cell in X.cells:
+                ones = rng.randint(0, max(len(cell.word) - 2, 0))
+                budgeted.update(dict.fromkeys(
+                    [(cell.id, i) for i in rng.sample(range(len(cell.word)), ones)], 1))
+            for omega01 in (random_zero_one(rng, X), ZeroOneAssignment(budgeted)):
+                self.agree(X, omega01, seen)
+            seen["multi_vertex"] += not X.is_single_vertex
+            seen["loop_corner"] += any(c.nodes[0] == c.nodes[1]
+                                       for G in X.links.values() for c in G.corners)
+        assert min(seen.values()) >= 10, seen
+
+    def test_lot_complexes_with_bi_forest_angles(self):
+        """The bi-forest's own angles, and the same with one angle flipped or
+        with two angles 1 set to 0, on links of 12 to 28 nodes."""
+        rng = random.Random(2324)
+        seen = self.counts()
+        for _ in range(60):
+            lot = random_reduced_injective_lot(rng, rng.randint(6, 14))
+            structure = bi_forest_orientation(lot)
+            if structure is None:
+                continue
+            table = dict(structure.assignment.items())
+            ones = sorted(k for k, angle in table.items() if angle == 1)
+            flipped = rng.choice(sorted(table))
+            tables = [table, {**table, flipped: 1 - table[flipped]},
+                      {**table, **dict.fromkeys(rng.sample(ones, 2), 0)}]
+            for angles in tables:
+                self.agree(lot.complex, ZeroOneAssignment(angles), seen)
+        del seen["components"]  # the random complexes reach it
+        assert min(seen.values()) >= 5, seen
+
+
 class TestLk0Components:
     @staticmethod
     def components(X, v, omega01):
-        return curvature._zero_forest(X.links[v], omega01)[0].components()
+        G = X.links[v]
+        uf, _ = curvature._zero_forest(G, omega01.angles(G.keys))
+        return tuple(tuple(G.nodes[p] for p in comp) for comp in uf.components())
 
     def test_trefoil_split(self):
         K = lot_complex(make_trefoil())
