@@ -69,9 +69,12 @@ def coerce_word(word):
 
 def coerce_integer(value, what):
     """An int read from an int or a string. A float or a boolean, which
-    Python's ``int`` would round or count as 0 or 1, is a ``ComplexError``."""
+    Python's ``int`` would round or count as 0 or 1, or other text is a ``ComplexError``."""
     if isinstance(value, (int, str)) and not isinstance(value, bool):
-        return int(value)
+        try:
+            return int(value)
+        except ValueError:
+            pass
     raise ComplexError(f"cannot interpret {what} {value!r} as an integer")
 
 

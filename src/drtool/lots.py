@@ -12,12 +12,20 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
 from . import caps
-from .certificates import METHOD_ZERO_ONE, Dr2Certificate, dr2_routes, verify_dr2_certificate
+from .certificates import (
+    DR2_FORMAT,
+    METHOD_ZERO_ONE,
+    Dr2Certificate,
+    dr2_routes,
+    field_disagreements,
+    require_format,
+    verify_dr2_certificate,
+)
 from .complexes import Letter, TwoComplex, build_complex, check_name, complex_to_jsonable
 from .curvature import ZeroOneAssignment
 from .errors import (
@@ -34,6 +42,7 @@ from .errors import (
 from .unionfind import UnionFind, first_acyclic_choices
 
 BASE_VERTEX = "*"
+LI_FORMAT = "li-certificate/1"
 
 KIND_SINGLE_VERTEX = "SINGLE_VERTEX"
 KIND_HUCK_ROSE_BASE = "HUCK_ROSE_BASE"
@@ -44,6 +53,8 @@ KIND_UNKNOWN = "UNKNOWN"
 AMALGAM_AXIOM = "amalgam_of_locally_indicable_groups_over_infinite_cyclic"
 # the UNKNOWN whose evidence records a collapse, which verify-cert re-derives
 NO_QUOTIENT_CERTIFICATE = "no_dr2_certificate_for_quotient"
+BI_FOREST_SEARCH_FAILED = "bi_forest_search_failed"
+BASE_TRIGGER = {"trigger": "no_proper_sub_lot"}  # why a node takes the base case
 
 
 class LotEdge(NamedTuple):
@@ -692,8 +703,9 @@ def bi_forest_orientation(lot: Lot):
     -epsilon has epsilon's angle-0 corners, so the first sign is ``+``.
     """
     cap = caps.search_cap(caps.BI_FOREST_CAP)
-    props = check_properties(lot)
-    if not (props.reduced and props.injective):
+    # as check_properties decides it: an injective LOT has no interior pair
+    if not (lot.is_injective and next(_uncompressed_edges(lot), None) is None
+            and next(_boundary_vertices(lot), None) is None):
         warnings.warn("bi-forest search on a LOT that is not reduced injective", stacklevel=2)
     generators = list(lot.vertices)
     if len(generators) > cap:
@@ -722,7 +734,7 @@ class LiCertificateTree:
 
     def to_jsonable(self):
         return {
-            "format": "li-certificate/1",
+            "format": LI_FORMAT,
             "kind": self.kind,
             "lot": lot_to_jsonable(self.lot),
             "evidence": self.evidence,
@@ -732,6 +744,7 @@ class LiCertificateTree:
 
     @classmethod
     def from_jsonable(cls, data):
+        require_format(data, LI_FORMAT)
         return cls(
             kind=data["kind"],
             lot=lot_from_jsonable(data["lot"]),
@@ -772,50 +785,70 @@ def _dr2_certificate(lot: Lot, structure):
     return None
 
 
-def _amalgam_split(lot: Lot, sub: Lot):
-    """The outside subtree of the amalgam split along ``sub``, and the vertex
-    where the two parts meet.
+# The evidence of each node kind is laid out by one builder, from the choice
+# the node records; ``_decide`` writes it and ``_rebuild`` checks against it.
+def _single_vertex_evidence(lot: Lot):
+    return {"vertex": lot.vertices[0], "group": "Z"}
 
-    The outside part meets the sub-LOT in the single attachment vertex and
-    is isomorphic to the quotient (rename the attachment vertex to y).
-    """
+
+def _base_evidence(structure, certificate):
+    """HUCK_ROSE_BASE evidence for the bi-forest ``structure`` and the JSON
+    ``certificate`` of DR(2) for the LOT complex."""
+    return {**BASE_TRIGGER, **structure.to_jsonable(), "dr2_certificate": certificate}
+
+
+def _collapse_evidence(lot: Lot, sub: Lot):
+    """The evidence of collapsing the sub-LOT ``sub`` of ``lot``, less any DR(2)
+    certificate, and the quotient."""
+    quotient_lot, y = quotient(lot, sub)
+    return {"sub_lot": lot_to_jsonable(sub), "quotient": lot_to_jsonable(quotient_lot),
+            "collapsed_vertex": y}, quotient_lot
+
+
+def _amalgam_evidence(lot: Lot, sub: Lot):
+    """AMALGAM evidence for splitting ``lot`` along its sub-LOT ``sub``, and
+    the outside part: a sub-LOT that meets ``sub`` in the single attachment
+    vertex, isomorphic to the quotient (rename the attachment vertex to y).
+    A sub-LOT that gives no such split is an invariant violation."""
+    _validate_sub_lot(lot, sub)
     inside = set(sub.vertices)
     sub_ids = {e.id for e in sub.edges}
     outside = [e for e in lot.edges if e.id not in sub_ids]
-    incidences = [
-        (e, v) for e in outside for v in (e.source, e.target) if v in inside
-    ]
+    incidences = [v for e in outside for v in (e.source, e.target) if v in inside]
     if len(incidences) != 1:
         raise InvariantViolation(
             "amalgam split expects exactly one edge incidence on the sub-LOT, "
             f"found {len(incidences)}"
         )
-    attach = incidences[0][1]
     part2 = _spanned_lot(outside)
     try:
         _validate_sub_lot(lot, part2)
     except NotSubLot as exc:
         raise InvariantViolation(f"outside part is not a sub-LOT: {exc}") from exc
-    return part2, attach
+    evidence = {
+        "part1": lot_to_jsonable(sub),
+        "part2": lot_to_jsonable(part2),
+        "intersection_vertex": incidences[0],
+        "collapsed_vertex": collapse_vertex(sub),
+        "axiom": AMALGAM_AXIOM,
+    }
+    return evidence, part2
 
 
 def _decide(lot: Lot) -> LiCertificateTree:
     # lot is reduced and injective here
     if len(lot.vertices) == 1:
-        return _node(KIND_SINGLE_VERTEX, lot, {"vertex": lot.vertices[0], "group": "Z"})
+        return _node(KIND_SINGLE_VERTEX, lot, _single_vertex_evidence(lot))
 
     sub = maximal_proper_sub_lot(lot)
     if sub is None:
         structure = bi_forest_orientation(lot)
         if structure is None:
-            return _unknown(lot, "bi_forest_search_failed",
-                            {"trigger": "no_proper_sub_lot"})
-        evidence = {"trigger": "no_proper_sub_lot"}
-        evidence.update(structure.to_jsonable())
-        evidence["dr2_certificate"] = _dr2_certificate(lot, structure).to_jsonable()
+            return _unknown(lot, BI_FOREST_SEARCH_FAILED, BASE_TRIGGER)
+        evidence = _base_evidence(structure, _dr2_certificate(lot, structure).to_jsonable())
         return _node(KIND_HUCK_ROSE_BASE, lot, evidence)
 
-    quotient_lot, y = quotient(lot, sub)
+    evidence, quotient_lot = _collapse_evidence(lot, sub)
     qprops = check_properties(quotient_lot)
     if not (qprops.injective and qprops.compressed and qprops.interior_reduced):
         raise InvariantViolation(
@@ -824,21 +857,12 @@ def _decide(lot: Lot) -> LiCertificateTree:
         )
 
     if not qprops.boundary_reduced:
-        part2, x = _amalgam_split(lot, sub)
+        evidence, part2 = _amalgam_evidence(lot, sub)
         children = (_decide(reduce_lot(sub)), _decide(reduce_lot(part2)))
-        evidence = {
-            "part1": lot_to_jsonable(sub),
-            "part2": lot_to_jsonable(part2),
-            "intersection_vertex": x,
-            "collapsed_vertex": y,
-            "axiom": AMALGAM_AXIOM,
-        }
         return _node(KIND_AMALGAM, lot, evidence, children)
 
     dr2_cert = _dr2_certificate(quotient_lot, bi_forest_orientation(quotient_lot))
     child = _decide(reduce_lot(sub))
-    evidence = {"sub_lot": lot_to_jsonable(sub), "quotient": lot_to_jsonable(quotient_lot),
-                "collapsed_vertex": y}
     if dr2_cert is None:
         return _unknown(lot, NO_QUOTIENT_CERTIFICATE, evidence, (child,))
     evidence["dr2_certificate"] = dr2_cert.to_jsonable()
@@ -867,13 +891,23 @@ def decide_locally_indicable(lot: Lot) -> LiCertificateTree:
 
 
 def _verify_node(tree: LiCertificateTree, problems, path):
+    """Report each field of the node that disagrees with the node ``_rebuild``
+    makes from its recorded choice: evidence, children's LOTs, conclusion."""
     where = "/".join(path) or "root"
 
     def problem(msg):
         problems.append(f"{where}: {msg}")
 
     try:
-        _check_node(tree, problem)
+        found = _rebuild(tree, problem)
+        if found is not None:
+            rebuilt, child_lots = found
+            if tuple(child.lot for child in tree.children) != child_lots:
+                problem("child LOTs disagree with recomputation")
+            for recorded, fresh in ((tree.evidence, rebuilt.evidence),
+                                    (tree.conclusion, rebuilt.conclusion)):
+                for message in field_disagreements(recorded, fresh):
+                    problem(message)
     except InvariantViolation:
         raise
     except (DrtoolError, *_WRONG_SHAPE) as exc:
@@ -883,118 +917,72 @@ def _verify_node(tree: LiCertificateTree, problems, path):
         _verify_node(child, problems, path + [f"{str(tree.kind).lower()}[{i}]"])
 
 
-def _check_embedded_certificate(data, K, problem, not_about_K):
-    """Re-verify a node's embedded DR(2) certificate and report ``not_about_K``
-    when its complex is not ``K``. A certificate about ``K`` is verified on
-    ``K`` itself, whose links are already built, and is not rebuilt when its
-    JSON complex is ``K``'s."""
-    method = data["method"]  # read first, as from_jsonable does
-    if data["complex"] == complex_to_jsonable(K):
-        cert = Dr2Certificate(method, K, data["hypotheses"], data["conclusion"])
-    else:
-        cert = Dr2Certificate.from_jsonable(data)
-        if cert.complex == K:
-            cert = replace(cert, complex=K)
-    ok, cert_problems = verify_dr2_certificate(cert)
+def _embedded_certificate(evidence, K, problem):
+    """The node's embedded DR(2) certificate, verified on ``K``, the complex it
+    must be about; its complex is built only when its JSON is not ``K``'s."""
+    data = evidence["dr2_certificate"]
+    require_format(data, DR2_FORMAT)
+    if (data["complex"] != complex_to_jsonable(K)
+            and Dr2Certificate.from_jsonable(data).complex != K):
+        problem("embedded DR(2) certificate is about a different complex")
+        return data
+    ok, cert_problems = verify_dr2_certificate(
+        Dr2Certificate(data["method"], K, data["hypotheses"], data["conclusion"]))
     if not ok:
         problem(f"embedded DR(2) certificate fails: {cert_problems}")
-    if cert.complex is not K:
-        problem(not_about_K)
+    return data
 
 
-def _check_collapse(tree: LiCertificateTree, problem, certified_quotient):
-    """Re-derive a node's collapse of its recorded ``sub_lot``, as
-    ``_decide`` makes it: a sub-LOT of the node's LOT, the ``quotient`` and
-    ``collapsed_vertex`` it gives, with ``certified_quotient`` the embedded
-    DR(2) certificate about that quotient, and one child, the reduced
-    sub-LOT."""
-    sub = lot_from_jsonable(tree.evidence["sub_lot"])
-    try:
-        _validate_sub_lot(tree.lot, sub)
-    except NotSubLot as exc:
-        problem(f"recorded sub-LOT invalid: {exc}")
-        return
-    qlot, y = quotient(tree.lot, sub)
-    if lot_to_jsonable(qlot) != tree.evidence["quotient"]:
-        problem("recorded quotient disagrees with recomputation")
-    if y != tree.evidence["collapsed_vertex"]:
-        problem("recorded collapse vertex disagrees with recomputation")
-    if certified_quotient:
-        _check_embedded_certificate(tree.evidence["dr2_certificate"], qlot.complex, problem,
-                                    "DR(2) certificate is not about the quotient complex")
-    if len(tree.children) != 1:
-        problem("quotient step needs exactly one child")
-    elif tree.children[0].lot != reduce_lot(sub):
-        problem("child is not the reduced sub-LOT")
-
-
-def _check_node(tree: LiCertificateTree, problem):
-    """Re-derive one node's evidence, reporting each failed check through
-    ``problem``.  A missing or ill-typed field raises."""
-    lot = tree.lot
+def _rebuild(tree: LiCertificateTree, problem):
+    """The node ``_decide`` writes for the kind and recorded choice of ``tree``
+    over its recorded children, and the LOTs those children must have; None
+    when the choice builds no node.  Only the maximal sub-LOT trigger and the
+    bi-forest replay of the recorded signs search again; an embedded DR(2)
+    certificate is verified, then taken as recorded."""
+    lot, evidence = tree.lot, tree.evidence
     if not lot.is_tree:
         problem("node LOT is not a tree")
-        return
-    child_certified = all(c.certified for c in tree.children)
-
+        return None
+    reason = evidence["reason"] if tree.kind == KIND_UNKNOWN else None
     if tree.kind == KIND_SINGLE_VERTEX:
-        if len(lot.vertices) != 1 or lot.edges:
+        if len(lot.vertices) != 1:
             problem("SINGLE_VERTEX node on a LOT that is not a single vertex")
-        if not tree.certified:
-            problem("single vertex concludes local indicability")
-    elif tree.kind == KIND_HUCK_ROSE_BASE:
+            return None
+        return _node(tree.kind, lot, _single_vertex_evidence(lot), tree.children), ()
+    if tree.kind == KIND_HUCK_ROSE_BASE or reason == BI_FOREST_SEARCH_FAILED:
         if maximal_proper_sub_lot(lot) is not None:
-            problem("HUCK_ROSE_BASE trigger violated: a proper sub-LOT exists")
-        recorded = tree.evidence["epsilon"]
-        signs = [recorded[g] for g in lot.vertices]
-        if len(recorded) != len(signs) or any(s not in ("+", "-") for s in signs):
+            problem(f"{tree.kind} trigger violated: a proper sub-LOT exists")
+        if reason is not None:
+            return _unknown(lot, reason, BASE_TRIGGER, tree.children), ()
+        signs = [evidence["epsilon"][g] for g in lot.vertices]
+        if len(evidence["epsilon"]) != len(signs) or any(s not in ("+", "-") for s in signs):
             raise ValueError("recorded orientation must map exactly the LOT's vertices to + or -")
-        K = lot.complex
-        structure = _bi_forest(K.links[BASE_VERTEX], lot.vertices,
+        structure = _bi_forest(lot.complex.links[BASE_VERTEX], lot.vertices,
                                [(1,) if s == "+" else (-1,) for s in signs])
         if structure is None:
             problem("recorded orientation does not give two forests")
-        elif structure.assignment.to_jsonable() != tree.evidence["zero_one"]:
-            problem("recorded zero/one structure disagrees with the orientation")
-        _check_embedded_certificate(tree.evidence["dr2_certificate"], K, problem,
-                                    "embedded DR(2) certificate is about a different complex")
-        if tree.certified != True:  # noqa: E712 - explicit tri-state check
-            problem("verified base node must conclude certified")
-    elif tree.kind == KIND_QUOTIENT_STEP:
-        _check_collapse(tree, problem, certified_quotient=True)
-        if tree.certified and not child_certified:
-            problem("certified conclusion without certified child")
-    elif tree.kind == KIND_AMALGAM:
-        part1 = lot_from_jsonable(tree.evidence["part1"])
-        part2 = lot_from_jsonable(tree.evidence["part2"])
-        for part in (part1, part2):
-            try:
-                _validate_sub_lot(lot, part)
-            except NotSubLot as exc:
-                problem(f"amalgam part invalid: {exc}")
-        ids1 = {e.id for e in part1.edges}
-        ids2 = {e.id for e in part2.edges}
-        if ids1 & ids2 or ids1 | ids2 != {e.id for e in lot.edges}:
-            problem("amalgam parts do not partition the edge set")
-        meet = set(part1.vertices) & set(part2.vertices)
-        if meet != {tree.evidence["intersection_vertex"]}:
-            problem(f"parts meet in {sorted(meet)}, not the recorded vertex")
-        if len(tree.children) != 2:
-            problem("amalgam needs two children")
-        else:
-            if tree.children[0].lot != reduce_lot(part1):
-                problem("first child is not the reduced first part")
-            if tree.children[1].lot != reduce_lot(part2):
-                problem("second child is not the reduced second part")
-        if tree.certified and not child_certified:
-            problem("certified conclusion without certified children")
-    elif tree.kind == KIND_UNKNOWN:
-        if tree.evidence["reason"] == NO_QUOTIENT_CERTIFICATE:
-            _check_collapse(tree, problem, certified_quotient=False)
-        if tree.certified:
-            problem("UNKNOWN node cannot conclude certified")
-    else:
-        problem(f"unknown node kind {tree.kind!r}")
+            return None
+        rebuilt = _base_evidence(structure, _embedded_certificate(evidence, lot.complex, problem))
+        return _node(tree.kind, lot, rebuilt, tree.children), ()
+    if tree.kind == KIND_AMALGAM:
+        sub = lot_from_jsonable(evidence["part1"])
+        try:
+            rebuilt, part2 = _amalgam_evidence(lot, sub)
+        except InvariantViolation as exc:  # of a forged part1, not of this code
+            problem(f"recorded part1 gives no amalgam split: {exc}")
+            return None
+        return (_node(tree.kind, lot, rebuilt, tree.children),
+                (reduce_lot(sub), reduce_lot(part2)))
+    if tree.kind == KIND_QUOTIENT_STEP or reason == NO_QUOTIENT_CERTIFICATE:
+        sub = lot_from_jsonable(evidence["sub_lot"])
+        rebuilt, qlot = _collapse_evidence(lot, sub)
+        if reason is not None:
+            return _unknown(lot, reason, rebuilt, tree.children), (reduce_lot(sub),)
+        rebuilt["dr2_certificate"] = _embedded_certificate(evidence, qlot.complex, problem)
+        return _node(tree.kind, lot, rebuilt, tree.children), (reduce_lot(sub),)
+    problem(f"unknown node kind {tree.kind!r}" if reason is None
+            else f"unknown UNKNOWN reason {reason!r}")
+    return None
 
 
 def verify_li_tree(tree: LiCertificateTree):

@@ -1,21 +1,31 @@
-"""Every single-node edit of a certificate is verified or refused as input,
-never an internal invariant violation: ``verify-cert`` exits 0 or 1 on it,
-never 2.  The certificates are those ``lot decide`` writes for w5 (a quotient
-step), chain6 (an amalgam) and seed1228_12 (an UNKNOWN root whose quotient
-has no DR(2) certificate), and those ``complex dr2`` writes for the torus and
-genus2 (C(4)-T(4)).  Each node below the top is replaced by each value of
-``VALUES``, or deleted."""
+"""Every single-node edit of a certificate is refused as input, fails
+verification or is a rewrite on ``SAME_MEANING``, which drtool reads as the
+value it replaces; none escapes as an internal invariant violation, so
+``verify-cert`` exits 0 or 1 on it, never 2.
+
+The certificates bring every node kind and DR(2) method.  ``lot decide``
+writes those of a single vertex, w5 (a quotient step over a base node),
+chain6 (an amalgam) and seed1228_12 (an UNKNOWN root whose quotient has no
+DR(2) certificate).  ``complex dr2`` writes C(4)-T(4) for the torus and
+genus2; the torus has a ZERO_ONE certificate too, and the one-cell complex
+``a b`` a WEIGHTED one at weight 0.  Each node below the top is replaced by
+each value of ``VALUES``, or deleted."""
 
 import pytest
 
 from drtool import (
+    build_lot,
     check_dr2_c4t4,
+    check_dr2_weighted,
+    check_dr2_zero_one,
     decide_locally_indicable,
     parse_lot,
     parse_presentation,
     verify_li_tree,
 )
 from drtool.certificates import Dr2Certificate, verify_dr2_certificate
+from drtool.complexes import build_complex
+from drtool.curvature import AngleAssignment, ZeroOneAssignment
 from drtool.errors import _WRONG_SHAPE, DrtoolError, InvariantViolation
 from drtool.lots import LiCertificateTree
 
@@ -23,6 +33,21 @@ from conftest import FIXTURES, fixture_text, make_chain6, make_w5
 
 VALUES = (None, True, 0, -1, 0.5, "", "x", "1/0", [], {})
 DELETE = object()
+
+# The edits that verify: each rule names a rewrite that drtool reads as the
+# value it replaces, as (reason, rule(path, old value, new value)).
+SAME_MEANING = [
+    ("the value already there",
+     lambda path, old, new: type(new) is type(old) and new == old),
+    ("true for 1 or 0 for false where a field is compared with ==, under which they "
+     "are equal; only the recorded angles and weights are read, and they refuse a boolean",
+     lambda path, old, new: (type(new) is not type(old) and new == old
+                             and not {"angles", "weights"} & set(path))),
+    ("an empty string or object for an empty list of children or edges, read as no items",
+     lambda path, old, new: path[-1] in ("children", "edges") and old == [] and new in ("", {})),
+    ("a null vertex list for a complex, which build_complex takes from the edges",
+     lambda path, old, new: path[-2:] == ("complex", "vertices") and new is None),
+]
 
 
 def paths(data, path=()):
@@ -48,21 +73,23 @@ def edited(data, path, value):
     return copy
 
 
-def escapes(data, read, verify):
-    """The InvariantViolation, or any exception verification lets out, that
-    ``data`` raises on its way through ``verify-cert``; None when it is
-    verified or refused as input."""
+def verified(data, read, verify):
+    """Whether ``data`` verifies: False when it is refused as input or fails
+    verification.  An InvariantViolation, or any exception verification lets
+    out, is raised."""
     try:
         cert = read(data)
-    except InvariantViolation as exc:
-        return exc
+    except InvariantViolation:
+        raise
     except (DrtoolError, *_WRONG_SHAPE):
-        return None  # refused as input: exit 1
-    try:
-        verify(cert)
-    except Exception as exc:  # noqa: BLE001 - any escape is reported
-        return exc
-    return None
+        return False  # refused as input: exit 1
+    return verify(cert)[0]
+
+
+def value_at(data, path):
+    for key in path:
+        data = data[key]
+    return data
 
 
 def li_tree(make):
@@ -80,21 +107,51 @@ def c4t4_certificate(name):
     return check_dr2_c4t4(parse_presentation(fixture_text(name))).certificate.to_jsonable()
 
 
+def single_vertex_tree():
+    return decide_locally_indicable(build_lot("a", [])).to_jsonable()
+
+
+def torus_zero_one_certificate():
+    # angle 1 on the corners {a+,b-} and {a-,b+}, angle 0 on the others
+    angles = ZeroOneAssignment({("r1", 0): 1, ("r1", 1): 0, ("r1", 2): 1, ("r1", 3): 0})
+    X = parse_presentation(fixture_text("torus.pres"))
+    return check_dr2_zero_one(X, angles).certificate.to_jsonable()
+
+
+def weighted_certificate():
+    # the link of the cell "a b" is a forest, so every edge's path bound holds vacuously
+    X = build_complex(edges=[("a", "*", "*"), ("b", "*", "*")], cells=[("r1", "a b")],
+                      vertices=["*"])
+    return check_dr2_weighted(X, AngleAssignment.uniform(X, 0)).certificate.to_jsonable()
+
+
+LI_TREE = (LiCertificateTree.from_jsonable, verify_li_tree)
+DR2 = (Dr2Certificate.from_jsonable, verify_dr2_certificate)
+
+
 @pytest.mark.parametrize("make_data, read, verify", [
-    (lambda: li_tree(make_w5), LiCertificateTree.from_jsonable, verify_li_tree),
-    (lambda: li_tree(make_chain6), LiCertificateTree.from_jsonable, verify_li_tree),
-    (seed1228_tree, LiCertificateTree.from_jsonable, verify_li_tree),
-    (lambda: c4t4_certificate("torus.pres"), Dr2Certificate.from_jsonable,
-     verify_dr2_certificate),
-    (lambda: c4t4_certificate("genus2.pres"), Dr2Certificate.from_jsonable,
-     verify_dr2_certificate),
-], ids=["w5", "chain6", "seed1228_12", "torus", "genus2"])
-def test_no_single_edit_escapes_verification(make_data, read, verify):
+    (single_vertex_tree, *LI_TREE),
+    (lambda: li_tree(make_w5), *LI_TREE),
+    (lambda: li_tree(make_chain6), *LI_TREE),
+    (seed1228_tree, *LI_TREE),
+    (lambda: c4t4_certificate("torus.pres"), *DR2),
+    (lambda: c4t4_certificate("genus2.pres"), *DR2),
+    (torus_zero_one_certificate, *DR2),
+    (weighted_certificate, *DR2),
+], ids=["single-vertex", "w5", "chain6", "seed1228_12", "torus", "genus2", "torus-zero-one",
+        "weighted"])
+def test_only_same_meaning_edits_verify(make_data, read, verify):
     data = make_data()
-    escaped = [(path, value, repr(exc)) for path in paths(data)
-               for value in (*VALUES, DELETE)
-               for exc in [escapes(edited(data, path, value), read, verify)] if exc]
-    assert escaped == []
+    assert verified(data, read, verify)
+    accepted, expected = [], []
+    for path in paths(data):
+        old = value_at(data, path)
+        for new in (*VALUES, DELETE):
+            if verified(edited(data, path, new), read, verify):
+                accepted.append((path, new))
+            if new is not DELETE and any(rule(path, old, new) for _, rule in SAME_MEANING):
+                expected.append((path, new))
+    assert accepted == expected
 
 
 @pytest.mark.parametrize("top", [("evidence", "sub_lot"), ("evidence", "quotient"),

@@ -344,6 +344,19 @@ class TestC4T4Certificate:
 
 
 class TestVerification:
+    @pytest.mark.parametrize("make_certificate, key, edit, problem", [
+        (lambda: check_dr2_zero_one(make_torus(), torus_good_zero_one()), "edge_components",
+         lambda rows: rows[0].update(plus_component=rows[0]["minus_component"]),
+         "edge components: recorded value disagrees with recomputation"),
+        (lambda: check_dr2_c4t4(make_torus()), "decompositions",
+         lambda table: table.update(r1=["a b", "a- b-"]),
+         "decompositions: recorded value disagrees with recomputation"),
+    ], ids=["zero-one-edge-components", "c4t4-decompositions"])
+    def test_every_hypothesis_is_rebuilt(self, make_certificate, key, edit, problem):
+        data = make_certificate().certificate.to_jsonable()
+        edit(data["hypotheses"][key])
+        assert verify_dr2_certificate(Dr2Certificate.from_jsonable(data)) == (False, [problem])
+
     def test_tampered_certificate_detected(self):
         X = make_torus()
         out = check_dr2_c4t4(X)

@@ -475,6 +475,9 @@ def zero_one_certificate_with_first_angle(key, value):
     (zero_one_certificate_with_first_angle("position", True),
      "hypotheses do not re-check: ComplexError: "
      "cannot interpret corner position True as an integer"),
+    (zero_one_certificate_with_first_angle("position", "x"),
+     "hypotheses do not re-check: ComplexError: "
+     "cannot interpret corner position 'x' as an integer"),
 ], ids=["quotient-step-evidence-empty", "base-epsilon-short", "base-epsilon-not-a-sign",
         "base-epsilon-extra-generator", "quotient-step-lot-not-injective",
         "quotient-step-lot-not-a-tree",
@@ -482,7 +485,7 @@ def zero_one_certificate_with_first_angle(key, value):
         "c4t4-hypotheses-empty", "zero-one-angle-1-over-0", "li-tree-pair-form-word",
         "li-tree-angle-1-over-0",
         "zero-one-float-angle", "zero-one-float-position", "zero-one-bool-angle",
-        "zero-one-bool-position"])
+        "zero-one-bool-position", "zero-one-text-position"])
 def test_verify_cert_reports_malformed_evidence_as_a_problem(tmp_path, make_data, problem):
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(make_data()), encoding="utf-8")
@@ -531,7 +534,9 @@ def test_a_uniform_weight_is_never_read_as_a_file_name(args):
      "error: cannot interpret corner position 0.7 as an integer"),
     ({"cell": "r1", "position": 0, "weight": "abc"},
      "error: cannot interpret weight 'abc' as an exact rational"),
-], ids=["float-weight", "float-position", "text-weight"])
+    ({"cell": "r1", "position": "x", "weight": "1/2"},
+     "error: cannot interpret corner position 'x' as an integer"),
+], ids=["float-weight", "float-position", "text-weight", "text-position"])
 @pytest.mark.parametrize("args", [
     ["complex", "weighttest", TORUS, "--weights", ROWS],
     ["complex", "dr2", TORUS, "--weights", ROWS],
@@ -560,8 +565,10 @@ def test_a_boolean_in_a_rows_file_is_an_input_error(tmp_path, row, message):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("rotation", 0.9), ("rotation", True), ("orientation", 1.5), ("orientation", True),
-], ids=["float-rotation", "bool-rotation", "float-orientation", "bool-orientation"])
+    ("rotation", 0.9), ("rotation", True), ("rotation", "x"),
+    ("orientation", 1.5), ("orientation", True), ("orientation", "x"),
+], ids=["float-rotation", "bool-rotation", "text-rotation", "float-orientation",
+        "bool-orientation", "text-orientation"])
 def test_a_float_or_boolean_in_a_diagram_cellmap_is_an_input_error(tmp_path, field, value):
     # a bare int() would read 0.9 as rotation 0 and true as orientation 1,
     # and verify a diagram the file does not describe

@@ -210,7 +210,8 @@ class TestWeightCoercion:
     @pytest.mark.parametrize("cls", [AngleAssignment, ZeroOneAssignment])
     @pytest.mark.parametrize("read", ["table", "json"])
     def test_a_text_position_is_read_by_int(self, cls, read):
-        with pytest.raises(ValueError, match=r"^invalid literal for int\(\) with base 10: 'x'$"):
+        message = r"^cannot interpret corner position 'x' as an integer$"
+        with pytest.raises(ComplexError, match=message):
             self.read_row(cls, read, "x", 1)
 
     @pytest.mark.parametrize("read", ["table", "json"])

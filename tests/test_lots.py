@@ -579,6 +579,24 @@ class TestBiForest:
         monkeypatch.setenv("DRTOOL_SEARCH_CAP", "5")
         assert bi_forest_orientation(w5) is not None
 
+    def test_the_warning_guard_agrees_with_check_properties(self):
+        # random LOTs, reduced or not and injective or not, and reduced
+        # injective ones; every mix of the two verdicts comes up
+        rng = random.Random(58)
+        lots_ = [random_lot(rng, max_vertices=9) for _ in range(300)]
+        lots_ += [random_lot(rng, min_vertices=4, max_vertices=9, label_count=k % 3 + 1)
+                  for k in range(150)]
+        lots_ += [random_reduced_injective_lot(rng, 4 + k % 8) for k in range(50)]
+        seen = set()
+        for lot in lots_:
+            props = check_properties(lot)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                bi_forest_orientation(lot)
+            assert bool(caught) == (not (props.reduced and props.injective))
+            seen.add((props.reduced, props.injective))
+        assert len(seen) == 4
+
     def test_no_split_for_loop_link(self):
         lot = build_lot("abc", [("e1", "a", "b", "c"), ("e2", "b", "c", "c")])
         with pytest.warns(UserWarning):
@@ -876,6 +894,30 @@ class TestDecide:
         assert not ok and trigger in problems
         if structure is not None:
             assert problems == [trigger]
+
+    @pytest.mark.parametrize("make, path, value, problem", [
+        (make_trefoil, ("evidence", "lambda1_corners"), [["e1", 1]],
+         "root: lambda1 corners: recorded value disagrees with recomputation"),
+        (make_chain6, ("evidence", "axiom"), "amalgam_of_any_groups",
+         "root: axiom: recorded value disagrees with recomputation"),
+        (lambda: build_lot("a", []), ("evidence", "group"), "Z/2",
+         "root: group: recorded value disagrees with recomputation"),
+        (make_trefoil, ("evidence", "dr2_certificate", "format"), "dr2-certificate/2",
+         "root: evidence does not re-check: ParseError: "
+         "unknown certificate format 'dr2-certificate/2'"),
+        (make_w5, ("conclusion", "locally_indicable"), "unknown",
+         "root: locally indicable: recorded value disagrees with recomputation"),
+    ], ids=["base-lambda1-corners", "amalgam-axiom", "single-vertex-group",
+            "embedded-format", "certified-written-unknown"])
+    def test_verifier_rebuilds_each_field_from_the_recorded_choice(self, make, path, value,
+                                                                   problem):
+        data = decide_locally_indicable(make()).to_jsonable()
+        *head, last = path
+        node = data
+        for key in head:
+            node = node[key]
+        node[last] = value
+        assert verify_li_tree(LiCertificateTree.from_jsonable(data)) == (False, [problem])
 
     def test_unknown_never_claims(self):
         # an injective LOT that is reduced but has no bi-forest split would be
