@@ -36,6 +36,7 @@ from .curvature import (
 )
 from .errors import (
     _WRONG_SHAPE,
+    CertificateRefused,
     DrtoolError,
     InvariantViolation,
     MultiVertexError,
@@ -404,13 +405,16 @@ def dr2_routes(X: TwoComplex, weights=None, angles=None):
 
 
 def verify_dr2_certificate(cert: Dr2Certificate):
-    """Re-derive the certificate's hypothesis conditions; returns (ok, problems).
-
-    A hypothesis that is missing, of the wrong type or that the
-    re-derivation refuses is a problem."""
+    """Compare the hypotheses and conclusion with those ``rerun_dr2`` writes;
+    returns (ok, problems).  A hypothesis that is missing, of the wrong type
+    or that the re-run refuses is a problem."""
     problems = []
     try:
-        _check_dr2_hypotheses(cert, problems)
+        fresh = rerun_dr2(cert.complex, cert.method, cert.hypotheses)
+        problems += field_disagreements(cert.hypotheses, fresh.hypotheses)
+        problems += field_disagreements(cert.conclusion, fresh.conclusion)
+    except CertificateRefused as exc:
+        problems.append(str(exc))
     except InvariantViolation:
         raise
     except (DrtoolError, *_WRONG_SHAPE) as exc:
@@ -431,22 +435,19 @@ def field_disagreements(recorded, fresh):
     return problems
 
 
-def _check_dr2_hypotheses(cert: Dr2Certificate, problems):
-    """The certificate holds when its method, run again on the recorded
-    complex and choice (the weights of WEIGHTED, the angles of ZERO_ONE, none
-    for C4T4), writes the same hypotheses and conclusion."""
-    X, hypotheses = cert.complex, cert.hypotheses
-    if cert.method == METHOD_WEIGHTED:
+def rerun_dr2(X: TwoComplex, method, hypotheses):
+    """The certificate that DR(2) ``method`` writes when run again on X and
+    the choice ``hypotheses`` records: the weights of WEIGHTED, the angles of
+    ZERO_ONE, none for C4T4.  An unknown method, or a choice the method
+    refuses, raises CertificateRefused."""
+    if method == METHOD_WEIGHTED:
         outcome = check_dr2_weighted(X, AngleAssignment.from_jsonable(hypotheses["weights"]))
-    elif cert.method == METHOD_ZERO_ONE:
+    elif method == METHOD_ZERO_ONE:
         outcome = check_dr2_zero_one(X, ZeroOneAssignment.from_jsonable(hypotheses["angles"]))
-    elif cert.method == METHOD_C4T4:
+    elif method == METHOD_C4T4:
         outcome = check_dr2_c4t4(X)
     else:
-        problems.append(f"unknown certificate method {cert.method!r}")
-        return
+        raise CertificateRefused(f"unknown certificate method {method!r}")
     if not outcome.ok:
-        problems.append(f"{cert.method} hypotheses do not re-check: {outcome.witness}")
-        return
-    problems += field_disagreements(hypotheses, outcome.certificate.hypotheses)
-    problems += field_disagreements(cert.conclusion, outcome.certificate.conclusion)
+        raise CertificateRefused(f"{method} hypotheses do not re-check: {outcome.witness}")
+    return outcome.certificate

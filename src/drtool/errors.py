@@ -24,6 +24,10 @@ class ParseError(DrtoolError):
         super().__init__(message + where)
 
 
+class CertificateRefused(DrtoolError):
+    """A DR(2) certificate's method is unknown, or refuses its recorded choice."""
+
+
 class MissingWeight(DrtoolError):
     """An angle assignment does not cover every corner it must."""
 

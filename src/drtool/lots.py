@@ -18,15 +18,13 @@ from typing import NamedTuple
 
 from . import caps
 from .certificates import (
-    DR2_FORMAT,
     METHOD_ZERO_ONE,
-    Dr2Certificate,
     dr2_routes,
     field_disagreements,
     require_format,
-    verify_dr2_certificate,
+    rerun_dr2,
 )
-from .complexes import Letter, TwoComplex, build_complex, check_name, complex_to_jsonable
+from .complexes import Letter, TwoComplex, build_complex, check_name
 from .curvature import ZeroOneAssignment
 from .errors import (
     _WRONG_SHAPE,
@@ -127,8 +125,16 @@ def lot_to_jsonable(lot: Lot):
     }
 
 
+def _json_list(value, what):
+    """``value``, which must be a JSON list: any other iterable is refused."""
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be a list, not {type(value).__name__}")
+    return value
+
+
 def lot_from_jsonable(data) -> Lot:
-    return build_lot(data["vertices"], [tuple(e) for e in data["edges"]])
+    return build_lot(_json_list(data["vertices"], "vertices"),
+                     [_json_list(e, "an edge") for e in _json_list(data["edges"], "edges")])
 
 
 def canonical_lot_key(lot: Lot):
@@ -749,7 +755,7 @@ class LiCertificateTree:
             kind=data["kind"],
             lot=lot_from_jsonable(data["lot"]),
             evidence=data["evidence"],
-            children=tuple(cls.from_jsonable(c) for c in data["children"]),
+            children=tuple(cls.from_jsonable(c) for c in _json_list(data["children"], "children")),
             conclusion=data["conclusion"],
         )
 
@@ -917,28 +923,12 @@ def _verify_node(tree: LiCertificateTree, problems, path):
         _verify_node(child, problems, path + [f"{str(tree.kind).lower()}[{i}]"])
 
 
-def _embedded_certificate(evidence, K, problem):
-    """The node's embedded DR(2) certificate, verified on ``K``, the complex it
-    must be about; its complex is built only when its JSON is not ``K``'s."""
-    data = evidence["dr2_certificate"]
-    require_format(data, DR2_FORMAT)
-    if (data["complex"] != complex_to_jsonable(K)
-            and Dr2Certificate.from_jsonable(data).complex != K):
-        problem("embedded DR(2) certificate is about a different complex")
-        return data
-    ok, cert_problems = verify_dr2_certificate(
-        Dr2Certificate(data["method"], K, data["hypotheses"], data["conclusion"]))
-    if not ok:
-        problem(f"embedded DR(2) certificate fails: {cert_problems}")
-    return data
-
-
 def _rebuild(tree: LiCertificateTree, problem):
     """The node ``_decide`` writes for the kind and recorded choice of ``tree``
     over its recorded children, and the LOTs those children must have; None
     when the choice builds no node.  Only the maximal sub-LOT trigger and the
-    bi-forest replay of the recorded signs search again; an embedded DR(2)
-    certificate is verified, then taken as recorded."""
+    bi-forest replay of the recorded signs search again; ``rerun_dr2`` rebuilds
+    an embedded DR(2) certificate on the complex it must be about."""
     lot, evidence = tree.lot, tree.evidence
     if not lot.is_tree:
         problem("node LOT is not a tree")
@@ -962,7 +952,9 @@ def _rebuild(tree: LiCertificateTree, problem):
         if structure is None:
             problem("recorded orientation does not give two forests")
             return None
-        rebuilt = _base_evidence(structure, _embedded_certificate(evidence, lot.complex, problem))
+        recorded = evidence["dr2_certificate"]
+        fresh = rerun_dr2(lot.complex, recorded["method"], recorded["hypotheses"])
+        rebuilt = _base_evidence(structure, fresh.to_jsonable())
         return _node(tree.kind, lot, rebuilt, tree.children), ()
     if tree.kind == KIND_AMALGAM:
         sub = lot_from_jsonable(evidence["part1"])
@@ -978,7 +970,9 @@ def _rebuild(tree: LiCertificateTree, problem):
         rebuilt, qlot = _collapse_evidence(lot, sub)
         if reason is not None:
             return _unknown(lot, reason, rebuilt, tree.children), (reduce_lot(sub),)
-        rebuilt["dr2_certificate"] = _embedded_certificate(evidence, qlot.complex, problem)
+        recorded = evidence["dr2_certificate"]
+        fresh = rerun_dr2(qlot.complex, recorded["method"], recorded["hypotheses"])
+        rebuilt["dr2_certificate"] = fresh.to_jsonable()
         return _node(tree.kind, lot, rebuilt, tree.children), (reduce_lot(sub),)
     problem(f"unknown node kind {tree.kind!r}" if reason is None
             else f"unknown UNKNOWN reason {reason!r}")

@@ -14,10 +14,10 @@ coloring test and the zero/one criterion are re-done over link nodes, one
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from fractions import Fraction
 
+from bench.generate import tree_shapes  # bench/generate.py imports only the standard library
 from drtool import Lot, TwoComplex, build_complex, build_lot
 from drtool.complexes import Letter, word_inverse
 from drtool.diagrams import _assemble, _side_position
@@ -684,70 +684,6 @@ def oracle_pruned_components(vertices, edges):
 
 # ---------------------------------------------------------------------------
 # exhaustive small LOT enumeration
-
-
-def _labeled_trees(n):
-    """Every labeled tree on range(n), in the order of its Pruefer sequence,
-    decoded with the smallest leaf first."""
-    if n == 1:
-        return [[]]
-    if n == 2:
-        return [[(0, 1)]]
-    trees = []
-    for seq in itertools.product(range(n), repeat=n - 2):
-        degree = [1] * n
-        for v in seq:
-            degree[v] += 1
-        heap = [v for v in range(n) if degree[v] == 1]
-        heapq.heapify(heap)
-        edges = []
-        for v in seq:
-            edges.append((heapq.heappop(heap), v))
-            degree[v] -= 1
-            if degree[v] == 1:
-                heapq.heappush(heap, v)
-        edges.append((heapq.heappop(heap), heapq.heappop(heap)))
-        trees.append(edges)
-    return trees
-
-
-def _free_tree_code(n, edges):
-    """A complete isomorphism invariant of a free tree on range(n): the
-    least AHU code of the tree rooted at one of its centres."""
-    adjacent = [[] for _ in range(n)]
-    for a, b in edges:
-        adjacent[a].append(b)
-        adjacent[b].append(a)
-    degree = [len(adjacent[v]) for v in range(n)]
-    layer = [v for v in range(n) if degree[v] <= 1]
-    left = n
-    while left > 2:  # peel the leaves until the one or two centres remain
-        left -= len(layer)
-        following = []
-        for v in layer:
-            for u in adjacent[v]:
-                degree[u] -= 1
-                if degree[u] == 1:
-                    following.append(u)
-        layer = following
-
-    def code(v, parent):
-        return "(" + "".join(sorted(code(u, v) for u in adjacent[v] if u != parent)) + ")"
-
-    return min(code(c, None) for c in layer)
-
-
-def tree_shapes(n):
-    """Free trees on n vertices, one labeled representative per isomorphism
-    class: the first of its class in ``_labeled_trees`` order."""
-    seen = set()
-    shapes = []
-    for edges in _labeled_trees(n):
-        key = _free_tree_code(n, edges)
-        if key not in seen:
-            seen.add(key)
-            shapes.append(edges)
-    return shapes
 
 
 def random_reduced_injective_lot(rng, n):

@@ -43,10 +43,9 @@ SAME_MEANING = [
      "are equal; only the recorded angles and weights are read, and they refuse a boolean",
      lambda path, old, new: (type(new) is not type(old) and new == old
                              and not {"angles", "weights"} & set(path))),
-    ("an empty string or object for an empty list of children or edges, read as no items",
-     lambda path, old, new: path[-1] in ("children", "edges") and old == [] and new in ("", {})),
-    ("a null vertex list for a complex, which build_complex takes from the edges",
-     lambda path, old, new: path[-2:] == ("complex", "vertices") and new is None),
+    ("a null vertex list for a top-level certificate's complex, which build_complex takes "
+     "from the edges; an embedded certificate's complex is compared, not built",
+     lambda path, old, new: path == ("complex", "vertices") and new is None),
 ]
 
 

@@ -344,17 +344,25 @@ class TestC4T4Certificate:
 
 
 class TestVerification:
-    @pytest.mark.parametrize("make_certificate, key, edit, problem", [
-        (lambda: check_dr2_zero_one(make_torus(), torus_good_zero_one()), "edge_components",
-         lambda rows: rows[0].update(plus_component=rows[0]["minus_component"]),
+    @pytest.mark.parametrize("make_certificate, edit, problem", [
+        (lambda: check_dr2_zero_one(make_torus(), torus_good_zero_one()),
+         lambda data: data["hypotheses"]["edge_components"][0].update(plus_component=0),
          "edge components: recorded value disagrees with recomputation"),
-        (lambda: check_dr2_c4t4(make_torus()), "decompositions",
-         lambda table: table.update(r1=["a b", "a- b-"]),
+        (lambda: check_dr2_c4t4(make_torus()),
+         lambda data: data["hypotheses"]["decompositions"].update(r1=["a b", "a- b-"]),
          "decompositions: recorded value disagrees with recomputation"),
-    ], ids=["zero-one-edge-components", "c4t4-decompositions"])
-    def test_every_hypothesis_is_rebuilt(self, make_certificate, key, edit, problem):
+        (lambda: check_dr2_c4t4(make_torus()), lambda data: data.update(method="X"),
+         "unknown certificate method 'X'"),
+        (lambda: check_dr2_zero_one(make_torus(), torus_good_zero_one()),
+         lambda data: [row.update(weight="0") for row in data["hypotheses"]["angles"]],
+         "ZERO_ONE hypotheses do not re-check: {'reason': 'coloring_test', 'witness': "
+         "{'condition': 2, 'vertex': '*', 'cycle_nodes': ['b-', 'a+', 'b+', 'a-'], "
+         "'cycle_corners': [['r1', 0], ['r1', 1], ['r1', 2], ['r1', 3]]}}"),
+    ], ids=["zero-one-edge-components", "c4t4-decompositions", "unknown-method",
+            "zero-one-angles-fail-coloring"])
+    def test_every_hypothesis_is_rebuilt(self, make_certificate, edit, problem):
         data = make_certificate().certificate.to_jsonable()
-        edit(data["hypotheses"][key])
+        edit(data)
         assert verify_dr2_certificate(Dr2Certificate.from_jsonable(data)) == (False, [problem])
 
     def test_tampered_certificate_detected(self):

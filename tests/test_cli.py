@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import drtool
-from drtool import check_dr2_c4t4, decide_locally_indicable, parse_presentation
+from drtool import build_lot, check_dr2_c4t4, decide_locally_indicable, parse_presentation
 from drtool.cli import main
 from drtool.reports import AnalyzeOptions, analyze, canonical_json
 
@@ -332,16 +332,37 @@ def li_certificate_with_a_vertex_name(name, in_sub_lot=False):
     return make_data
 
 
+def li_certificate_with(make, path, change):
+    """The LI certificate of ``make()``, with the field at ``path`` set to
+    ``change`` of its value."""
+    def make_data():
+        data = decide_locally_indicable(make()).to_jsonable()
+        *head, last = path
+        node = data
+        for key in head:
+            node = node[key]
+        node[last] = change(node[last])
+        return data
+    return make_data
+
+
 # each case builds its JSON when it runs, under the built-in search caps
 @pytest.mark.parametrize("command, make_data", [
     (["verify-cert"], lambda: [1, 2]),
     (["verify-cert"], lambda: {"format": "li-certificate/1"}),
     (["verify-cert"], li_certificate_without_lot),
     (["verify-cert"], li_certificate_with_a_vertex_name("a\x85")),
+    # a JSON list is read only from a list, never from a string or an object
+    (["verify-cert"], li_certificate_with(make_trefoil, ["children"], lambda old: "")),
+    (["verify-cert"], li_certificate_with(make_trefoil, ["children"], lambda old: {})),
+    (["verify-cert"], li_certificate_with(lambda: build_lot("a", []), ["lot", "edges"],
+                                          lambda old: "")),
+    (["verify-cert"], li_certificate_with(make_trefoil, ["lot", "vertices"], "".join)),
     (["verify-cert"], lambda: trefoil_tree_with_a_pair_form_word()["evidence"]["dr2_certificate"]),
     (["diagram", "verify", "--complex", str(CORPUS / "torus.pres")], lambda: {"faces": 1}),
 ], ids=["not-an-object", "li-without-kind", "li-lot-null", "li-lot-name-nel",
-        "zero-one-pair-form-word", "diagram-faces-int"])
+        "li-children-string", "li-children-object", "li-lot-edges-string",
+        "li-lot-vertices-string", "zero-one-pair-form-word", "diagram-faces-int"])
 def test_json_of_the_wrong_shape_is_an_input_error(tmp_path, command, make_data):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(make_data()), encoding="utf-8")
@@ -456,15 +477,16 @@ def zero_one_certificate_with_first_angle(key, value):
     (li_certificate_with_a_vertex_name("", in_sub_lot=True),
      "root: evidence does not re-check: ComplexError: "
      "vertex name '' must be nonempty, without whitespace or '#', and not end in '-'"),
+    (li_certificate_with(make_w5, ["evidence", "sub_lot", "vertices"], "".join),
+     "root: evidence does not re-check: TypeError: vertices must be a list, not str"),
     (c4t4_certificate_without_hypotheses,
      "hypotheses do not re-check: KeyError: 'piece_counts'"),
     (zero_one_certificate_with_a_zero_denominator_angle,
      "hypotheses do not re-check: ComplexError: weight '1/0' has a zero denominator"),
     (trefoil_tree_with_a_pair_form_word,
-     "root: evidence does not re-check: ComplexError: cannot interpret ['a', 1] as a letter"),
+     "root: dr2 certificate: recorded value disagrees with recomputation"),
     (trefoil_tree_with_a_zero_denominator_angle,
-     "root: embedded DR(2) certificate fails: "
-     "[\"hypotheses do not re-check: ComplexError: weight '1/0' has a zero denominator\"]"),
+     "root: evidence does not re-check: ComplexError: weight '1/0' has a zero denominator"),
     (zero_one_certificate_with_first_angle("weight", 1.0),
      "hypotheses do not re-check: ComplexError: cannot interpret weight 1.0 as an exact rational"),
     (zero_one_certificate_with_first_angle("position", 0.7),
@@ -481,7 +503,7 @@ def zero_one_certificate_with_first_angle(key, value):
 ], ids=["quotient-step-evidence-empty", "base-epsilon-short", "base-epsilon-not-a-sign",
         "base-epsilon-extra-generator", "quotient-step-lot-not-injective",
         "quotient-step-lot-not-a-tree",
-        "quotient-step-sub-lot-name-empty",
+        "quotient-step-sub-lot-name-empty", "quotient-step-sub-lot-vertices-string",
         "c4t4-hypotheses-empty", "zero-one-angle-1-over-0", "li-tree-pair-form-word",
         "li-tree-angle-1-over-0",
         "zero-one-float-angle", "zero-one-float-position", "zero-one-bool-angle",

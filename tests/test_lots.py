@@ -839,24 +839,29 @@ class TestDecide:
         ok, problems = verify_li_tree(LiCertificateTree.from_jsonable(data))
         assert not ok
 
+    @pytest.mark.parametrize("edit", [
+        lambda K: K["vertices"].append("v9"),
+        lambda K: K.update(vertices=None),
+        lambda K: K.update(cells=[[cell, " ".join(word)] for cell, word in K["cells"]]),
+    ], ids=["another-complex", "null-vertices", "words-as-strings"])
     @pytest.mark.parametrize("make", [make_trefoil, make_w5, make_chain6])
-    def test_verifier_rebuilds_only_certificates_about_another_complex(self, monkeypatch, make):
-        # an embedded certificate whose JSON complex is the node's own is
-        # verified on that complex; any other is built from its JSON
+    def test_an_embedded_certificate_is_compared_with_its_rebuild(self, monkeypatch, make,
+                                                                 edit):
+        # the certificate is rebuilt on the node's own complex and compared as
+        # JSON, so no complex is built from it, and a complex written in any
+        # other way, about that complex or another, disagrees
         data = decide_locally_indicable(make()).to_jsonable()
         built = []
         original = complexes.build_complex
         monkeypatch.setattr(complexes, "build_complex",
                             lambda *args, **kw: built.append(args) or original(*args, **kw))
-        ok, problems = verify_li_tree(LiCertificateTree.from_jsonable(data))
-        assert ok, problems
+        assert verify_li_tree(LiCertificateTree.from_jsonable(data)) == (True, [])
+        where, node = ("root", data) if "dr2_certificate" in data["evidence"] else (
+            f"{data['kind'].lower()}[0]", data["children"][0])
+        edit(node["evidence"]["dr2_certificate"]["complex"])
+        assert verify_li_tree(LiCertificateTree.from_jsonable(data)) == (
+            False, [f"{where}: dr2 certificate: recorded value disagrees with recomputation"])
         assert built == []
-        node = data if "dr2_certificate" in data["evidence"] else data["children"][0]
-        node["evidence"]["dr2_certificate"]["complex"]["vertices"].append("v9")
-        ok, problems = verify_li_tree(LiCertificateTree.from_jsonable(data))
-        assert len(built) == 1
-        assert any(p.endswith("about a different complex") or p.endswith("quotient complex")
-                   for p in problems)
 
     def test_a_name_ending_in_minus_is_refused(self):
         # vertex a- would be the complex's edge a-, whose letter a- reads
@@ -903,8 +908,7 @@ class TestDecide:
         (lambda: build_lot("a", []), ("evidence", "group"), "Z/2",
          "root: group: recorded value disagrees with recomputation"),
         (make_trefoil, ("evidence", "dr2_certificate", "format"), "dr2-certificate/2",
-         "root: evidence does not re-check: ParseError: "
-         "unknown certificate format 'dr2-certificate/2'"),
+         "root: dr2 certificate: recorded value disagrees with recomputation"),
         (make_w5, ("conclusion", "locally_indicable"), "unknown",
          "root: locally indicable: recorded value disagrees with recomputation"),
     ], ids=["base-lambda1-corners", "amalgam-axiom", "single-vertex-group",
