@@ -336,9 +336,22 @@ def complex_to_jsonable(X: TwoComplex):
     }
 
 
+def _json_list(value, what, length=None):
+    """``value``, which must be a JSON list, of ``length`` items when one is
+    given: any other iterable is refused."""
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be a list, not {type(value).__name__}")
+    if length is not None and len(value) != length:
+        raise ValueError(f"{what} must have {length} items, not {len(value)}")
+    return value
+
+
 def complex_from_jsonable(data) -> TwoComplex:
+    """The complex ``complex_to_jsonable`` writes. A ``null`` vertex list
+    reads as the edges' ends, and a word may be written as a string."""
+    vertices = data["vertices"]
     return build_complex(
-        edges=[tuple(e) for e in data["edges"]],
-        cells=[(c[0], c[1]) for c in data["cells"]],
-        vertices=data["vertices"],
+        edges=[_json_list(e, "an edge", 3) for e in _json_list(data["edges"], "edges")],
+        cells=[_json_list(c, "a cell", 2) for c in _json_list(data["cells"], "cells")],
+        vertices=None if vertices is None else _json_list(vertices, "vertices"),
     )

@@ -440,10 +440,12 @@ def _glue_faces(chosen, require_reduced, prune_isomorphs):
     if target_V < 1:
         return
     # Round a sphere vertex, slot s is followed by the partner of after[s],
-    # the side that follows corner s. Part way, each open orbit is a path
-    # that ends at the one slot whose next side is unglued, so the vertices
-    # number the closed orbits plus the unglued sides. A sphere has target_V
-    # vertices, and each pair still to glue closes at most two orbits.
+    # the side that follows corner s. Part way, each open orbit is a path of
+    # slots (see _join_paths); at the root the path from side s ends at
+    # after[s]. A vertex still to close is a cycle of open paths, and a
+    # cycle of one path glues the path's end to its start, so if `alone` of
+    # the open paths may glue so, at most alone + (open paths - alone) // 2
+    # vertices are still to close.
     after = [s + 1 if s + 1 < first[i + 1] else first[i]
              for s, (i, _, _, _) in enumerate(sides)]
     # the later sides each side may glue to: the inverse letter and, when
@@ -462,6 +464,15 @@ def _glue_faces(chosen, require_reduced, prune_isomorphs):
             t = chosen[other_face]
             candidates.append((other, other_face, (t.cell, t.orientation, other_position)))
         later.append(candidates)
+    mates = [set() for _ in range(total)]  # the sides each side may glue to
+    for s, candidates in enumerate(later):
+        for other, _, _ in candidates:
+            mates[s].add(other)
+            mates[other].add(s)
+    pend = after[:]
+    pstart = [0] * total
+    for s, e in enumerate(after):
+        pstart[e] = s
     partner = [None] * total
     glued = [0] * len(chosen)  # glued sides of each face
 
@@ -477,7 +488,7 @@ def _glue_faces(chosen, require_reduced, prune_isomorphs):
                     stack.append(other_face)
         return len(reached) == len(chosen)
 
-    def glue(free, pairs_left, closed):
+    def glue(free, pairs_left, closed, alone):
         if not pairs_left:
             if connected():
                 yield _assemble(chosen, partner, sides)
@@ -485,7 +496,7 @@ def _glue_faces(chosen, require_reduced, prune_isomorphs):
         while partner[free] is not None:
             free += 1
         face = sides[free][0]
-        least_closed = target_V - 2 * (pairs_left - 1)
+        open_paths = 2 * (pairs_left - 1)  # once this pair is glued
         seen_types = set()
         for other, other_face, key in later[free]:
             if partner[other] is not None:
@@ -494,33 +505,47 @@ def _glue_faces(chosen, require_reduced, prune_isomorphs):
                 if key in seen_types:
                     continue
                 seen_types.add(key)
-            partner[free], partner[other] = other, free
-            # the new pair closes at most the orbits through slots other and
-            # free, which may be one orbit
-            now = closed
-            met_free = False
-            s = partner[after[other]]
-            while s is not None and s != other:
-                if s == free:
-                    met_free = True
-                s = partner[after[s]]
-            if s is not None:
-                now += 1
-            if not met_free:
-                s = partner[after[free]]
-                while s is not None and s != free:
-                    s = partner[after[s]]
-                if s is not None:
-                    now += 1
-            if least_closed <= now <= target_V:
+            start_free, start_other = pstart[free], pstart[other]
+            end_free, end_other = pend[free], pend[other]
+            closes, change = _join_paths(pend, pstart, mates, free, other)
+            now, left = closed + closes, alone + change
+            if now <= target_V <= now + (open_paths + left) // 2:
+                partner[free], partner[other] = other, free
                 glued[face] += 1
                 glued[other_face] += 1
-                yield from glue(free + 1, pairs_left - 1, now)
+                yield from glue(free + 1, pairs_left - 1, now, left)
                 glued[face] -= 1
                 glued[other_face] -= 1
-            partner[free] = partner[other] = None
+                partner[free] = partner[other] = None
+            pend[start_free], pend[start_other] = free, other  # as before the pair
+            pstart[end_free], pstart[end_other] = free, other
 
-    yield from glue(0, total // 2, 0)
+    yield from glue(0, total // 2, 0, sum(after[s] in mates[s] for s in range(total)))
+
+
+def _join_paths(pend, pstart, mates, u, v):
+    """Glue unglued sides u and v in the tables of open vertex orbits.
+
+    Part way through a gluing, each open orbit is a path of slots from the
+    slot of an unglued side, its start, to a slot whose next side is
+    unglued, its end: ``pend[s]`` is the end of the path that starts at s,
+    and ``pstart[e]`` the start of the path that ends at e. The pair joins
+    the path that ends at u to the path that starts at v, then the path
+    that ends at v to the path that starts at u; a path joined to itself
+    closes a vertex. Updates the tables and returns the number of vertices
+    closed (0, 1 or 2) and the change in the number of open paths whose
+    end may glue to their start, ``mates[s]`` being the sides s may glue to.
+    """
+    closes = change = 0
+    for end, start in ((u, v), (v, u)):
+        head, tail = pstart[end], pend[start]
+        if head == start:
+            closes += 1
+            change -= end in mates[start]
+        else:
+            change += (tail in mates[head]) - (end in mates[head]) - (tail in mates[start])
+            pend[head], pstart[tail] = tail, head
+    return closes, change
 
 
 def _assemble(chosen, partner, sides):

@@ -24,7 +24,7 @@ from .certificates import (
     require_format,
     rerun_dr2,
 )
-from .complexes import Letter, TwoComplex, build_complex, check_name
+from .complexes import Letter, TwoComplex, _json_list, build_complex, check_name
 from .curvature import ZeroOneAssignment
 from .errors import (
     _WRONG_SHAPE,
@@ -125,16 +125,9 @@ def lot_to_jsonable(lot: Lot):
     }
 
 
-def _json_list(value, what):
-    """``value``, which must be a JSON list: any other iterable is refused."""
-    if not isinstance(value, list):
-        raise TypeError(f"{what} must be a list, not {type(value).__name__}")
-    return value
-
-
 def lot_from_jsonable(data) -> Lot:
     return build_lot(_json_list(data["vertices"], "vertices"),
-                     [_json_list(e, "an edge") for e in _json_list(data["edges"], "edges")])
+                     [_json_list(e, "an edge", 4) for e in _json_list(data["edges"], "edges")])
 
 
 def canonical_lot_key(lot: Lot):

@@ -346,6 +346,22 @@ def li_certificate_with(make, path, change):
     return make_data
 
 
+def c4t4_certificate_with(key, change):
+    """The torus C4T4 certificate, with ``key`` of its complex set to
+    ``change`` of its value."""
+    def make_data():
+        data = check_dr2_c4t4(parse_presentation(fixture_text("torus.pres"))).certificate
+        data = data.to_jsonable()
+        data["complex"][key] = change(data["complex"][key])
+        return data
+    return make_data
+
+
+def with_first_item_longer(items):
+    """``items`` with one more item on its first item."""
+    return [items[0] + ["x"], *items[1:]]
+
+
 # each case builds its JSON when it runs, under the built-in search caps
 @pytest.mark.parametrize("command, make_data", [
     (["verify-cert"], lambda: [1, 2]),
@@ -360,9 +376,18 @@ def li_certificate_with(make, path, change):
     (["verify-cert"], li_certificate_with(make_trefoil, ["lot", "vertices"], "".join)),
     (["verify-cert"], lambda: trefoil_tree_with_a_pair_form_word()["evidence"]["dr2_certificate"]),
     (["diagram", "verify", "--complex", str(CORPUS / "torus.pres")], lambda: {"faces": 1}),
+    # a complex's vertices, edges and cells are lists, an edge of 3 items and
+    # a cell of 2, and a LOT edge has 4 items
+    (["verify-cert"], c4t4_certificate_with("vertices", lambda old: "*")),
+    (["verify-cert"], c4t4_certificate_with("edges", lambda old: ["a**", "b**"])),
+    (["verify-cert"], c4t4_certificate_with("edges", with_first_item_longer)),
+    (["verify-cert"], c4t4_certificate_with("cells", with_first_item_longer)),
+    (["verify-cert"], li_certificate_with(make_w5, ["lot", "edges"], with_first_item_longer)),
 ], ids=["not-an-object", "li-without-kind", "li-lot-null", "li-lot-name-nel",
         "li-children-string", "li-children-object", "li-lot-edges-string",
-        "li-lot-vertices-string", "zero-one-pair-form-word", "diagram-faces-int"])
+        "li-lot-vertices-string", "zero-one-pair-form-word", "diagram-faces-int",
+        "c4t4-vertices-string", "c4t4-edges-strings", "c4t4-edge-of-four", "c4t4-cell-of-three",
+        "li-lot-edge-of-five"])
 def test_json_of_the_wrong_shape_is_an_input_error(tmp_path, command, make_data):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(make_data()), encoding="utf-8")
@@ -479,6 +504,8 @@ def zero_one_certificate_with_first_angle(key, value):
      "vertex name '' must be nonempty, without whitespace or '#', and not end in '-'"),
     (li_certificate_with(make_w5, ["evidence", "sub_lot", "vertices"], "".join),
      "root: evidence does not re-check: TypeError: vertices must be a list, not str"),
+    (li_certificate_with(make_w5, ["evidence", "sub_lot", "edges"], with_first_item_longer),
+     "root: evidence does not re-check: ValueError: an edge must have 4 items, not 5"),
     (c4t4_certificate_without_hypotheses,
      "hypotheses do not re-check: KeyError: 'piece_counts'"),
     (zero_one_certificate_with_a_zero_denominator_angle,
@@ -504,6 +531,7 @@ def zero_one_certificate_with_first_angle(key, value):
         "base-epsilon-extra-generator", "quotient-step-lot-not-injective",
         "quotient-step-lot-not-a-tree",
         "quotient-step-sub-lot-name-empty", "quotient-step-sub-lot-vertices-string",
+        "quotient-step-sub-lot-edge-of-five",
         "c4t4-hypotheses-empty", "zero-one-angle-1-over-0", "li-tree-pair-form-word",
         "li-tree-angle-1-over-0",
         "zero-one-float-angle", "zero-one-float-position", "zero-one-bool-angle",

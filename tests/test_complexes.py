@@ -82,6 +82,13 @@ class TestBuildComplex:
         X = make_torus()
         assert complex_from_jsonable(complex_to_jsonable(X)) == X
 
+    def test_a_null_vertex_list_and_words_as_strings_read_back(self):
+        X = make_torus()
+        data = complex_to_jsonable(X)
+        data["vertices"] = None
+        data["cells"] = [[cell, " ".join(word)] for cell, word in data["cells"]]
+        assert complex_from_jsonable(data) == X
+
     @settings(max_examples=300)
     @given(st.data())
     def test_jsonable_round_trip_of_every_accepted_complex(self, data):
