@@ -38,7 +38,6 @@ from .errors import (
     _WRONG_SHAPE,
     CertificateRefused,
     DrtoolError,
-    InvariantViolation,
     MultiVertexError,
     NonReducedRelator,
     ParseError,
@@ -415,8 +414,6 @@ def verify_dr2_certificate(cert: Dr2Certificate):
         problems += field_disagreements(cert.conclusion, fresh.conclusion)
     except CertificateRefused as exc:
         problems.append(str(exc))
-    except InvariantViolation:
-        raise
     except (DrtoolError, *_WRONG_SHAPE) as exc:
         problems.append(f"hypotheses do not re-check: {type(exc).__name__}: {exc}")
     return (not problems), problems

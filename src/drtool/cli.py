@@ -11,7 +11,13 @@ import json
 import sys
 from pathlib import Path
 
-from .certificates import Dr2Certificate, check_c4t4, dr2_routes, verify_dr2_certificate
+from .certificates import (
+    DR2_FORMAT,
+    Dr2Certificate,
+    check_c4t4,
+    dr2_routes,
+    verify_dr2_certificate,
+)
 from .curvature import (
     AngleAssignment,
     ZeroOneAssignment,
@@ -22,6 +28,7 @@ from .curvature import (
 from .diagrams import check_diagram, diagram_map_from_jsonable, sphere_from_jsonable
 from .errors import _WRONG_SHAPE, DrtoolError, InvalidSearchCap, InvariantViolation, ParseError
 from .lots import (
+    LI_FORMAT,
     LiCertificateTree,
     boundary_reducible_sub_lots,
     check_properties,
@@ -252,7 +259,7 @@ def _cmd_corpus(args):
     def run(path):
         try:
             return path.name, analyze(path, options)
-        except (InvalidSearchCap, InvariantViolation):
+        except InvalidSearchCap:
             raise
         except DrtoolError as exc:
             return path.name, {"error": f"{type(exc).__name__}: {exc}"}
@@ -283,10 +290,10 @@ def _cmd_verify_cert(args):
     if not isinstance(data, dict):
         raise ParseError(f"a certificate is a JSON object, not {type(data).__name__}")
     fmt = str(data.get("format", ""))
-    if fmt.startswith("dr2-certificate"):
+    if fmt == DR2_FORMAT:
         cert = _decode("DR(2) certificate", Dr2Certificate.from_jsonable, data)
         ok, problems = verify_dr2_certificate(cert)
-    elif fmt.startswith("li-certificate"):
+    elif fmt == LI_FORMAT:
         tree = _decode("LI certificate", LiCertificateTree.from_jsonable, data)
         ok, problems = verify_li_tree(tree)
     else:

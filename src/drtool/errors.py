@@ -5,7 +5,8 @@ _WRONG_SHAPE = (AttributeError, IndexError, KeyError, TypeError, ValueError)
 
 
 class DrtoolError(Exception):
-    """Base class for conditions this package raises deliberately."""
+    """Base class for faults in the input that this package refuses; an
+    InvariantViolation, a fault in drtool itself, is not one."""
 
 
 class ComplexError(DrtoolError):
@@ -76,5 +77,6 @@ class IllFormedMap(DrtoolError):
     """A diagram map does not commute with boundary words or vertex images."""
 
 
-class InvariantViolation(DrtoolError):
-    """An internal consistency check failed; reported with exit code 2."""
+class InvariantViolation(Exception):
+    """An internal consistency check failed: a fault in drtool, not in the
+    input, so no ``except DrtoolError`` catches it; reported with exit code 2."""

@@ -29,6 +29,7 @@ from .curvature import ZeroOneAssignment
 from .errors import (
     _WRONG_SHAPE,
     AmbiguousCollapseVertex,
+    CertificateRefused,
     ComplexError,
     DrtoolError,
     GeneratorCountExceedsSearchCap,
@@ -90,24 +91,19 @@ class Lot:
         return lot_complex(self)
 
 
-def build_lot(vertices, edges, names_checked=False) -> Lot:
-    """The Lot on ``vertices`` and the ``(id, source, target, label)`` edges.
-    Each vertex and edge name is checked once: here, or, with
-    ``names_checked``, by the caller, as ``parse_lot`` checks each on its
-    line while it reads, so that a bad name is reported before the faults
-    of later lines."""
+def build_lot(vertices, edges) -> Lot:
+    """The Lot on ``vertices`` and the ``(id, source, target, label)`` edges,
+    each name checked."""
     vertex_set = sorted(str(v) for v in vertices)
-    if not names_checked:
-        for v in vertex_set:
-            check_name("vertex", v)
+    for v in vertex_set:
+        check_name("vertex", v)
     known = set(vertex_set)
     if len(known) != len(vertex_set):
         raise ComplexError("duplicate vertex id")
     edge_list = []
     for item in edges:
         e = LotEdge(str(item[0]), str(item[1]), str(item[2]), str(item[3]))
-        if not names_checked:
-            check_name("edge", e.id)
+        check_name("edge", e.id)
         for v in (e.source, e.target, e.label):
             if v not in known:
                 raise ComplexError(f"unknown vertex {v!r} in edge {e.id!r}")
@@ -893,48 +889,41 @@ def _verify_node(tree: LiCertificateTree, problems, path):
     """Report each field of the node that disagrees with the node ``_rebuild``
     makes from its recorded choice: evidence, children's LOTs, conclusion."""
     where = "/".join(path) or "root"
-
-    def problem(msg):
-        problems.append(f"{where}: {msg}")
-
     try:
-        found = _rebuild(tree, problem)
-        if found is not None:
-            rebuilt, child_lots = found
-            if tuple(child.lot for child in tree.children) != child_lots:
-                problem("child LOTs disagree with recomputation")
-            for recorded, fresh in ((tree.evidence, rebuilt.evidence),
-                                    (tree.conclusion, rebuilt.conclusion)):
-                for message in field_disagreements(recorded, fresh):
-                    problem(message)
-    except InvariantViolation:
-        raise
+        rebuilt, child_lots = _rebuild(tree)
+        if tuple(child.lot for child in tree.children) != child_lots:
+            problems.append(f"{where}: child LOTs disagree with recomputation")
+        for recorded, fresh in ((tree.evidence, rebuilt.evidence),
+                                (tree.conclusion, rebuilt.conclusion)):
+            problems += (f"{where}: {message}"
+                         for message in field_disagreements(recorded, fresh))
+    except CertificateRefused as exc:
+        problems.append(f"{where}: {exc}")
     except (DrtoolError, *_WRONG_SHAPE) as exc:
-        problem(f"evidence does not re-check: {type(exc).__name__}: {exc}")
+        problems.append(f"{where}: evidence does not re-check: {type(exc).__name__}: {exc}")
 
     for i, child in enumerate(tree.children):
         _verify_node(child, problems, path + [f"{str(tree.kind).lower()}[{i}]"])
 
 
-def _rebuild(tree: LiCertificateTree, problem):
+def _rebuild(tree: LiCertificateTree):
     """The node ``_decide`` writes for the kind and recorded choice of ``tree``
-    over its recorded children, and the LOTs those children must have; None
-    when the choice builds no node.  Only the maximal sub-LOT trigger and the
-    bi-forest replay of the recorded signs search again; ``rerun_dr2`` rebuilds
-    an embedded DR(2) certificate on the complex it must be about."""
+    over its recorded children, and the LOTs those children must have; a
+    choice that builds no such node raises CertificateRefused.  Only the
+    maximal sub-LOT trigger and the bi-forest replay of the recorded signs
+    search again; ``rerun_dr2`` rebuilds an embedded DR(2) certificate on the
+    complex it must be about."""
     lot, evidence = tree.lot, tree.evidence
     if not lot.is_tree:
-        problem("node LOT is not a tree")
-        return None
+        raise CertificateRefused("node LOT is not a tree")
     reason = evidence["reason"] if tree.kind == KIND_UNKNOWN else None
     if tree.kind == KIND_SINGLE_VERTEX:
         if len(lot.vertices) != 1:
-            problem("SINGLE_VERTEX node on a LOT that is not a single vertex")
-            return None
+            raise CertificateRefused("SINGLE_VERTEX node on a LOT that is not a single vertex")
         return _node(tree.kind, lot, _single_vertex_evidence(lot), tree.children), ()
     if tree.kind == KIND_HUCK_ROSE_BASE or reason == BI_FOREST_SEARCH_FAILED:
         if maximal_proper_sub_lot(lot) is not None:
-            problem(f"{tree.kind} trigger violated: a proper sub-LOT exists")
+            raise CertificateRefused(f"{tree.kind} trigger violated: a proper sub-LOT exists")
         if reason is not None:
             return _unknown(lot, reason, BASE_TRIGGER, tree.children), ()
         signs = [evidence["epsilon"][g] for g in lot.vertices]
@@ -943,8 +932,7 @@ def _rebuild(tree: LiCertificateTree, problem):
         structure = _bi_forest(lot.complex.links[BASE_VERTEX], lot.vertices,
                                [(1,) if s == "+" else (-1,) for s in signs])
         if structure is None:
-            problem("recorded orientation does not give two forests")
-            return None
+            raise CertificateRefused("recorded orientation does not give two forests")
         recorded = evidence["dr2_certificate"]
         fresh = rerun_dr2(lot.complex, recorded["method"], recorded["hypotheses"])
         rebuilt = _base_evidence(structure, fresh.to_jsonable())
@@ -954,8 +942,7 @@ def _rebuild(tree: LiCertificateTree, problem):
         try:
             rebuilt, part2 = _amalgam_evidence(lot, sub)
         except InvariantViolation as exc:  # of a forged part1, not of this code
-            problem(f"recorded part1 gives no amalgam split: {exc}")
-            return None
+            raise CertificateRefused(f"recorded part1 gives no amalgam split: {exc}") from exc
         return (_node(tree.kind, lot, rebuilt, tree.children),
                 (reduce_lot(sub), reduce_lot(part2)))
     if tree.kind == KIND_QUOTIENT_STEP or reason == NO_QUOTIENT_CERTIFICATE:
@@ -967,9 +954,8 @@ def _rebuild(tree: LiCertificateTree, problem):
         fresh = rerun_dr2(qlot.complex, recorded["method"], recorded["hypotheses"])
         rebuilt["dr2_certificate"] = fresh.to_jsonable()
         return _node(tree.kind, lot, rebuilt, tree.children), (reduce_lot(sub),)
-    problem(f"unknown node kind {tree.kind!r}" if reason is None
-            else f"unknown UNKNOWN reason {reason!r}")
-    return None
+    raise CertificateRefused(f"unknown node kind {tree.kind!r}" if reason is None
+                             else f"unknown UNKNOWN reason {reason!r}")
 
 
 def verify_li_tree(tree: LiCertificateTree):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .complexes import TwoComplex, build_complex, check_name, format_word, parse_letter
 from .errors import ComplexError, ParseError
-from .lots import Lot, build_lot
+from .lots import Lot, LotEdge
 
 
 def read_text(path) -> str:
@@ -122,12 +122,12 @@ def parse_lot(text) -> Lot:
                 if v not in vertices:
                     raise ParseError(f"unknown {role} vertex {v!r}", line=lineno)
             edge_ids.add(name)
-            edges.append((name, source, target, label))
+            edges.append(LotEdge(name, source, target, label))
         else:
             raise ParseError(f"unknown directive {head!r}", line=lineno)
     if not vertices:
         raise ParseError("a LOT needs at least one vertex")
-    lot = build_lot(vertices, edges, names_checked=True)
+    lot = Lot(tuple(sorted(vertices)), tuple(edges))  # each line checked as it was read
     if demand_tree and not lot.is_tree:
         raise ParseError("not a tree: 'lot' header demands a tree, use 'log' otherwise")
     return lot

@@ -27,7 +27,7 @@ from .curvature import (
     weight_test,
 )
 from .diagrams import search_reduced_diagram
-from .errors import DrtoolError, InvalidSearchCap, InvariantViolation
+from .errors import DrtoolError, InvalidSearchCap
 from .lots import (
     Lot,
     bi_forest_orientation,
@@ -83,8 +83,8 @@ def _attempt(diagnostics, label, func, *args, failed=None):
     """``func(*args)``, or ``failed`` once the DrtoolError it raised is recorded."""
     try:
         return func(*args)
-    except (InvalidSearchCap, InvariantViolation):
-        raise  # a run-wide input error or an internal fault, not a failed check
+    except InvalidSearchCap:
+        raise  # a run-wide input error, not a failed check
     except DrtoolError as exc:
         diagnostics.append({"check": label, "error": f"{type(exc).__name__}: {exc}"})
         return failed

@@ -26,12 +26,12 @@ from drtool import (
 from drtool.certificates import Dr2Certificate, verify_dr2_certificate
 from drtool.complexes import build_complex
 from drtool.curvature import AngleAssignment, ZeroOneAssignment
-from drtool.errors import _WRONG_SHAPE, DrtoolError, InvariantViolation
+from drtool.errors import _WRONG_SHAPE, DrtoolError
 from drtool.lots import LiCertificateTree
 
 from conftest import FIXTURES, fixture_text, make_chain6, make_w5
 
-VALUES = (None, True, 0, -1, 0.5, "", "x", "1/0", [], {})
+VALUES = (None, True, 0, -1, 1.0, 0.5, "", "x", "1/0", [], {})
 DELETE = object()
 
 # The edits that verify: each rule names a rewrite that drtool reads as the
@@ -39,8 +39,9 @@ DELETE = object()
 SAME_MEANING = [
     ("the value already there",
      lambda path, old, new: type(new) is type(old) and new == old),
-    ("true for 1 or 0 for false where a field is compared with ==, under which they "
-     "are equal; only the recorded angles and weights are read, and they refuse a boolean",
+    ("true for 1, 0 for false, or 1.0 for 1 where a field is compared with ==, under "
+     "which they are equal; only the recorded angles and weights are read, and they "
+     "refuse a boolean or a float",
      lambda path, old, new: (type(new) is not type(old) and new == old
                              and not {"angles", "weights"} & set(path))),
     ("a null vertex list for a top-level certificate's complex, which build_complex takes "
@@ -78,8 +79,6 @@ def verified(data, read, verify):
     out, is raised."""
     try:
         cert = read(data)
-    except InvariantViolation:
-        raise
     except (DrtoolError, *_WRONG_SHAPE):
         return False  # refused as input: exit 1
     return verify(cert)[0]

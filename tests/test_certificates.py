@@ -8,6 +8,7 @@ from drtool import (
     Dr2Certificate,
     ZeroOneAssignment,
     build_complex,
+    certificates,
     check_c4t4,
     check_dr2_c4t4,
     check_dr2_weighted,
@@ -16,7 +17,12 @@ from drtool import (
     verify_dr2_certificate,
     weight_test,
 )
-from drtool.errors import MultiVertexError, NonReducedRelator, UnsupportedWeights
+from drtool.errors import (
+    InvariantViolation,
+    MultiVertexError,
+    NonReducedRelator,
+    UnsupportedWeights,
+)
 from drtool.lots import bi_forest_orientation, lot_complex
 
 from conftest import make_m2, make_torus, make_trefoil
@@ -364,6 +370,16 @@ class TestVerification:
         data = make_certificate().certificate.to_jsonable()
         edit(data)
         assert verify_dr2_certificate(Dr2Certificate.from_jsonable(data)) == (False, [problem])
+
+    def test_an_invariant_violation_is_not_a_problem(self, monkeypatch):
+        cert = check_dr2_c4t4(make_torus()).certificate
+
+        def boom(X, method, hypotheses):
+            raise InvariantViolation("synthetic")
+
+        monkeypatch.setattr(certificates, "rerun_dr2", boom)
+        with pytest.raises(InvariantViolation, match="synthetic"):
+            verify_dr2_certificate(cert)
 
     def test_tampered_certificate_detected(self):
         X = make_torus()

@@ -7,7 +7,13 @@ from pathlib import Path
 import pytest
 
 import drtool
-from drtool import build_lot, check_dr2_c4t4, decide_locally_indicable, parse_presentation
+from drtool import (
+    build_lot,
+    check_dr2_c4t4,
+    decide_locally_indicable,
+    parse_presentation,
+    verify_li_tree,
+)
 from drtool.cli import main
 from drtool.reports import AnalyzeOptions, analyze, canonical_json
 
@@ -225,6 +231,27 @@ def test_invariant_violation_in_a_check_exits_two(monkeypatch, capsys, argv):
     assert captured.err == "internal invariant violation: synthetic\n"
 
 
+def test_invariant_violation_in_verification_exits_two(monkeypatch, capsys, tmp_path):
+    # a fault in the verifier is not a problem with the certificate
+    import drtool.lots as lots
+    from drtool.errors import InvariantViolation
+
+    tree = decide_locally_indicable(make_w5())
+    cert = tmp_path / "w5.json"
+    cert.write_text(canonical_json(tree.to_jsonable()), encoding="utf-8")
+
+    def boom(X, method, hypotheses):
+        raise InvariantViolation("synthetic")
+
+    monkeypatch.setattr(lots, "rerun_dr2", boom)
+    with pytest.raises(InvariantViolation, match="synthetic"):
+        verify_li_tree(tree)
+    assert main(["verify-cert", str(cert), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal invariant violation: synthetic\n"
+
+
 def test_search_cap_env_override():
     # 4 faces is under the built-in cap of 8, so only the override refuses it.
     args = ("diagram", "search", str(CORPUS / "m2.pres"), "--max-faces", "4")
@@ -392,6 +419,21 @@ def test_json_of_the_wrong_shape_is_an_input_error(tmp_path, command, make_data)
     path = tmp_path / "input.json"
     path.write_text(json.dumps(make_data()), encoding="utf-8")
     assert_one_error_line(run_cli(*command, str(path)))
+
+
+@pytest.mark.parametrize("make_data, fmt", [
+    (lambda: check_dr2_c4t4(parse_presentation(fixture_text("torus.pres"))).certificate,
+     "dr2-certificate/2"),
+    (lambda: decide_locally_indicable(make_w5()), "li-certificate/2"),
+], ids=["dr2", "li"])
+def test_verify_cert_reads_only_the_format_drtool_writes(tmp_path, make_data, fmt):
+    data = make_data().to_jsonable()
+    data["format"] = fmt
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    result = run_cli("verify-cert", str(path))
+    assert_one_error_line(result)
+    assert result.stderr == f"error: unknown certificate format '{fmt}'\n"
 
 
 @pytest.mark.parametrize("command, text, message", [

@@ -894,11 +894,10 @@ class TestDecide:
             evidence=evidence,
             conclusion={"locally_indicable": "certified"},
         )
-        ok, problems = verify_li_tree(forged)
-        trigger = "root: HUCK_ROSE_BASE trigger violated: a proper sub-LOT exists"
-        assert not ok and trigger in problems
-        if structure is not None:
-            assert problems == [trigger]
+        # a refused choice ends its node: the trigger is its only problem,
+        # though chain6's ε gives no two forests either
+        assert verify_li_tree(forged) == (
+            False, ["root: HUCK_ROSE_BASE trigger violated: a proper sub-LOT exists"])
 
     @pytest.mark.parametrize("make, path, value, problem", [
         (make_trefoil, ("evidence", "lambda1_corners"), [["e1", 1]],
@@ -911,8 +910,11 @@ class TestDecide:
          "root: dr2 certificate: recorded value disagrees with recomputation"),
         (make_w5, ("conclusion", "locally_indicable"), "unknown",
          "root: locally indicable: recorded value disagrees with recomputation"),
+        # an embedded certificate is refused in the words verify_dr2_certificate uses
+        (make_w5, ("evidence", "dr2_certificate", "method"), "X",
+         "root: unknown certificate method 'X'"),
     ], ids=["base-lambda1-corners", "amalgam-axiom", "single-vertex-group",
-            "embedded-format", "certified-written-unknown"])
+            "embedded-format", "certified-written-unknown", "embedded-unknown-method"])
     def test_verifier_rebuilds_each_field_from_the_recorded_choice(self, make, path, value,
                                                                    problem):
         data = decide_locally_indicable(make()).to_jsonable()
