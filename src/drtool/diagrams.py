@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -388,16 +387,32 @@ def diagram_gauss_bonnet(S: SphereComplex, f: DiagramMap, X: TwoComplex,
 # bounded exhaustive search
 
 
+def face_bound(max_faces):
+    """The face bound a diagram search runs with: ``max_faces``, or the cap
+    when it is None. A bound that is not a non-negative integer is an input
+    error, not a search that finds nothing, and one above the cap is refused."""
+    cap = caps.search_cap(caps.DIAGRAM_FACE_CAP)
+    if max_faces is None:
+        return cap
+    if isinstance(max_faces, bool) or not isinstance(max_faces, int) or max_faces < 0:
+        raise InvalidSearchCap(f"max_faces must be a non-negative integer, got {max_faces!r}")
+    if max_faces > cap:
+        raise CapExceeded(f"max_faces {max_faces} exceeds the search cap {cap}")
+    return max_faces
+
+
 class _FaceType(NamedTuple):
     cell: str
     orientation: int
     sides: tuple  # letters read along the face with rotation 0
+    rows: tuple  # per side: (letter number, (cell, cell position at rotation 0), isomorph key)
+    net: tuple  # per edge of X: the face's positive letters less its negative ones
 
 
 def enumerate_diagrams(X: TwoComplex, max_faces, require_reduced=False,
                        prune_isomorphs=True):
     """Yield (SphereComplex, DiagramMap) for sphere gluings of at most
-    ``max_faces`` cell copies.
+    ``max_faces`` cell copies (None: the cap; see ``face_bound``).
 
     Faces are copies of cells with an orientation; rotations are absorbed
     into the side pairing, so every spherical diagram appears up to
@@ -407,15 +422,25 @@ def enumerate_diagrams(X: TwoComplex, max_faces, require_reduced=False,
     ``prune_isomorphs`` mirror images and copies of interchangeable faces
     are skipped.
     """
-    types = [_FaceType(cell.id, o, cell.word if o > 0 else word_inverse(cell.word))
-             for cell in X.cells for o in (1, -1)]
+    max_faces = face_bound(max_faces)
+    # letter number 2k is edge k read forwards and 2k + 1 backwards, so the
+    # inverse of letter n is n ^ 1
+    number = {e.id: 2 * k for k, e in enumerate(X.edges)}
+    types = []
+    for cell in X.cells:
+        for o in (1, -1):
+            sides = cell.word if o > 0 else word_inverse(cell.word)
+            m = len(sides)
+            rows = tuple((number[l.edge] + (l.sign < 0), (cell.id, _side_position(m, 0, o, p)),
+                          (cell.id, o, p)) for p, l in enumerate(sides))
+            net = tuple(sum(l.sign for l in sides if l.edge == e.id) for e in X.edges)
+            types.append(_FaceType(cell.id, o, sides, rows, net))
     for n in range(1, max_faces + 1):
         for multiset in itertools.combinations_with_replacement(range(len(types)), n):
             chosen = [types[t] for t in multiset]
             if prune_isomorphs and chosen[0].orientation < 0:
                 continue
-            balance = Counter(letter for t in chosen for letter in t.sides)
-            if any(balance[l] != balance[l.inverse()] for l in balance):
+            if any(map(sum, zip(*(t.net for t in chosen)))):
                 continue
             yield from _glue_faces(chosen, require_reduced, prune_isomorphs)
 
@@ -427,18 +452,9 @@ def _glue_faces(chosen, require_reduced, prune_isomorphs):
     corner that follows it. Sides are glued in order: the first free side
     is paired with each later free side carrying the inverse letter.
     """
-    sides = []  # (face, position, letter, (cell, cell position at rotation 0))
+    rows = []  # the rows of every face's type, face by face
+    face_of = []  # the face of each side
     first = []  # first side of each face, then the side count
-    for i, t in enumerate(chosen):
-        first.append(len(sides))
-        m = len(t.sides)
-        for p, letter in enumerate(t.sides):
-            sides.append((i, p, letter, (t.cell, _side_position(m, 0, t.orientation, p))))
-    first.append(len(sides))
-    total = len(sides)
-    target_V = 2 - len(chosen) + total // 2
-    if target_V < 1:
-        return
     # Round a sphere vertex, slot s is followed by the partner of after[s],
     # the side that follows corner s. Part way, each open orbit is a path of
     # slots (see _join_paths); at the root the path from side s ends at
@@ -446,29 +462,37 @@ def _glue_faces(chosen, require_reduced, prune_isomorphs):
     # cycle of one path glues the path's end to its start, so if `alone` of
     # the open paths may glue so, at most alone + (open paths - alone) // 2
     # vertices are still to close.
-    after = [s + 1 if s + 1 < first[i + 1] else first[i]
-             for s, (i, _, _, _) in enumerate(sides)]
-    # the later sides each side may glue to: the inverse letter and, when
-    # folds are refused, another cell position. An isomorph key fixes the
-    # cell position, so refusing a fold before the key is seen skips no
-    # pairing.
-    later = []
-    for s, (_, _, letter, cell_position) in enumerate(sides):
-        want = letter.inverse()
-        candidates = []
-        for other in range(s + 1, total):
-            other_face, other_position, other_letter, other_cell_position = sides[other]
-            if other_letter != want or (
-                    require_reduced and cell_position == other_cell_position):
-                continue
-            t = chosen[other_face]
-            candidates.append((other, other_face, (t.cell, t.orientation, other_position)))
-        later.append(candidates)
+    after = []
+    for i, t in enumerate(chosen):
+        s = len(rows)
+        first.append(s)
+        rows += t.rows
+        face_of += [i] * len(t.rows)
+        after += range(s + 1, len(rows))
+        after.append(s)
+    total = len(rows)
+    first.append(total)
+    target_V = 2 - len(chosen) + total // 2
+    if target_V < 1:
+        return
+    # the later sides each side may glue to, in ascending order: the inverse
+    # letter and, when folds are refused, another cell position. An isomorph
+    # key fixes the cell position, so refusing a fold before the key is seen
+    # skips no pairing. `bucket` holds the later sides by letter, last first.
+    later = [None] * total
     mates = [set() for _ in range(total)]  # the sides each side may glue to
-    for s, candidates in enumerate(later):
-        for other, _, _ in candidates:
-            mates[s].add(other)
-            mates[other].add(s)
+    bucket = {}
+    for s in range(total - 1, -1, -1):
+        letter, cell_position, _ = rows[s]
+        candidates = []
+        for other in reversed(bucket.get(letter ^ 1, ())):
+            _, other_cell_position, key = rows[other]
+            if not (require_reduced and cell_position == other_cell_position):
+                candidates.append((other, face_of[other], key))
+                mates[s].add(other)
+                mates[other].add(s)
+        later[s] = candidates
+        bucket.setdefault(letter, []).append(s)
     pend = after[:]
     pstart = [0] * total
     for s, e in enumerate(after):
@@ -482,7 +506,7 @@ def _glue_faces(chosen, require_reduced, prune_isomorphs):
         while stack:
             face = stack.pop()
             for s in range(first[face], first[face + 1]):
-                other_face = sides[partner[s]][0]
+                other_face = face_of[partner[s]]
                 if other_face not in reached:
                     reached.add(other_face)
                     stack.append(other_face)
@@ -491,11 +515,11 @@ def _glue_faces(chosen, require_reduced, prune_isomorphs):
     def glue(free, pairs_left, closed, alone):
         if not pairs_left:
             if connected():
-                yield _assemble(chosen, partner, sides)
+                yield _assemble(chosen, partner)
             return
         while partner[free] is not None:
             free += 1
-        face = sides[free][0]
+        face = face_of[free]
         open_paths = 2 * (pairs_left - 1)  # once this pair is glued
         seen_types = set()
         for other, other_face, key in later[free]:
@@ -548,33 +572,29 @@ def _join_paths(pend, pstart, mates, u, v):
     return closes, change
 
 
-def _assemble(chosen, partner, sides):
+def _assemble(chosen, partner):
     """The SphereComplex and DiagramMap of a complete side pairing."""
-    edge = [None] * len(sides)
+    edge = [None] * len(partner)
     labels = {}
-    words = [[] for _ in chosen]
-    for s, (face, _, letter, _) in enumerate(sides):
-        if edge[s] is None:
-            edge[s] = edge[partner[s]] = f"s{len(labels)}"
-            labels[edge[s]] = letter.edge
-        words[face].append(Letter(edge[s], letter.sign))
-    faces = tuple(Cell(f"f{i}", tuple(word)) for i, word in enumerate(words))
+    faces = []
+    s = 0
+    for i, t in enumerate(chosen):
+        word = []
+        for letter in t.sides:
+            if edge[s] is None:
+                edge[s] = edge[partner[s]] = f"s{len(labels)}"
+                labels[edge[s]] = letter.edge
+            word.append(Letter(edge[s], letter.sign))
+            s += 1
+        faces.append(Cell(f"f{i}", tuple(word)))
     cellmap = {f"f{i}": (t.cell, 0, t.orientation) for i, t in enumerate(chosen)}
-    return SphereComplex(faces), DiagramMap(labels, cellmap)
+    return SphereComplex(tuple(faces)), DiagramMap(labels, cellmap)
 
 
 def search_reduced_diagram(X: TwoComplex, max_faces=None):
     """First reduced spherical diagram over X with at most ``max_faces``
     faces (default: the cap), or None.  A bounded falsification oracle for DR.
-    A bound that is not a non-negative integer is an input error, not a
-    search that found nothing."""
-    cap = caps.search_cap(caps.DIAGRAM_FACE_CAP)
-    if max_faces is None:
-        max_faces = cap
-    if isinstance(max_faces, bool) or not isinstance(max_faces, int) or max_faces < 0:
-        raise InvalidSearchCap(f"max_faces must be a non-negative integer, got {max_faces!r}")
-    if max_faces > cap:
-        raise CapExceeded(f"max_faces {max_faces} exceeds the search cap {cap}")
+    The bound is checked as ``face_bound`` checks it."""
     for S, f in enumerate_diagrams(X, max_faces, require_reduced=True):
         report = check_diagram(S, f, X)
         if report.reduced:

@@ -13,7 +13,6 @@ import json
 import os
 from dataclasses import dataclass
 
-from . import caps
 from .certificates import dr2_routes
 from .complexes import euler_characteristic
 from .curvature import (
@@ -26,7 +25,7 @@ from .curvature import (
     find_zero_one_structure,
     weight_test,
 )
-from .diagrams import search_reduced_diagram
+from .diagrams import face_bound, search_reduced_diagram
 from .errors import DrtoolError, InvalidSearchCap
 from .lots import (
     Lot,
@@ -93,8 +92,7 @@ def _attempt(diagnostics, label, func, *args, failed=None):
 def diagram_search_section(X, max_faces=None):
     """The diagram search's report: the face bound it ran with (default: the
     cap) and the first reduced diagram it found, or None."""
-    if max_faces is None:
-        max_faces = caps.search_cap(caps.DIAGRAM_FACE_CAP)
+    max_faces = face_bound(max_faces)
     found = search_reduced_diagram(X, max_faces)
     return {
         "max_faces": max_faces,

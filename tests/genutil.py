@@ -15,6 +15,7 @@ coloring test and the zero/one criterion are re-done over link nodes, one
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 from bench.generate import tree_shapes  # bench/generate.py imports only the standard library
@@ -513,6 +514,30 @@ def _perfect_matchings(sides, letter):
 
 
 # ---------------------------------------------------------------------------
+# oracle: the multisets of face types the gluing search glues
+
+
+def oracle_balanced_multisets(X, max_faces, prune_isomorphs):
+    """The multisets of face types that ``diagrams.enumerate_diagrams`` must
+    hand to the gluing, each as a tuple of (cell, orientation), in its order:
+    multisets of 1 to ``max_faces`` types (a cell read forwards, then
+    backwards, cell by cell), without those whose first face is backwards
+    under ``prune_isomorphs``, and only those in which a Counter finds each
+    letter as often as its inverse."""
+    types = [(cell.id, o, cell.word if o > 0 else word_inverse(cell.word))
+             for cell in X.cells for o in (1, -1)]
+    out = []
+    for n in range(1, max_faces + 1):
+        for multiset in itertools.combinations_with_replacement(types, n):
+            if prune_isomorphs and multiset[0][1] < 0:
+                continue
+            balance = Counter(letter for _, _, word in multiset for letter in word)
+            if all(balance[l] == balance[l.inverse()] for l in balance):
+                out.append(tuple((cell, o) for cell, o, _ in multiset))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # oracle: the gluing search with a face union-find at every node
 
 
@@ -549,7 +574,7 @@ def oracle_glue_faces(chosen, require_reduced, prune_isomorphs):
     def glue(free, pairs_left):
         if not pairs_left:
             if faces.count == 1:
-                yield _assemble(chosen, partner, sides)
+                yield _assemble(chosen, partner)
             return
         while partner[free] is not None:
             free += 1

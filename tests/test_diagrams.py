@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drtool.diagrams
+from bench.generate import generator_names, presentation_text, random_word, surface_like_word
 from drtool import (
     AngleAssignment,
     DiagramMap,
@@ -32,7 +33,7 @@ from drtool.diagrams import (
 from drtool.errors import CapExceeded, IllFormedMap, InvalidSearchCap
 from drtool.lots import lot_complex
 from drtool.parsing import parse_presentation
-from drtool.reports import canonical_json
+from drtool.reports import canonical_json, diagram_search_section
 from drtool.unionfind import UnionFind
 
 from conftest import (
@@ -45,6 +46,7 @@ from conftest import (
     make_trefoil,
 )
 from genutil import (
+    oracle_balanced_multisets,
     oracle_glue_faces,
     oracle_side_gluings,
     oracle_sphere_gluings,
@@ -208,6 +210,19 @@ class TestSearch:
             search_reduced_diagram(make_torus(), bound)
         assert search_reduced_diagram(make_m2(), 0) is None
 
+    @pytest.mark.parametrize("bound, error", [
+        (-3, InvalidSearchCap), (9, CapExceeded), ("3", InvalidSearchCap), (2.5, InvalidSearchCap),
+        (True, InvalidSearchCap)])
+    def test_every_entry_point_checks_the_face_bound(self, bound, error):
+        # the stream took -3 as empty, ran past the cap at 9, raised a raw
+        # TypeError on "3" and 2.5 and read True as 1
+        with pytest.raises(error):
+            next(enumerate_diagrams(make_m2(), bound))
+        with pytest.raises(error):
+            search_reduced_diagram(make_m2(), bound)
+        with pytest.raises(error):
+            diagram_search_section(make_m2(), bound)
+
     def test_pruning_soundness_small(self):
         for X in (make_m2(), make_torus(), lot_complex(make_trefoil())):
             for n in (1, 2, 3):
@@ -293,13 +308,14 @@ def diagram_stream(X, max_faces, require_reduced, prune_isomorphs):
             for S, f in enumerate_diagrams(X, max_faces, require_reduced, prune_isomorphs)]
 
 
-def assert_stream_matches_oracle(X, max_faces, reduced_flags=(False, True)):
+def assert_stream_matches_oracle(X, max_faces, reduced_flags=(False, True),
+                                 prune_flags=(False, True)):
     """Under each pair of flags, ``enumerate_diagrams`` yields what it yields
     when ``oracle_glue_faces`` does the gluing, element by element; returns
     the stream lengths."""
     lengths = []
     for require_reduced in reduced_flags:
-        for prune_isomorphs in (False, True):
+        for prune_isomorphs in prune_flags:
             got = diagram_stream(X, max_faces, require_reduced, prune_isomorphs)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(drtool.diagrams, "_glue_faces", oracle_glue_faces)
@@ -347,6 +363,22 @@ STREAM_FIXTURES = [p.name for p in sorted(CORPUS.glob("*.pres"))] + ["trefoil LO
 FIVE_FACE_FIXTURES = ["torus.pres", "m2.pres", "power4.pres", "dh.pres", "ktrefoil.pres"]
 
 
+def bench_presentation(kind, generators, seed):
+    """A presentation of a kind the diagram-search benchmark draws, from
+    ``bench/generate`` with ``random.Random(seed)``: a relator that holds each
+    generator once with each sign (``surface``), two copies of such a relator
+    (``repeated``), or the square of a word of one letter per generator
+    (``square``)."""
+    rng = random.Random(seed)
+    gens = generator_names(rng, generators)
+    if kind == "square":
+        relators = [random_word(rng, gens, generators) * 2]
+    else:
+        word = surface_like_word(rng, gens)
+        relators = [word, word] if kind == "repeated" else [word]
+    return parse_presentation(presentation_text(gens, relators))
+
+
 def stream_fixture(name):
     """The complex a name of ``STREAM_FIXTURES`` stands for."""
     if name == "trefoil LOT":
@@ -371,6 +403,16 @@ class TestGluingStreamOracle:
     def test_random_presentations_up_to_three_faces(self, X):
         assert_stream_matches_oracle(X, 3)
 
+    # the benchmark's kinds, each at its face count but the repeated relator:
+    # there the oracle takes about 40 s at 5 faces, and its unpruned stream
+    # about 20 s on the surface-like words
+    @pytest.mark.parametrize("kind, generators, faces", [
+        ("surface", 3, 5), ("surface", 4, 4), ("repeated", 3, 4), ("square", 3, 5)])
+    def test_benchmark_kinds_pruned(self, kind, generators, faces):
+        X = bench_presentation(kind, generators, seed=2029)
+        unreduced, _ = assert_stream_matches_oracle(X, faces, prune_flags=(True,))
+        assert unreduced > 0
+
     # relators that are not cyclically reduced, or of 6 letters or more,
     # can make the oracle take seconds or minutes at 4 faces
     @settings(max_examples=150)
@@ -392,6 +434,22 @@ class TestGluingStreamOracle:
             stream = list(enumerate_diagrams(X, 3, require_reduced, prune_isomorphs=False))
             assert all(validate_sphere(S).passed for S, _ in stream)
             assert [S for S, _ in stream if len(S.faces) == 3] == []
+
+
+class TestBalanceFilter:
+    @settings(max_examples=150)
+    @given(small_presentations(), st.booleans())
+    def test_the_multisets_glued_are_those_a_counter_balances(self, X, prune_isomorphs):
+        glued = []
+
+        def spy(chosen, require_reduced, prune_isomorphs):
+            glued.append(tuple((t.cell, t.orientation) for t in chosen))
+            return iter(())
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(drtool.diagrams, "_glue_faces", spy)
+            assert list(enumerate_diagrams(X, 4, prune_isomorphs=prune_isomorphs)) == []
+        assert glued == oracle_balanced_multisets(X, 4, prune_isomorphs)
 
 
 @st.composite
