@@ -114,9 +114,6 @@ class AngleAssignment:
     def items(self):
         return sorted(self._table.items())
 
-    def __len__(self):
-        return len(self._table)
-
     def _least_key(self, bad):
         """The least corner key whose angle is ``bad``, or None."""
         return min((k for k, v in self._table.items() if bad(v)), default=None)

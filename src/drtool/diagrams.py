@@ -450,11 +450,10 @@ def _glue_faces(chosen, require_reduced, prune_isomorphs):
 
     Sides are numbered face by face, and side s also names slot s, the
     corner that follows it. Sides are glued in order: the first free side
-    is paired with each later free side carrying the inverse letter.
+    is paired with each later free side that ``may_glue`` to it.
     """
     rows = []  # the rows of every face's type, face by face
     face_of = []  # the face of each side
-    first = []  # first side of each face, then the side count
     # Round a sphere vertex, slot s is followed by the partner of after[s],
     # the side that follows corner s. Part way, each open orbit is a path of
     # slots (see _join_paths); at the root the path from side s ends at
@@ -465,34 +464,26 @@ def _glue_faces(chosen, require_reduced, prune_isomorphs):
     after = []
     for i, t in enumerate(chosen):
         s = len(rows)
-        first.append(s)
         rows += t.rows
         face_of += [i] * len(t.rows)
         after += range(s + 1, len(rows))
         after.append(s)
     total = len(rows)
-    first.append(total)
     target_V = 2 - len(chosen) + total // 2
     if target_V < 1:
         return
-    # the later sides each side may glue to, in ascending order: the inverse
-    # letter and, when folds are refused, another cell position. An isomorph
-    # key fixes the cell position, so refusing a fold before the key is seen
-    # skips no pairing. `bucket` holds the later sides by letter, last first.
-    later = [None] * total
-    mates = [set() for _ in range(total)]  # the sides each side may glue to
-    bucket = {}
-    for s in range(total - 1, -1, -1):
-        letter, cell_position, _ = rows[s]
-        candidates = []
-        for other in reversed(bucket.get(letter ^ 1, ())):
-            _, other_cell_position, key = rows[other]
-            if not (require_reduced and cell_position == other_cell_position):
-                candidates.append((other, face_of[other], key))
-                mates[s].add(other)
-                mates[other].add(s)
-        later[s] = candidates
-        bucket.setdefault(letter, []).append(s)
+    letter, position, key = zip(*rows)  # the columns of the rows
+    by_letter = {}  # the sides carrying each letter number, ascending
+    for s, n in enumerate(letter):
+        by_letter.setdefault(n, []).append(s)
+
+    def may_glue(a, b):
+        """The glue rule: sides a and b carry inverse letters and, when folds
+        are refused, sit at different cell positions. An isomorph key fixes
+        the cell position, so refusing a fold before the key is seen skips
+        no pairing."""
+        return letter[a] ^ letter[b] == 1 and not (require_reduced and position[a] == position[b])
+
     pend = after[:]
     pstart = [0] * total
     for s, e in enumerate(after):
@@ -501,16 +492,16 @@ def _glue_faces(chosen, require_reduced, prune_isomorphs):
     glued = [0] * len(chosen)  # glued sides of each face
 
     def connected():
-        """Whether the complete pairing reaches every face from face 0."""
+        """Whether the complete pairing reaches every side from side 0, each
+        side leading to the next side of its face and to its partner."""
         reached, stack = {0}, [0]
         while stack:
-            face = stack.pop()
-            for s in range(first[face], first[face + 1]):
-                other_face = face_of[partner[s]]
-                if other_face not in reached:
-                    reached.add(other_face)
-                    stack.append(other_face)
-        return len(reached) == len(chosen)
+            s = stack.pop()
+            for t in (after[s], partner[s]):
+                if t not in reached:
+                    reached.add(t)
+                    stack.append(t)
+        return len(reached) == total
 
     def glue(free, pairs_left, closed, alone):
         if not pairs_left:
@@ -522,16 +513,19 @@ def _glue_faces(chosen, require_reduced, prune_isomorphs):
         face = face_of[free]
         open_paths = 2 * (pairs_left - 1)  # once this pair is glued
         seen_types = set()
-        for other, other_face, key in later[free]:
-            if partner[other] is not None:
+        # every side before the first free side is glued, so the free sides
+        # of the inverse letter all come later, in ascending order
+        for other in by_letter.get(letter[free] ^ 1, ()):
+            if partner[other] is not None or not may_glue(free, other):
                 continue
+            other_face = face_of[other]
             if prune_isomorphs and not glued[other_face]:
-                if key in seen_types:
+                if key[other] in seen_types:
                     continue
-                seen_types.add(key)
+                seen_types.add(key[other])
             start_free, start_other = pstart[free], pstart[other]
             end_free, end_other = pend[free], pend[other]
-            closes, change = _join_paths(pend, pstart, mates, free, other)
+            closes, change = _join_paths(pend, pstart, may_glue, free, other)
             now, left = closed + closes, alone + change
             if now <= target_V <= now + (open_paths + left) // 2:
                 partner[free], partner[other] = other, free
@@ -544,10 +538,10 @@ def _glue_faces(chosen, require_reduced, prune_isomorphs):
             pend[start_free], pend[start_other] = free, other  # as before the pair
             pstart[end_free], pstart[end_other] = free, other
 
-    yield from glue(0, total // 2, 0, sum(after[s] in mates[s] for s in range(total)))
+    yield from glue(0, total // 2, 0, sum(map(may_glue, range(total), after)))
 
 
-def _join_paths(pend, pstart, mates, u, v):
+def _join_paths(pend, pstart, may_glue, u, v):
     """Glue unglued sides u and v in the tables of open vertex orbits.
 
     Part way through a gluing, each open orbit is a path of slots from the
@@ -558,16 +552,16 @@ def _join_paths(pend, pstart, mates, u, v):
     that ends at v to the path that starts at u; a path joined to itself
     closes a vertex. Updates the tables and returns the number of vertices
     closed (0, 1 or 2) and the change in the number of open paths whose
-    end may glue to their start, ``mates[s]`` being the sides s may glue to.
+    end may glue to their start, ``may_glue(a, b)`` being the glue rule.
     """
     closes = change = 0
     for end, start in ((u, v), (v, u)):
         head, tail = pstart[end], pend[start]
         if head == start:
             closes += 1
-            change -= end in mates[start]
+            change -= may_glue(start, end)
         else:
-            change += (tail in mates[head]) - (end in mates[head]) - (tail in mates[start])
+            change += may_glue(head, tail) - may_glue(head, end) - may_glue(start, tail)
             pend[head], pstart[tail] = tail, head
     return closes, change
 

@@ -35,6 +35,23 @@ def load_diagram(name):
     return S, dmap, X
 
 
+DELETE = object()  # an edit that deletes a JSON node, for ``edited``
+
+
+def edited(data, path, value):
+    """A copy of ``data`` with the node at ``path`` set to ``value``, or
+    deleted when ``value`` is ``DELETE``; nodes off the path are shared."""
+    head, *rest = path
+    copy = dict(data) if isinstance(data, dict) else list(data)
+    if rest:
+        copy[head] = edited(data[head], rest, value)
+    elif value is DELETE:
+        del copy[head]
+    else:
+        copy[head] = value
+    return copy
+
+
 @pytest.fixture(autouse=True)
 def no_search_cap_override(monkeypatch):
     """Run every test under the built-in search caps, whatever the shell exports."""

@@ -29,10 +29,9 @@ from drtool.curvature import AngleAssignment, ZeroOneAssignment
 from drtool.errors import _WRONG_SHAPE, DrtoolError
 from drtool.lots import LiCertificateTree
 
-from conftest import FIXTURES, fixture_text, make_chain6, make_w5
+from conftest import DELETE, FIXTURES, edited, fixture_text, make_chain6, make_w5
 
 VALUES = (None, True, 0, -1, 1.0, 0.5, "", "x", "1/0", [], {})
-DELETE = object()
 
 # The edits that verify: each rule names a rewrite that drtool reads as the
 # value it replaces, as (reason, rule(path, old value, new value)).
@@ -57,20 +56,6 @@ def paths(data, path=()):
     for key, value in items:
         yield path + (key,)
         yield from paths(value, path + (key,))
-
-
-def edited(data, path, value):
-    """A copy of ``data`` with the node at ``path`` set to ``value``, or
-    deleted when ``value`` is DELETE; nodes off the path are shared."""
-    head, *rest = path
-    copy = dict(data) if isinstance(data, dict) else list(data)
-    if rest:
-        copy[head] = edited(data[head], rest, value)
-    elif value is DELETE:
-        del copy[head]
-    else:
-        copy[head] = value
-    return copy
 
 
 def verified(data, read, verify):

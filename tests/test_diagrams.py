@@ -526,7 +526,7 @@ def replay_paths(words, pairs, mates):
     closed = 0
     alone = sum(after[s] in mates[s] for s in range(total))
     for x, y in pairs:
-        closes, change = _join_paths(pend, pstart, mates, x, y)
+        closes, change = _join_paths(pend, pstart, lambda a, b: b in mates[a], x, y)
         partner[x], partner[y] = y, x
         closed += closes
         alone += change

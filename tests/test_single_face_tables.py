@@ -4,7 +4,9 @@ of each face type (letter number, cell position, isomorph key) are built by
 joins them, once per multiset of face types.  Outside ``enumerate_diagrams``
 no code in the package calls ``_FaceType(`` (plain or dotted), and no code
 in ``_glue_faces``, its nested functions included, calls
-``_side_position(``.  The check reads calls by name only."""
+``_side_position(``.  The check reads calls by name only.  The glue rule,
+that two letter numbers are inverse (``x ^ y == 1``), is written once in the
+module, in ``_glue_faces.may_glue``."""
 
 import ast
 from pathlib import Path
@@ -14,24 +16,31 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "drtool"
 RULES = {"_FaceType": ({"enumerate_diagrams"}, True), "_side_position": ({"_glue_faces"}, False)}
 
 
-def table_calls(source):
-    """(line, called name, enclosing qualified name) of each call in
-    ``source`` of a name in ``RULES``, plain or dotted."""
-    found = []
+def scoped_nodes(source):
+    """(node, enclosing qualified name) for each node of ``source`` other
+    than a function or class definition."""
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, scope + [child.name])
+                yield from visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in RULES:
-                    found.append((child.lineno, name, ".".join(scope) or "<module>"))
-            visit(child, scope)
+            yield child, ".".join(scope) or "<module>"
+            yield from visit(child, scope)
 
-    visit(ast.parse(source), [])
+    return visit(ast.parse(source), [])
+
+
+def table_calls(source):
+    """(line, called name, enclosing qualified name) of each call in
+    ``source`` of a name in ``RULES``, plain or dotted."""
+    found = []
+    for node, scope in scoped_nodes(source):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in RULES:
+                found.append((node.lineno, name, scope))
     return found
 
 
@@ -53,6 +62,21 @@ def test_face_type_rows_are_built_once_per_search():
     assert sorted({(name, scope) for _, name, scope in table_calls(diagrams)
                    if name == "_FaceType"}) == [("_FaceType", "enumerate_diagrams")]
     assert misplaced_table_calls(PACKAGE) == []
+
+
+def inverse_tests(source):
+    """The enclosing qualified name of each ``x ^ y == 1`` in ``source``."""
+    return [scope for node, scope in scoped_nodes(source)
+            if isinstance(node, ast.Compare) and isinstance(node.left, ast.BinOp)
+            and isinstance(node.left.op, ast.BitXor)
+            and [getattr(c, "value", None) for c in node.comparators] == [1]]
+
+
+def test_the_glue_rule_is_written_once():
+    diagrams = (PACKAGE / "diagrams.py").read_text(encoding="utf-8")
+    assert inverse_tests(diagrams) == ["_glue_faces.may_glue"]
+    assert inverse_tests("def glue(a, b):\n    return a ^ b == 1 or (a ^ 1) == b\n\n\n"
+                         "RULE = lambda x, y: x ^ y == 1\n") == ["glue", "<module>"]
 
 
 def test_the_check_finds_tables_built_elsewhere(tmp_path):
