@@ -152,8 +152,6 @@ def _complex_from_args(args):
 
 def _cmd_complex_weighttest(args):
     X = _complex_from_args(args)
-    if not args.weights:
-        raise ParseError("weighttest needs --weights")
     omega = _resolve_weights(_load_weights(args.weights), X)
     verdict = weight_test(X, omega)
     _maybe_dot(args, X, omega)
@@ -309,17 +307,6 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def _face_count(text):
-    """``--max-faces``: a non-negative integer."""
-    try:
-        value = int(text)
-        if value >= 0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-
-
 def build_parser():
     parser = _Parser(prog="drtool", description=__doc__)
     parser.add_argument("--version", action="version", version=f"drtool {VERSION}")
@@ -354,7 +341,7 @@ def build_parser():
     )
     p = cx.add_parser("weighttest", help="run the weight test")
     p.add_argument("path")
-    p.add_argument("--weights", required=False, help="p/q, uniform:p/q, or a JSON file")
+    p.add_argument("--weights", required=True, help="p/q, uniform:p/q, or a JSON file")
     common(p)
     p.set_defaults(func=_cmd_complex_weighttest)
     p = cx.add_parser("coloringtest", help="run the coloring test")
@@ -383,7 +370,7 @@ def build_parser():
     p.set_defaults(func=_cmd_diagram_verify)
     p = dg.add_parser("search", help="bounded search for a reduced spherical diagram")
     p.add_argument("path")
-    p.add_argument("--max-faces", type=_face_count, help="default: the search cap")
+    p.add_argument("--max-faces", type=int, help="default: the search cap")
     common(p, dot=False)
     p.set_defaults(func=_cmd_diagram_search)
 
@@ -391,7 +378,7 @@ def build_parser():
     p.add_argument("path")
     p.add_argument("--weights")
     p.add_argument("--angles")
-    p.add_argument("--max-faces", type=_face_count)
+    p.add_argument("--max-faces", type=int)
     p.add_argument("--timestamp", action="store_true", help="include a wall-clock timestamp")
     common(p, dot=False, cert=True)
     p.set_defaults(func=_cmd_analyze)

@@ -16,7 +16,6 @@ from fractions import Fraction
 from . import caps
 from .complexes import LinkGraph, TwoComplex, coerce_integer, euler_characteristic
 from .errors import (
-    CapExceeded,
     ComplexError,
     InvariantViolation,
     MissingWeight,
@@ -433,13 +432,8 @@ def find_zero_one_structure(X: TwoComplex):
     Refuses complexes with more than the zero/one search cap of corners; LOT
     complexes should use the dedicated bi-forest search instead.
     """
-    cap = caps.search_cap(caps.ZERO_ONE_CAP)
     corners = list(X.corners.values())
-    if len(corners) > cap:
-        raise CapExceeded(
-            f"{len(corners)} corners exceeds the zero/one search cap {cap}; "
-            "for LOT complexes use the bi-forest search"
-        )
+    caps.refuse_above(len(corners), "corners", "zero/one", caps.ZERO_ONE_CAP)
     room = {cell.id: len(cell.word) - 2 for cell in X.cells}  # angles 1 a cell may still take
     if any(r < 0 for r in room.values()):
         return None  # a monogon's curvature is positive under any zero/one angles

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import caps
+from .caps import face_bound
 from .complexes import (
     Cell,
     CornerStep,
@@ -30,7 +30,7 @@ from .complexes import (
     word_inverse,
 )
 from .curvature import AngleAssignment, CurvatureReport, TestVerdict, check_gauss_bonnet
-from .errors import CapExceeded, IllFormedMap, InvalidSearchCap, InvariantViolation
+from .errors import IllFormedMap, InvariantViolation
 from .unionfind import UnionFind
 
 
@@ -385,20 +385,6 @@ def diagram_gauss_bonnet(S: SphereComplex, f: DiagramMap, X: TwoComplex,
 
 # ---------------------------------------------------------------------------
 # bounded exhaustive search
-
-
-def face_bound(max_faces):
-    """The face bound a diagram search runs with: ``max_faces``, or the cap
-    when it is None. A bound that is not a non-negative integer is an input
-    error, not a search that finds nothing, and one above the cap is refused."""
-    cap = caps.search_cap(caps.DIAGRAM_FACE_CAP)
-    if max_faces is None:
-        return cap
-    if isinstance(max_faces, bool) or not isinstance(max_faces, int) or max_faces < 0:
-        raise InvalidSearchCap(f"max_faces must be a non-negative integer, got {max_faces!r}")
-    if max_faces > cap:
-        raise CapExceeded(f"max_faces {max_faces} exceeds the search cap {cap}")
-    return max_faces
 
 
 class _FaceType(NamedTuple):

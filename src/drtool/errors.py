@@ -65,10 +65,6 @@ class CapExceeded(DrtoolError):
     """A bounded exhaustive search was asked to exceed its hard cap."""
 
 
-class GeneratorCountExceedsSearchCap(CapExceeded):
-    """The bi-forest sign search backtracks over up to 2^n signs; n is capped."""
-
-
 class InvalidSearchCap(DrtoolError):
     """``DRTOOL_SEARCH_CAP`` or a diagram face bound is not a non-negative integer."""
 

@@ -32,7 +32,6 @@ from .errors import (
     CertificateRefused,
     ComplexError,
     DrtoolError,
-    GeneratorCountExceedsSearchCap,
     InvariantViolation,
     NotATree,
     NotInjective,
@@ -697,16 +696,12 @@ def bi_forest_orientation(lot: Lot):
     close a cycle and backjumps to the latest generator such a cycle depends on;
     -epsilon has epsilon's angle-0 corners, so the first sign is ``+``.
     """
-    cap = caps.search_cap(caps.BI_FOREST_CAP)
+    generators = list(lot.vertices)
+    caps.refuse_above(len(generators), "generators", "bi-forest", caps.BI_FOREST_CAP)
     # as check_properties decides it: an injective LOT has no interior pair
     if not (lot.is_injective and next(_uncompressed_edges(lot), None) is None
             and next(_boundary_vertices(lot), None) is None):
         warnings.warn("bi-forest search on a LOT that is not reduced injective", stacklevel=2)
-    generators = list(lot.vertices)
-    if len(generators) > cap:
-        raise GeneratorCountExceedsSearchCap(
-            f"{len(generators)} generators exceeds the bi-forest search cap {cap}"
-        )
     link = lot.complex.links[BASE_VERTEX]
     return _bi_forest(link, generators, [(1,)] + [(1, -1)] * (len(generators) - 1))
 

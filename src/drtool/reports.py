@@ -13,6 +13,7 @@ import json
 import os
 from dataclasses import dataclass
 
+from .caps import face_bound
 from .certificates import dr2_routes
 from .complexes import euler_characteristic
 from .curvature import (
@@ -25,7 +26,7 @@ from .curvature import (
     find_zero_one_structure,
     weight_test,
 )
-from .diagrams import face_bound, search_reduced_diagram
+from .diagrams import search_reduced_diagram
 from .errors import DrtoolError, InvalidSearchCap
 from .lots import (
     Lot,

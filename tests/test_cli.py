@@ -277,8 +277,9 @@ TORUS = str(CORPUS / "torus.pres")
     ("bogus",),
     ("diagram", "search", TORUS, "--max-faces", "-1"),
     ("analyze", TORUS, "--max-faces", "-1"),
+    ("complex", "weighttest", TORUS),
 ], ids=["max-faces-not-int", "missing-path", "unknown-command",
-        "search-negative-max-faces", "analyze-negative-max-faces"])
+        "search-negative-max-faces", "analyze-negative-max-faces", "weighttest-without-weights"])
 def test_a_usage_error_is_an_input_error(args):
     assert_one_error_line(run_cli(*args))
 
@@ -419,6 +420,35 @@ def test_json_of_the_wrong_shape_is_an_input_error(tmp_path, command, make_data)
     path = tmp_path / "input.json"
     path.write_text(json.dumps(make_data()), encoding="utf-8")
     assert_one_error_line(run_cli(*command, str(path)))
+
+
+def with_first_item_repeated(items):
+    """``items`` with its first item once more at the end."""
+    return [*items, items[0]]
+
+
+@pytest.mark.parametrize("make_data, message", [
+    (li_certificate_with(make_trefoil, ["lot", "vertices"], with_first_item_repeated),
+     "duplicate vertex id"),
+    (li_certificate_with(make_trefoil, ["lot", "edges"], with_first_item_repeated),
+     "duplicate edge id"),
+    (c4t4_certificate_with("cells", with_first_item_repeated), "duplicate cell id 'r1'"),
+    (c4t4_certificate_with("vertices", with_first_item_repeated), "duplicate vertex id"),
+], ids=["li-lot-vertex", "li-lot-edge", "c4t4-cell", "c4t4-vertex"])
+def test_a_repeated_id_in_a_certificate_is_an_input_error(tmp_path, make_data, message):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(make_data()), encoding="utf-8")
+    result = run_cli("verify-cert", str(path))
+    assert_one_error_line(result)
+    assert result.stderr == f"error: {message}\n"
+
+
+def test_a_lot_without_vertices_is_an_input_error(tmp_path):
+    path = tmp_path / "empty.lot"
+    path.write_text("lot\n", encoding="utf-8")
+    result = run_cli("lot", "check", str(path))
+    assert_one_error_line(result)
+    assert result.stderr == "error: a LOT needs at least one vertex\n"
 
 
 @pytest.mark.parametrize("make_data, fmt", [

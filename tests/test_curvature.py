@@ -606,7 +606,7 @@ class TestZeroOneSearch:
     def test_cap_refusal(self, monkeypatch):
         monkeypatch.setenv("DRTOOL_SEARCH_CAP", "2")
         X = make_torus()
-        with pytest.raises(CapExceeded, match="bi-forest"):
+        with pytest.raises(CapExceeded, match="zero/one search cap 2"):
             find_zero_one_structure(X)
 
     def test_none_when_impossible(self):

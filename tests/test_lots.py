@@ -32,8 +32,8 @@ from drtool.certificates import CheckOutcome, check_dr2_zero_one
 from drtool.complexes import format_word
 from drtool.errors import (
     AmbiguousCollapseVertex,
+    CapExceeded,
     ComplexError,
-    GeneratorCountExceedsSearchCap,
     InvariantViolation,
     NotInjective,
     NotSubLot,
@@ -574,7 +574,7 @@ class TestBiForest:
         w5 = make_w5()
         assert check_properties(w5).reduced and w5.is_injective
         monkeypatch.setenv("DRTOOL_SEARCH_CAP", "3")
-        with pytest.raises(GeneratorCountExceedsSearchCap, match="5 generators .* cap 3"):
+        with pytest.raises(CapExceeded, match="5 generators .* cap 3"):
             bi_forest_orientation(w5)
         monkeypatch.setenv("DRTOOL_SEARCH_CAP", "5")
         assert bi_forest_orientation(w5) is not None
@@ -923,6 +923,23 @@ class TestDecide:
         for key in head:
             node = node[key]
         node[last] = value
+        assert verify_li_tree(LiCertificateTree.from_jsonable(data)) == (False, [problem])
+
+    @pytest.mark.parametrize("make, edit, problem", [
+        (make_w5, lambda data: data.update(kind="SINGLE_VERTEX"),
+         "root: SINGLE_VERTEX node on a LOT that is not a single vertex"),
+        # with the sub-LOT on d, e, f as part1 the outside part keeps e3, whose
+        # label e lies in part1: the split raises inside and becomes a refusal
+        (make_chain6, lambda data: data["evidence"].update(part1={
+            "vertices": ["d", "e", "f"], "edges": [["e4", "d", "e", "f"], ["e5", "e", "f", "d"]]}),
+         "root: recorded part1 gives no amalgam split: outside part is not a sub-LOT: "
+         "sub-LOT labels must lie among its vertices"),
+        (make_w5, lambda data: data["evidence"].update(extra=1),
+         "root: recorded fields that recomputation does not write: ['extra']"),
+    ], ids=["single-vertex-kind-on-w5", "part1-on-the-wrong-side", "extra-evidence-field"])
+    def test_verifier_refuses_a_forged_node(self, make, edit, problem):
+        data = decide_locally_indicable(make()).to_jsonable()
+        edit(data)
         assert verify_li_tree(LiCertificateTree.from_jsonable(data)) == (False, [problem])
 
     def test_unknown_never_claims(self):
