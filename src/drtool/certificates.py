@@ -159,28 +159,31 @@ def check_dr2_zero_one(X: TwoComplex, omega01: ZeroOneAssignment) -> CheckOutcom
     ct, forests = coloring_forests(X, omega01)
     if not ct.passed:
         return CheckOutcome(witness={"reason": "coloring_test", "witness": ct.witness})
+    return write_zero_one(X, omega01, forests[X.vertices[0]])
+
+
+def write_zero_one(X: TwoComplex, omega01: ZeroOneAssignment, component) -> CheckOutcome:
+    """The ZERO_ONE certificate of the single-vertex X and the angles omega01,
+    which pass the coloring test, from ``component``, the component number of
+    each node position of the link in their angle-0 subgraph, components
+    numbered by their least position; or the witness of the first edge whose
+    two ends lie in one component.  The one writer of ZERO_ONE hypotheses."""
     G = X.links[X.vertices[0]]
-    comps = forests[X.vertices[0]].components()  # of node positions
-    comp_of = [0] * len(G.nodes)
-    for i, comp in enumerate(comps):
-        for p in comp:
-            comp_of[p] = i
+    comps = [[] for _ in range(max(component, default=-1) + 1)]
+    for node, c in zip(G.nodes, component):
+        comps[c].append(str(node))
     edge_rows = []
     for e in X.edges:
-        i_plus = comp_of[G.index[(e.id, 1)]]
-        i_minus = comp_of[G.index[(e.id, -1)]]
+        i_plus = component[G.index[(e.id, 1)]]
+        i_minus = component[G.index[(e.id, -1)]]
         if i_plus == i_minus:
             return CheckOutcome(
-                witness={
-                    "reason": "components",
-                    "edge": e.id,
-                    "component": [str(G.nodes[p]) for p in comps[i_plus]],
-                }
+                witness={"reason": "components", "edge": e.id, "component": comps[i_plus]}
             )
         edge_rows.append({"edge": e.id, "plus_component": i_plus, "minus_component": i_minus})
     hypotheses = {
         "angles": omega01.to_jsonable(),
-        "components": [[str(G.nodes[p]) for p in comp] for comp in comps],
+        "components": comps,
         "edge_components": edge_rows,
     }
     cert = Dr2Certificate(
@@ -388,11 +391,15 @@ def check_dr2_c4t4(X: TwoComplex) -> CheckOutcome:
     return CheckOutcome(certificate=cert)
 
 
-def dr2_routes(X: TwoComplex, weights=None, angles=None):
+def dr2_routes(X: TwoComplex, weights=None, angles=None, components=None):
     """The DR(2) criteria to try on X, in order, as ``(method, check, args)``
     with ``check(*args)`` the CheckOutcome: ZERO_ONE when angles are given,
-    then C4T4, then WEIGHTED when weights are given."""
-    if angles is not None:
+    then C4T4, then WEIGHTED when weights are given.  ZERO_ONE is written
+    from ``components`` without the coloring test when the search that found
+    the angles gives their angle-0 component numbering (``write_zero_one``)."""
+    if angles is not None and components is not None:
+        yield METHOD_ZERO_ONE, write_zero_one, (X, angles, components)
+    elif angles is not None:
         yield METHOD_ZERO_ONE, check_dr2_zero_one, (X, angles)
     yield METHOD_C4T4, check_dr2_c4t4, (X,)
     if weights is not None:

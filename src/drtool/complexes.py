@@ -8,7 +8,7 @@ are the corners cut out by consecutive boundary letters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -53,9 +53,11 @@ def check_name(kind, name, line=None):
 
 def coerce_word(word):
     """Accept a word given as a string (``"a b a- b-"``) or a sequence of
-    letters and letter strings."""
+    letters and letter strings; a tuple of letters is taken as it is."""
     if isinstance(word, str):
         return tuple(parse_letter(tok) for tok in word.split())
+    if type(word) is tuple and all(type(item) is Letter for item in word):
+        return word
     out = []
     for item in word:
         if isinstance(item, Letter):
@@ -256,34 +258,22 @@ def euler_characteristic(X: TwoComplex) -> int:
 
 @dataclass(frozen=True)
 class LinkGraph:
-    """The link at ``base``: a multigraph on edge-ends, whose edges are corners."""
+    """The link at ``base``: a multigraph on edge-ends, whose edges are corners.
+
+    Its one numbering, built with the corners by ``link_graph``: node i is
+    ``nodes[i]`` and ``index`` maps it back to i, and corner k of ``corners``
+    joins the nodes ``ends[k]`` and has the key ``keys[k]``.  The zero/one and
+    bi-forest kernels work on these integers."""
 
     base: str
     nodes: tuple
     corners: tuple
+    index: dict = field(compare=False, repr=False)
+    ends: tuple = field(compare=False, repr=False)
+    keys: tuple = field(compare=False, repr=False)
 
     def euler_characteristic(self):
         return len(self.nodes) - len(self.corners)
-
-    # The one numbering of a link: node i is ``nodes[i]``, and corner k of
-    # ``corners`` joins the nodes ``ends[k]`` and has the key ``keys[k]``.
-    # The zero/one and bi-forest kernels work on these integers.
-
-    @cached_property
-    def index(self):
-        """Node -> its position in ``nodes``."""
-        return {n: i for i, n in enumerate(self.nodes)}
-
-    @cached_property
-    def ends(self):
-        """Each corner's two node positions, in the order of ``Corner.nodes``."""
-        index = self.index
-        return tuple((index[a], index[b]) for _, _, (a, b) in self.corners)
-
-    @cached_property
-    def keys(self):
-        """Each corner's key ``(cell, position)``."""
-        return tuple((cell, position) for cell, position, _ in self.corners)
 
     def steps(self):
         """All directed corner traversals, forward before reverse, in corner order."""
@@ -311,16 +301,21 @@ def link_graph(X: TwoComplex, v) -> LinkGraph:
             nodes.append(LinkNode(e.id, 1))
         if e.source == v:
             nodes.append(LinkNode(e.id, -1))
+    nodes.sort()
+    index = {n: i for i, n in enumerate(nodes)}
     # a letter (edge, sign) arrives at its node (edge, sign), and departs from
     # (edge, -sign): the letter arrives at v when that node is here
-    at = {n: n for n in nodes}
-    corners = []
+    corners, ends, keys = [], [], []
     for cell in X.cells:
-        word = cell.word
+        cid, word = cell
         for i, (u, (w_edge, w_sign)) in enumerate(zip(word, word[1:] + word[:1])):
-            if u in at:
-                corners.append(Corner(cell.id, i, (at[u], at[w_edge, -w_sign])))
-    return LinkGraph(base=v, nodes=tuple(sorted(nodes)), corners=tuple(corners))
+            a = index.get(u)
+            if a is not None:
+                b = index[w_edge, -w_sign]
+                corners.append(Corner(cid, i, (nodes[a], nodes[b])))
+                ends.append((a, b))
+                keys.append((cid, i))
+    return LinkGraph(v, tuple(nodes), tuple(corners), index, tuple(ends), tuple(keys))
 
 
 class _Links(dict):

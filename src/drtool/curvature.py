@@ -353,16 +353,32 @@ def weight_test(X: TwoComplex, omega: AngleAssignment) -> TestVerdict:
 
 
 def _zero_forest(G, angles):
-    """Union-find of the angle-0 subgraph of G over its node positions, under
-    ``angles`` (corner k of G has angle ``angles[k]``), and its first cycle:
-    the first 0-corner closing one plus the tree path it closes, or None."""
-    uf = UnionFind(range(len(G.nodes)))
+    """The angle-0 subgraph of G under ``angles`` (corner k of G has angle
+    ``angles[k]``), over its node positions: each position's component
+    number, components numbered by their least position, and its first
+    cycle: the first 0-corner closing one plus the tree path it closes, or
+    None.  A list union-find, whose roots are each component's least
+    position."""
+    parent = list(range(len(G.nodes)))
     first = None
     for k, ((a, b), angle) in enumerate(zip(G.ends, angles)):
-        if angle == 0 and not uf.union(a, b) and first is None:
-            first = k
+        if angle == 0:
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+            elif first is None:
+                first = k
+    for p, q in enumerate(parent):  # q <= p, so parent[q] is q's root by now
+        parent[p] = parent[q]
+    number = {}  # root -> its component number; a root precedes its members
+    component = [number.setdefault(root, len(number)) for root in parent]
     if first is None:
-        return uf, None
+        return component, None
     # every 0-corner before the first cycle joined two trees of the forest
     adj = {}  # position -> ((position, corner), neighbour, 0) over those corners
     for k, (a, b) in enumerate(G.ends[:first]):
@@ -371,7 +387,7 @@ def _zero_forest(G, angles):
             adj.setdefault(b, []).append(((b, k), a, 0))
     a, b = G.ends[first]
     _, path = _least_walk(adj, a, 0, {b})
-    return uf, {
+    return component, {
         "cycle_nodes": [str(G.nodes[n]) for n, _ in path] + [str(G.nodes[b])],
         "cycle_corners": [list(G.keys[k]) for _, k in path] + [list(G.keys[first])],
     }
@@ -384,9 +400,9 @@ def coloring_test(X: TwoComplex, omega01: ZeroOneAssignment) -> TestVerdict:
 
 
 def coloring_forests(X: TwoComplex, omega01: ZeroOneAssignment):
-    """The coloring test's verdict, and when it passes the angle-0 union-find
-    of every vertex link over its node positions (vertex -> UnionFind); None
-    when it fails."""
+    """The coloring test's verdict, and when it passes the component numbering
+    of the angle-0 subgraph of every vertex link, as ``_zero_forest`` gives it
+    (vertex -> list over node positions); None when it fails."""
     omega01.validate_total(X)
     angles = {}  # vertex -> the angles of its link's corners, in link order
     ones = dict.fromkeys([cell.id for cell in X.cells], 0)  # the angles 1 of each cell
@@ -405,18 +421,18 @@ def coloring_forests(X: TwoComplex, omega01: ZeroOneAssignment):
         forests[v], cycle = _zero_forest(X.links[v], angles[v])
         if cycle is not None:
             return TestVerdict(False, {"condition": 2, "vertex": v, **cycle}), None
-    for v, uf in forests.items():
+    for v, component in forests.items():
         G = X.links[v]
-        root = [uf.find(p) for p in range(len(G.nodes))]
         for (a, b), key, angle in zip(G.ends, G.keys, angles[v]):
-            if angle == 1 and root[a] == root[b]:
+            if angle == 1 and component[a] == component[b]:
                 return TestVerdict(
                     False,
                     {
                         "condition": 3,
                         "vertex": v,
                         "corner": list(key),
-                        "component": [str(n) for n, r in zip(G.nodes, root) if r == root[a]],
+                        "component": [str(n) for n, c in zip(G.nodes, component)
+                                      if c == component[a]],
                     },
                 ), None
     return TestVerdict(True, None), forests

@@ -71,18 +71,25 @@ class Lot:
     def labels(self):
         return [e.label for e in self.edges]
 
-    @property
+    @cached_property
     def is_injective(self):
         return len(set(self.labels)) == len(self.labels)
 
-    @property
+    @cached_property
     def is_tree(self):
+        """n - 1 edges, none of which closes a cycle."""
         if len(self.edges) != len(self.vertices) - 1:
             return False
-        uf = UnionFind(self.vertices)
-        for e in self.edges:
-            uf.union(e.source, e.target)
-        return uf.count == 1
+        root = {v: v for v in self.vertices}
+        for _, a, b, _ in self.edges:
+            while root[a] != a:
+                a = root[a]
+            while root[b] != b:
+                b = root[b]
+            if a == b:
+                return False
+            root[a] = b
+        return True
 
     @cached_property
     def complex(self) -> TwoComplex:
@@ -629,6 +636,9 @@ class BiForestStructure:
     lambda1_corners: tuple  # corner keys
     lambda2_corners: tuple
     assignment: ZeroOneAssignment
+    # each link node position's component number in the two forests,
+    # numbered by least position; the ZERO_ONE certificate is written from it
+    components: list = field(default=None, compare=False, repr=False)
 
     def to_jsonable(self):
         return {
@@ -670,6 +680,8 @@ def _bi_forest(link, generators, signs):
     if found is None:
         return None
     side = [found[g] * e for g, e in zip(generator, end)]
+    number = {}  # root -> component number, in the order of least position
+    components = [number.setdefault(uf.find(p), len(number)) for p in range(len(link.nodes))]
     zeros = {1: [], -1: []}
     table = {}
     for key, (a, b) in zip(link.keys, link.ends):
@@ -685,6 +697,7 @@ def _bi_forest(link, generators, signs):
         lambda1_corners=tuple(zeros[1]),
         lambda2_corners=tuple(zeros[-1]),
         assignment=ZeroOneAssignment._of_table(table),
+        components=components,
     )
 
 
@@ -758,13 +771,15 @@ def _unknown(lot, reason, evidence, children=()):
 
 def _dr2_certificate(lot: Lot, structure):
     """The first DR(2) certificate of the LOT complex along ``dr2_routes``,
-    or None; the zero/one route runs on the angles of the bi-forest
-    ``structure`` when one is given.  Its two disjoint forests guarantee the
-    coloring test and the per-edge component condition, so a failure of that
-    route is an invariant violation.  A later route runs only when every
-    earlier one fails."""
-    angles = structure.assignment if structure is not None else None
-    for method, check, args in dr2_routes(lot.complex, angles=angles):
+    or None; the zero/one route writes the certificate of the angles of the
+    bi-forest ``structure`` from its components when one is given.  Its two
+    disjoint forests guarantee the coloring test and the per-edge component
+    condition, so a failure of that route is an invariant violation.  A later
+    route runs only when every earlier one fails."""
+    angles = components = None
+    if structure is not None:
+        angles, components = structure.assignment, structure.components
+    for method, check, args in dr2_routes(lot.complex, angles=angles, components=components):
         outcome = check(*args)
         if outcome.ok:
             return outcome.certificate

@@ -27,7 +27,7 @@ from .curvature import (
     weight_test,
 )
 from .diagrams import search_reduced_diagram
-from .errors import DrtoolError, InvalidSearchCap
+from .errors import CapExceeded, DrtoolError, InvalidSearchCap
 from .lots import (
     Lot,
     bi_forest_orientation,
@@ -139,6 +139,11 @@ def _complex_section(X, weights, angles, diagnostics):
 
 def analyze_text(text, options: AnalyzeOptions = None, name=None) -> dict:
     options = options or AnalyzeOptions()
+    if options.max_faces is not None:
+        try:
+            face_bound(options.max_faces)  # a bound that is no bound fails the run at once
+        except CapExceeded:
+            pass  # one above the cap is the diagram search's diagnostic, below
     kind = sniff_kind(text)
     diagnostics = []
     report = {

@@ -45,14 +45,6 @@ class UnionFind:
     def together(self, a, b):
         return self.find(a) == self.find(b)
 
-    def components(self):
-        """Partition as a tuple of classes, each a sorted tuple, ordered by
-        their smallest member; items must be mutually comparable."""
-        comps = {}
-        for item in self.parent:
-            comps.setdefault(self.find(item), []).append(item)
-        return tuple(sorted(tuple(sorted(members)) for members in comps.values()))
-
     def mark(self):
         return len(self._trail)
 

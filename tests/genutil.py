@@ -287,6 +287,15 @@ def oracle_zero_one_structure(X):
     return None
 
 
+def uf_classes(uf):
+    """The partition of a ``UnionFind`` as a tuple of classes, each a sorted
+    tuple, ordered by their smallest member; items must be comparable."""
+    classes = {}
+    for item in uf.parent:
+        classes.setdefault(uf.find(item), []).append(item)
+    return tuple(sorted(tuple(sorted(members)) for members in classes.values()))
+
+
 # ---------------------------------------------------------------------------
 # oracle: the coloring test and the zero/one criterion over link nodes
 
@@ -352,7 +361,7 @@ def oracle_dr2_zero_one(X, omega01):
     if forests is None:
         return CheckOutcome(witness={"reason": "coloring_test", "witness": verdict["witness"]}
                             ).to_jsonable()
-    comps = forests[X.vertices[0]].components()
+    comps = uf_classes(forests[X.vertices[0]])
     comp_index = {node: i for i, comp in enumerate(comps) for node in comp}
     edge_rows = []
     for e in X.edges:

@@ -21,7 +21,7 @@ from drtool import (
 from drtool import curvature
 from drtool.certificates import check_dr2_zero_one
 from drtool.complexes import TwoComplex
-from drtool.curvature import min_reduced_cycle, min_reduced_path
+from drtool.curvature import coloring_forests, min_reduced_cycle, min_reduced_path
 from drtool.errors import (
     CapExceeded,
     ComplexError,
@@ -49,11 +49,21 @@ from genutil import (
     random_surface_word_complex,
     random_zero_one,
     reference_zero_one_structure,
+    uf_classes,
 )
 
 
 def trefoil_zero_one():
     return bi_forest_orientation(make_trefoil()).assignment
+
+
+def numbered_classes(nodes, component):
+    """The classes of ``nodes`` under a component numbering of their
+    positions, class i holding the nodes numbered i, in node order."""
+    classes = [[] for _ in set(component)]
+    for node, number in zip(nodes, component):
+        classes[number].append(node)
+    return tuple(map(tuple, classes))
 
 
 class TestCurvatureValues:
@@ -495,14 +505,21 @@ class TestColoringTest:
 
 class TestColoringOracle:
     """The zero/one kernel on the link numbering against the same test read
-    over link nodes, one ``weight`` per corner (``oracle_coloring_forests``)."""
+    over link nodes, one ``weight`` per corner (``oracle_coloring_forests``):
+    the verdict, and on a pass the component numbering, whose classes in
+    number order must be the partition of the oracle's ``UnionFind``."""
 
     @staticmethod
     def agree(X, omega01, seen):
-        """Check the verdict and, on one vertex, the ZERO_ONE outcome against
-        the oracle, and count what they were in ``seen``."""
-        verdict = coloring_test(X, omega01).to_jsonable()
-        assert verdict == oracle_coloring_forests(X, omega01)[0]
+        """Check the verdict, the numbering and, on one vertex, the ZERO_ONE
+        outcome against the oracle, and count what they were in ``seen``."""
+        verdict, forests = coloring_forests(X, omega01)
+        verdict = verdict.to_jsonable()
+        expected, oracle_forests = oracle_coloring_forests(X, omega01)
+        assert verdict == expected
+        assert (forests is None) == (oracle_forests is None)
+        for v, component in (forests or {}).items():
+            assert numbered_classes(X.links[v].nodes, component) == uf_classes(oracle_forests[v])
         seen["pass" if verdict["pass"] else verdict["witness"]["condition"]] += 1
         if X.is_single_vertex:
             outcome = check_dr2_zero_one(X, omega01).to_jsonable()
@@ -560,8 +577,8 @@ class TestLk0Components:
     @staticmethod
     def components(X, v, omega01):
         G = X.links[v]
-        uf, _ = curvature._zero_forest(G, omega01.angles(G.keys))
-        return tuple(tuple(G.nodes[p] for p in comp) for comp in uf.components())
+        component, _ = curvature._zero_forest(G, omega01.angles(G.keys))
+        return numbered_classes(G.nodes, component)
 
     def test_trefoil_split(self):
         K = lot_complex(make_trefoil())

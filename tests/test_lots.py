@@ -680,6 +680,32 @@ class TestBiForest:
         assert coloring_test(K, w01).passed
         assert check_dr2_zero_one(K, w01).ok
 
+    def test_the_certificate_written_from_the_bi_forest_is_the_checked_one(self):
+        # the decision writes each ZERO_ONE certificate from the bi-forest's
+        # own components, without the coloring test; check_dr2_zero_one, which
+        # verify-cert runs, must write the same one, on reduced injective
+        # LOTs and on their quotients that are reduced injective too
+        rng = random.Random(4343)
+        seen = {"lot": 0, "quotient": 0}
+        for k in range(72):
+            lot = random_reduced_injective_lot(rng, 6 + k % 9)
+            cases = [("lot", lot)]
+            for sub, proper in enumerate_sub_lots(lot):
+                if proper:
+                    quotient_lot, _ = quotient(lot, sub)
+                    props = check_properties(quotient_lot)
+                    if props.reduced and props.injective:
+                        cases.append(("quotient", quotient_lot))
+            for kind, each in cases:
+                structure = bi_forest_orientation(each)
+                if structure is None:
+                    continue
+                written = lots._dr2_certificate(each, structure).to_jsonable()
+                assert written == check_dr2_zero_one(
+                    each.complex, structure.assignment).to_jsonable()["certificate"]
+                seen[kind] += 1
+        assert min(seen.values()) >= 30, seen
+
 
 class TestDecide:
     def test_single_vertex(self):
@@ -765,17 +791,18 @@ class TestDecide:
         assert len(built) == lot_nodes(tree) == links
 
     def test_quotient_bi_forest_failing_zero_one_is_an_invariant_violation(self, monkeypatch):
-        # the first zero/one check of w5 is its quotient's; it must not fall
-        # back to C(4)-T(4)
+        # the first ZERO_ONE certificate of w5 written is its quotient's; it
+        # must not fall back to C(4)-T(4)
         calls = []
+        write = certificates.write_zero_one
 
-        def fail_first(X, omega01):
+        def fail_first(X, omega01, component):
             calls.append(X)
             if len(calls) == 1:
                 return CheckOutcome(witness={"reason": "forced"})
-            return check_dr2_zero_one(X, omega01)
+            return write(X, omega01, component)
 
-        monkeypatch.setattr(certificates, "check_dr2_zero_one", fail_first)
+        monkeypatch.setattr(certificates, "write_zero_one", fail_first)
         with pytest.raises(InvariantViolation, match="forced"):
             decide_locally_indicable(make_w5())
         assert len(calls) == 1

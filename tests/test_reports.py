@@ -87,6 +87,23 @@ class TestAnalyze:
         rep = analyze(CORPUS / "torus.pres", AnalyzeOptions(max_faces=0))
         assert rep["diagram_search"] == {"max_faces": 0, "reduced_diagram": None}
 
+    def test_a_bad_face_bound_is_refused_before_the_analysis(self, monkeypatch):
+        def reached(*args):
+            raise AssertionError("the analysis ran")
+
+        monkeypatch.setattr(reports, "parse_lot", reached)
+        monkeypatch.setattr(reports, "decide_locally_indicable", reached)
+        with pytest.raises(InvalidSearchCap,
+                           match=r"^max_faces must be a non-negative integer, got -1$"):
+            analyze(CORPUS / "trefoil.lot", AnalyzeOptions(max_faces=-1))
+        monkeypatch.undo()
+        # a bound above the cap is the diagram search's diagnostic, after the analysis
+        rep = analyze(CORPUS / "trefoil.lot", AnalyzeOptions(max_faces=9))
+        assert rep["certificates"]["local_indicability"]["kind"] == "HUCK_ROSE_BASE"
+        assert rep["diagnostics"] == [{
+            "check": "diagram_search",
+            "error": "CapExceeded: 9 faces exceeds the diagram search cap 8"}]
+
     def test_timestamp_only_on_request(self):
         rep = analyze(CORPUS / "trefoil.lot")
         assert "timestamp" not in rep

@@ -2,10 +2,12 @@ import random
 
 from drtool.unionfind import UnionFind, first_acyclic_choices
 
+from genutil import uf_classes
+
 
 def partition(items, pairs):
     """Classes of ``items`` under the unions ``pairs``, recomputed from scratch
-    in the form ``UnionFind.components`` returns."""
+    in the form ``genutil.uf_classes`` returns."""
     label = {item: item for item in items}
     changed = True
     while changed:
@@ -51,7 +53,7 @@ def test_random_unions_and_rollbacks_match_recomputed_partition():
                 # parent pointers, ranks and count are exactly as at the mark
                 assert snapshot(uf) == state
             expected = partition(items, live)
-            assert uf.components() == expected
+            assert uf_classes(uf) == expected
             assert uf.count == len(expected)
             for a in items:
                 for b in items:
