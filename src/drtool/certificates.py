@@ -395,8 +395,8 @@ def dr2_routes(X: TwoComplex, weights=None, angles=None, components=None):
     """The DR(2) criteria to try on X, in order, as ``(method, check, args)``
     with ``check(*args)`` the CheckOutcome: ZERO_ONE when angles are given,
     then C4T4, then WEIGHTED when weights are given.  ZERO_ONE is written
-    from ``components`` without the coloring test when the search that found
-    the angles gives their angle-0 component numbering (``write_zero_one``)."""
+    from ``components`` without the coloring test when the bi-forest search
+    that found the angles gives their angle-0 numbering (``write_zero_one``)."""
     if angles is not None and components is not None:
         yield METHOD_ZERO_ONE, write_zero_one, (X, angles, components)
     elif angles is not None:

@@ -262,8 +262,8 @@ class LinkGraph:
 
     Its one numbering, built with the corners by ``link_graph``: node i is
     ``nodes[i]`` and ``index`` maps it back to i, and corner k of ``corners``
-    joins the nodes ``ends[k]`` and has the key ``keys[k]``.  The zero/one and
-    bi-forest kernels work on these integers."""
+    joins the nodes ``ends[k]`` and has the key ``keys[k]``.  The coloring test,
+    the zero/one search and the bi-forest search build their angle-0 forests on them."""
 
     base: str
     nodes: tuple

@@ -354,29 +354,17 @@ def weight_test(X: TwoComplex, omega: AngleAssignment) -> TestVerdict:
 
 def _zero_forest(G, angles):
     """The angle-0 subgraph of G under ``angles`` (corner k of G has angle
-    ``angles[k]``), over its node positions: each position's component
-    number, components numbered by their least position, and its first
-    cycle: the first 0-corner closing one plus the tree path it closes, or
-    None.  A list union-find, whose roots are each component's least
-    position."""
-    parent = list(range(len(G.nodes)))
+    ``angles[k]``), as a ``UnionFind`` over its node positions: each
+    position's component number, components numbered by their least
+    position, and its first cycle: the first 0-corner closing one plus the
+    tree path it closes, or None."""
+    positions = range(len(G.nodes))
+    uf = UnionFind(positions)
     first = None
     for k, ((a, b), angle) in enumerate(zip(G.ends, angles)):
-        if angle == 0:
-            while parent[a] != a:
-                parent[a] = a = parent[parent[a]]
-            while parent[b] != b:
-                parent[b] = b = parent[parent[b]]
-            if a < b:
-                parent[b] = a
-            elif b < a:
-                parent[a] = b
-            elif first is None:
-                first = k
-    for p, q in enumerate(parent):  # q <= p, so parent[q] is q's root by now
-        parent[p] = parent[q]
-    number = {}  # root -> its component number; a root precedes its members
-    component = [number.setdefault(root, len(number)) for root in parent]
+        if angle == 0 and not uf.union(a, b) and first is None:
+            first = k
+    component = uf.numbering(positions)
     if first is None:
         return component, None
     # every 0-corner before the first cycle joined two trees of the forest
@@ -444,36 +432,37 @@ def find_zero_one_structure(X: TwoComplex):
     One ``first_acyclic_choices`` level per corner, angle 0 before 1, pruning
     choices that break the forest condition or the per-cell curvature budget;
     the component condition judges each full choice.  The angle-0 forest of
-    each vertex link is one union-find: an angle-0 choice unions its ends.
+    each vertex link is one ``UnionFind`` over its positions: angle 0 unions ``ends``.
     Refuses complexes with more than the zero/one search cap of corners; LOT
     complexes should use the dedicated bi-forest search instead.
     """
-    corners = list(X.corners.values())
+    corners, keys = [], []  # (forest, a, b, cell) and key of each corner, vertex then link
+    for G in X.links.values():
+        uf = UnionFind(range(len(G.nodes)))
+        corners += [(uf, a, b, cell) for (a, b), (cell, _) in zip(G.ends, G.keys)]
+        keys += G.keys
     caps.refuse_above(len(corners), "corners", "zero/one", caps.ZERO_ONE_CAP)
     room = {cell.id: len(cell.word) - 2 for cell in X.cells}  # angles 1 a cell may still take
     if any(r < 0 for r in room.values()):
         return None  # a monogon's curvature is positive under any zero/one angles
-    forests = {v: UnionFind(X.links[v].nodes) for v in X.vertices}
     # an angle-0 pair depends on every level up to its own: the budgets leave
     # values out, so the search stays chronological
-    zero_pairs = [(*c.nodes, (2 << index) - 1) for index, (_, c) in enumerate(corners)]
+    zero_pairs = [(a, b, (2 << index) - 1) for index, (_, a, b, _) in enumerate(corners)]
 
     def options(index, chosen):
-        v, corner = corners[index]
-        uf = forests[v]
-        if uf.together(*corner.nodes):
+        uf, a, b, cell = corners[index]
+        if uf.together(a, b):
             # angle 0 would close a cycle (a loop corner closes one alone), and
             # angle 1 can never satisfy the component condition
             return
         yield 0, uf, (zero_pairs[index],)
-        if room[corner.cell] > 0:
-            room[corner.cell] -= 1
+        if room[cell] > 0:
+            room[cell] -= 1
             try:
                 yield 1, uf, ()
             finally:
-                room[corner.cell] += 1
+                room[cell] += 1
 
     angles = first_acyclic_choices(len(corners), options, lambda chosen: all(
-        angle == 0 or not forests[v].together(*c.nodes) for (v, c), angle in zip(corners, chosen)))
-    return None if angles is None else ZeroOneAssignment._of_table(
-        {c.key: angle for (_, c), angle in zip(corners, angles)})
+        angle == 0 or not uf.together(a, b) for (uf, a, b, _), angle in zip(corners, chosen)))
+    return None if angles is None else ZeroOneAssignment._of_table(dict(zip(keys, angles)))

@@ -680,8 +680,6 @@ def _bi_forest(link, generators, signs):
     if found is None:
         return None
     side = [found[g] * e for g, e in zip(generator, end)]
-    number = {}  # root -> component number, in the order of least position
-    components = [number.setdefault(uf.find(p), len(number)) for p in range(len(link.nodes))]
     zeros = {1: [], -1: []}
     table = {}
     for key, (a, b) in zip(link.keys, link.ends):
@@ -697,7 +695,7 @@ def _bi_forest(link, generators, signs):
         lambda1_corners=tuple(zeros[1]),
         lambda2_corners=tuple(zeros[-1]),
         assignment=ZeroOneAssignment._of_table(table),
-        components=components,
+        components=uf.numbering(range(len(link.nodes))),
     )
 
 

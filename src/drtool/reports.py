@@ -103,11 +103,12 @@ def diagram_search_section(X, max_faces=None):
     }
 
 
-def _dr2_attempts(X, weights, angles, diagnostics):
-    """An attempt for each DR(2) route in its order; a check that raises is a
+def _dr2_attempts(X, weights, angles, components, diagnostics):
+    """An attempt for each DR(2) route in its order, ZERO_ONE written from the
+    bi-forest's ``components`` when they are given; a check that raises is a
     diagnostic labelled by its method, as ``dr2_zero_one``."""
     attempts = []
-    for method, check, args in dr2_routes(X, weights, angles):
+    for method, check, args in dr2_routes(X, weights, angles, components):
         outcome = _attempt(diagnostics, f"dr2_{method.lower()}", check, *args)
         if outcome is not None:
             attempts.append({"method": method, **outcome.to_jsonable()})
@@ -157,21 +158,24 @@ def analyze_text(text, options: AnalyzeOptions = None, name=None) -> dict:
     if weight is not None and not isinstance(weight, AngleAssignment):
         weight = _exact_weight(weight)  # a bad weight fails the run before any search
     angles = searched = options.angles
+    components = None
     if kind == "lot":
         lot = parsed
         canonical = serialize_lot(lot)
-        reduced, log = reduce_lot_with_log(lot)
+        # reduction, the bi-forest and the decision are defined on trees; a
+        # LOG that is not one is analysed on its own complex
+        reduced, log = reduce_lot_with_log(lot) if lot.is_tree else (lot, None)
         props = check_properties(lot)
         X = reduced.complex
 
         lot_section = {
             "properties": props.to_jsonable(),
             "is_tree": lot.is_tree,
-            "reduced_form": serialize_lot(reduced),
-            "reduction_log": list(log),
+            "reduced_form": None if log is None else serialize_lot(reduced),
+            "reduction_log": None if log is None else list(log),
             "bi_forest": None,
         }
-        if angles is None and reduced.is_injective:
+        if angles is None and lot.is_tree and reduced.is_injective:
             biforest = _attempt(
                 diagnostics, "bi_forest", bi_forest_orientation, reduced, failed=False
             )
@@ -180,6 +184,7 @@ def analyze_text(text, options: AnalyzeOptions = None, name=None) -> dict:
             elif biforest is not None:
                 lot_section["bi_forest"] = biforest.to_jsonable()
                 angles = searched = biforest.assignment
+                components = biforest.components
         report["lot"] = lot_section
     else:
         lot, X = None, parsed
@@ -190,9 +195,9 @@ def analyze_text(text, options: AnalyzeOptions = None, name=None) -> dict:
 
     weights = _resolve_weights(weight, X)
     section, tests = _complex_section(X, weights, searched, diagnostics)
-    attempts = _dr2_attempts(X, weights, angles, diagnostics)
+    attempts = _dr2_attempts(X, weights, angles, components, diagnostics)
     li_tree = None
-    if lot is not None and lot.is_injective:
+    if lot is not None and lot.is_tree and lot.is_injective:
         tree = _attempt(diagnostics, "decide", decide_locally_indicable, lot)
         if tree is not None:
             li_tree = tree.to_jsonable()

@@ -45,6 +45,12 @@ class UnionFind:
     def together(self, a, b):
         return self.find(a) == self.find(b)
 
+    def numbering(self, items):
+        """Each item's class number, classes numbered in the order of their
+        first item."""
+        number = {}  # root -> its class number
+        return [number.setdefault(self.find(item), len(number)) for item in items]
+
     def mark(self):
         return len(self._trail)
 

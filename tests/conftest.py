@@ -21,6 +21,8 @@ DIAGRAM_FIXTURES = [  # in FIXTURES / "diagrams"
     "torus_pillow_rot.json",
     "trefoil_pillow.json",
 ]
+# a LOG that is not a tree: its three edges close a cycle
+NOT_A_TREE = "log\nvertex a b c\nedge e1 a b c\nedge e2 b c a\nedge e3 c a b\n"
 
 
 def fixture_text(name):

@@ -17,7 +17,7 @@ from drtool import (
 from drtool.cli import main
 from drtool.reports import AnalyzeOptions, analyze, canonical_json
 
-from conftest import CORPUS, FIXTURES, fixture_text, make_trefoil, make_w5
+from conftest import CORPUS, FIXTURES, NOT_A_TREE, fixture_text, make_trefoil, make_w5
 
 
 # The directory holding the drtool package this process imported, so the
@@ -339,6 +339,33 @@ def test_corpus_reports_a_file_that_is_not_utf8_and_goes_on(tmp_path):
     assert data["summary"]["parse_errors"] == 1
     assert data["reports"]["bad.lot"]["error"].startswith("ParseError: not UTF-8 text")
     assert data["summary"]["local_indicability"]["certified"] == 1
+
+
+def test_analyze_a_log_that_is_not_a_tree(tmp_path):
+    path = tmp_path / "cycle.log"
+    path.write_text(NOT_A_TREE, encoding="utf-8")
+    result = run_cli("analyze", str(path), "--json")
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    lot = report["lot"]
+    assert lot["is_tree"] is False
+    assert [lot["reduced_form"], lot["reduction_log"], lot["bi_forest"]] == [None] * 3
+    # the LOG's own complex: one square per edge
+    assert (report["complex"]["cells"], report["complex"]["edges"]) == (3, 3)
+    assert [a["method"] for a in report["certificates"]["dr2"]] == ["C4T4"]
+    assert report["certificates"]["local_indicability"] is None
+
+
+def test_corpus_analyses_a_log_that_is_not_a_tree(tmp_path):
+    (tmp_path / "cycle.log").write_text(NOT_A_TREE, encoding="utf-8")
+    (tmp_path / "trefoil.lot").write_text(fixture_text("trefoil.lot"), encoding="utf-8")
+    result = run_cli("corpus", str(tmp_path), "--json")
+    assert result.returncode == 0
+    data = json.loads(result.stdout)
+    assert data["summary"]["parse_errors"] == 0
+    assert data["reports"]["cycle.log"]["lot"]["is_tree"] is False
+    assert data["summary"]["local_indicability"] == {
+        "certified": 1, "unknown": 0, "not_attempted": 1}
 
 
 def li_certificate_without_lot():

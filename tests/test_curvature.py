@@ -705,12 +705,14 @@ class TestZeroOneSearch:
         assert seen["after"] == seen["before"]
 
     def test_one_union_find_per_vertex_link(self, monkeypatch):
+        # the search and the coloring test each build one forest a vertex
+        # link, over the link's node positions
         built = []
 
         class CountingUnionFind(UnionFind):
             def __init__(self, items=()):
                 super().__init__(items)
-                built.append(self)
+                built.append(list(self.parent))
 
         monkeypatch.setattr(curvature, "UnionFind", CountingUnionFind)
         two_vertices = build_complex(
@@ -719,6 +721,11 @@ class TestZeroOneSearch:
             vertices=["u", "v"],
         )
         for X in (make_torus(), two_vertices):
+            positions = [list(range(len(X.links[v].nodes))) for v in X.vertices]
             built.clear()
-            assert find_zero_one_structure(X) is not None
-            assert len(built) == len(X.vertices)
+            structure = find_zero_one_structure(X)
+            assert structure is not None
+            assert built == positions
+            built.clear()
+            assert coloring_test(X, structure).passed
+            assert built == positions

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from drtool import AngleAssignment, ZeroOneAssignment, export_dot, link_graph
-from drtool import reports
+from drtool import certificates, curvature, reports
+from drtool.certificates import check_dr2_zero_one
 from drtool.errors import ComplexError, DrtoolError, InvalidSearchCap, ParseError
 from drtool.lots import bi_forest_orientation, lot_complex
+from drtool.parsing import serialize_lot
 from drtool.reports import (
     AnalyzeOptions,
     analyze,
@@ -16,7 +18,8 @@ from drtool.reports import (
     parse_weight_value,
 )
 
-from conftest import CORPUS, make_trefoil
+from conftest import CORPUS, FIXTURES, NOT_A_TREE, make_trefoil
+from genutil import random_reduced_injective_lot
 
 
 class TestAnalyze:
@@ -103,6 +106,56 @@ class TestAnalyze:
         assert rep["diagnostics"] == [{
             "check": "diagram_search",
             "error": "CapExceeded: 9 faces exceeds the diagram search cap 8"}]
+
+    @pytest.mark.parametrize("path", [CORPUS / "trefoil.lot",
+                                      *sorted((FIXTURES / "lots").glob("*.lot"))],
+                             ids=lambda path: path.name)
+    def test_the_coloring_test_runs_once_on_the_bi_forest_angles(self, monkeypatch, path):
+        # the ZERO_ONE attempt is written from the bi-forest's components, so
+        # only the tests section runs the coloring test, and only when the
+        # whole reduced LOT has a bi-forest
+        calls = []
+        original = curvature.coloring_forests
+
+        def counted(X, omega01):
+            calls.append(X)
+            return original(X, omega01)
+
+        monkeypatch.setattr(curvature, "coloring_forests", counted)
+        monkeypatch.setattr(certificates, "coloring_forests", counted)
+        rep = analyze(path)
+        assert len(calls) == (rep["lot"]["bi_forest"] is not None)
+        if calls:
+            assert rep["tests"]["coloring_test"]["pass"] is True
+            assert rep["certificates"]["dr2"][0]["method"] == "ZERO_ONE"
+
+    def test_the_zero_one_attempt_is_the_checked_certificate(self):
+        rng = random.Random(33)
+        found = 0
+        for _ in range(40):
+            lot = random_reduced_injective_lot(rng, rng.randrange(6, 14))
+            structure = bi_forest_orientation(lot)
+            attempts = analyze_text(serialize_lot(lot))["certificates"]["dr2"]
+            if structure is None:
+                assert [a["method"] for a in attempts] == ["C4T4"]
+                continue
+            found += 1
+            checked = check_dr2_zero_one(lot.complex, structure.assignment)
+            assert attempts[0] == {"method": "ZERO_ONE", **checked.to_jsonable()}
+        assert found >= 30
+
+    def test_a_log_that_is_not_a_tree_is_analysed_on_its_own_complex(self):
+        angles = ZeroOneAssignment({(f"e{i}", p): p % 2 for i in (1, 2, 3) for p in range(4)})
+        for options in (None, AnalyzeOptions(angles=angles)):
+            rep = analyze_text(NOT_A_TREE, options)
+            lot = rep["lot"]
+            assert lot["is_tree"] is False
+            assert [lot["reduced_form"], lot["reduction_log"], lot["bi_forest"]] == [None] * 3
+            assert rep["complex"]["cells"] == 3
+            assert rep["certificates"]["local_indicability"] is None
+            assert rep["diagnostics"] == []
+        assert "coloring_test" in rep["tests"]
+        assert [a["method"] for a in rep["certificates"]["dr2"]] == ["ZERO_ONE", "C4T4"]
 
     def test_timestamp_only_on_request(self):
         rep = analyze(CORPUS / "trefoil.lot")

@@ -60,6 +60,17 @@ def test_random_unions_and_rollbacks_match_recomputed_partition():
                     assert uf.together(a, b) == any(a in c and b in c for c in expected)
 
 
+def test_numbering_numbers_the_classes_by_their_least_item():
+    rng = random.Random(33)
+    for _ in range(100):
+        items = list(range(rng.randint(1, 12)))
+        uf = UnionFind(items)
+        for _ in range(rng.randint(0, 15)):
+            uf.union(rng.choice(items), rng.choice(items))
+        least = [min(j for j in items if uf.together(i, j)) for i in items]
+        assert uf.numbering(items) == [sorted(set(least)).index(m) for m in least]
+
+
 def backjump_case(chronological):
     """Three levels: level 0 picks "a", which joins x and y, or "b"; level 1
     picks 0 or 1 and joins nothing; level 2 joins y and x.  Returns the
