@@ -19,8 +19,10 @@ from dataclasses import dataclass
 from .complexes import (
     LinkNode,
     TwoComplex,
+    _inverse_letters,
     complex_from_jsonable,
     complex_to_jsonable,
+    cyclic_pairs,
     format_word,
     rotate_word,
     word_inverse,
@@ -199,26 +201,12 @@ def write_zero_one(X: TwoComplex, omega01: ZeroOneAssignment, component) -> Chec
 # pieces and C(4)-T(4)
 
 
-def _first_cyclic_pair(word, related):
-    """The 1-based positions of the first cyclic pair of neighbouring letters
-    ``a, b`` with ``related(a, b)``, or None; a one-letter word has none."""
-    L = len(word)
-    for i in range(L if L > 1 else 0):
-        if related(word[i], word[(i + 1) % L]):
-            return [i + 1, (i + 1) % L + 1]
-    return None
-
-
-def _inverse_pair(a, b):
-    return b == a.inverse()
-
-
 def _require_reduced_relators(X):
     for cell in X.cells:
-        pair = _first_cyclic_pair(cell.word, _inverse_pair)
+        pair = next(cyclic_pairs(cell.word, _inverse_letters), None)
         if pair is not None:
             raise NonReducedRelator(
-                f"cell {cell.id} has an inverse pair at positions ({pair[0]},{pair[1]})"
+                f"cell {cell.id} has an inverse pair at positions ({pair[0] + 1},{pair[1] + 1})"
             )
 
 
@@ -354,19 +342,20 @@ def check_dr2_c4t4(X: TwoComplex) -> CheckOutcome:
             witness={"reason": "multi_vertex", "vertices": list(X.vertices)}
         )
     for cell in X.cells:
-        pair = _first_cyclic_pair(cell.word, _inverse_pair)
+        pair = next(cyclic_pairs(cell.word, _inverse_letters), None)
         if pair is not None:
             return CheckOutcome(
-                witness={"reason": "non_reduced_relator", "cell": cell.id, "positions": pair}
+                witness={"reason": "non_reduced_relator", "cell": cell.id,
+                         "positions": [pair[0] + 1, pair[1] + 1]}
             )
-        pair = _first_cyclic_pair(cell.word, operator.eq)  # the same signed letter twice
+        pair = next(cyclic_pairs(cell.word, operator.eq), None)  # the same signed letter twice
         if pair is not None:
             return CheckOutcome(
                 witness={
                     "reason": "edge_repeat",
                     "cell": cell.id,
-                    "edge": cell.word[pair[0] - 1].edge,
-                    "positions": pair,
+                    "edge": cell.word[pair[0]].edge,
+                    "positions": [pair[0] + 1, pair[1] + 1],
                 }
             )
     verdict, decomposition = _c4t4_pieces(X)

@@ -90,10 +90,18 @@ def _render_plain(data, indent=0):
 
 
 def _read_json(path):
-    """The JSON value in the file ``path``; JSON nested too deeply for the
-    parser is an input error."""
+    """The JSON value in the file ``path``; a key repeated in one object, or
+    JSON nested too deeply for the parser, is an input error."""
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _ in pairs]
+            repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+            raise ParseError(f"{path}: key {repeated!r} repeated in a JSON object")
+        return obj
+
     try:
-        return json.loads(read_text(path))
+        return json.loads(read_text(path), object_pairs_hook=unique_keys)
     except RecursionError:
         raise ParseError(f"{path}: JSON nested too deeply") from None
 

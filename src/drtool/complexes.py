@@ -150,12 +150,28 @@ class CornerStep(NamedTuple):
         return CornerStep(self.corner, not self.reverse)
 
 
+def cyclic_pairs(sequence, related):
+    """The positions ``(i, j)`` of each pair of neighbours ``a, b`` of the
+    cyclic ``sequence`` with ``related(a, b)``, in order; the last item's
+    neighbour is the first, and a one-item sequence has none."""
+    if len(sequence) > 1:
+        for i, (a, b) in enumerate(zip(sequence, sequence[1:] + sequence[:1])):
+            if related(a, b):
+                yield i, (i + 1) % len(sequence)
+
+
+def _inverse_letters(a, b):
+    return b == a.inverse()
+
+
 @dataclass(frozen=True)
 class TwoComplex:
+    """A complex ``build_complex`` validated; ``flags`` names each letter of a
+    word followed cyclically by its inverse, which some hypotheses forbid."""
+
     vertices: tuple
     edges: tuple
     cells: tuple
-    flags: tuple = ()
 
     def edge_map(self):
         return {e.id: e for e in self.edges}
@@ -166,6 +182,12 @@ class TwoComplex:
     @property
     def is_single_vertex(self):
         return len(self.vertices) == 1
+
+    @cached_property
+    def flags(self):
+        """One line for each cyclic inverse pair of a cell's word, in cell order."""
+        return tuple(f"non-reduced boundary word at cell {cell.id} position ({i + 1},{j + 1})"
+                     for cell in self.cells for i, j in cyclic_pairs(cell.word, _inverse_letters))
 
     @cached_property
     def links(self):
@@ -181,12 +203,7 @@ class TwoComplex:
 
 
 def build_complex(edges, cells, vertices=None) -> TwoComplex:
-    """Validate raw data and build a TwoComplex.
-
-    Boundary words are stored as given.  Non-reduced words (a letter followed
-    cyclically by its inverse) are legal but flagged, since several certificate
-    hypotheses require reduced attaching words.
-    """
+    """Validate raw data and build a TwoComplex, the one place one is built."""
     edge_list = []
     for item in edges:
         e = Edge(str(item[0]), str(item[1]), str(item[2]))
@@ -214,7 +231,6 @@ def build_complex(edges, cells, vertices=None) -> TwoComplex:
 
     ends = {e.id: (e.source, e.target) for e in edge_list}
     cell_list = []
-    flags = []
     for item in cells:
         cid = str(item[0])
         word = coerce_word(item[1])
@@ -226,17 +242,12 @@ def build_complex(edges, cells, vertices=None) -> TwoComplex:
                 raise ComplexError(f"unknown edge id {edge!r} in cell {cid!r}")
             source, target = ends[edge]
             path.append((source, target) if sign > 0 else (target, source))
-        L = len(word)
-        for i, (u, w, (_, u_target), (w_source, _)) in enumerate(
-                zip(word, word[1:] + word[:1], path, path[1:] + path[:1])):
+        for u, w, (_, u_target), (w_source, _) in zip(
+                word, word[1:] + word[:1], path, path[1:] + path[:1]):
             if u_target != w_source:
                 raise ComplexError(
                     f"non-closed boundary path at cell {cid!r}: "
                     f"letter {u} ends at {u_target!r} but {w} starts at {w_source!r}"
-                )
-            if w.edge == u.edge and w.sign == -u.sign:
-                flags.append(
-                    f"non-reduced boundary word at cell {cid} position ({i + 1},{(i + 1) % L + 1})"
                 )
         cell_list.append(Cell(cid, word))
     cell_ids = [c.id for c in cell_list]
@@ -248,7 +259,6 @@ def build_complex(edges, cells, vertices=None) -> TwoComplex:
         vertices=tuple(vertex_set),
         edges=tuple(edge_list),
         cells=tuple(cell_list),
-        flags=tuple(flags),
     )
 
 

@@ -66,18 +66,24 @@ class AngleAssignment:
     """Map from corners (keyed by ``(cell, position)``) to exact rational angles."""
 
     def __init__(self, weights):
+        """``weights`` maps corner keys to angles, or lists (key, angle)
+        pairs; a corner given twice, as ``("r1", "0")`` and ``("r1", 0)``
+        are, is a ComplexError."""
         table = {}
         read = {}  # weight text -> its weight, each text read once
-        for (cell, position), value in dict(weights).items():
+        for (cell, position), value in weights.items() if hasattr(weights, "keys") else weights:
             if type(position) is not int:  # a bool is an int to Python, never a position
                 position = coerce_integer(position, "corner position")
+            key = (str(cell), position)
+            if key in table:
+                raise ComplexError(f"two angles for corner {key}")
             if type(value) is str:
                 if value not in read:
                     read[value] = _exact_weight(value)
                 value = read[value]
             elif type(value) is not int:
                 value = _exact_weight(value)
-            table[(str(cell), position)] = value
+            table[key] = value
         self._table = table
 
     @classmethod
@@ -139,7 +145,7 @@ class AngleAssignment:
 
     @classmethod
     def from_jsonable(cls, data):
-        return cls({(row["cell"], row["position"]): row["weight"] for row in data})
+        return cls([((row["cell"], row["position"]), row["weight"]) for row in data])
 
 
 class ZeroOneAssignment(AngleAssignment):

@@ -27,6 +27,7 @@ from .complexes import (
     TwoComplex,
     build_complex,
     coerce_integer,
+    cyclic_pairs,
     word_inverse,
 )
 from .curvature import AngleAssignment, CurvatureReport, TestVerdict, check_gauss_bonnet
@@ -254,7 +255,9 @@ def check_diagram(S: SphereComplex, f: DiagramMap, X: TwoComplex) -> FoldingRepo
 
 
 def _check_diagram(S: SphereComplex, f: DiagramMap, X: TwoComplex):
-    """check_diagram's report, with the side pairs and vertex orbits of S."""
+    """check_diagram's report, with the side pairs and vertex orbits of S.  A
+    sphere vertex is non-reduced at the first backtrack of its walk in the
+    link, a step followed by its own reverse as ``cyclic_pairs`` finds it."""
     sphere_check, pairs, orbits = _check_sphere(S)
     if not sphere_check.passed:
         raise IllFormedMap(f"sphere validation failed: {sphere_check.witness}")
@@ -310,13 +313,10 @@ def _check_diagram(S: SphereComplex, f: DiagramMap, X: TwoComplex):
             raise IllFormedMap(
                 f"sphere vertex v{orbit_index} has inconsistent images {sorted(images)}"
             )
-        # cyclic backtrack check; a step never equals its own reverse, so a
-        # single-corner orbit is reduced
-        k = len(steps)
-        for i in range(k):
-            if steps[(i + 1) % k] == steps[i].reversed_step():
-                nonreduced.append((f"v{orbit_index}", i))
-                break
+        # the orbit's first backtrack; a single-corner orbit has none
+        backtrack = next(cyclic_pairs(steps, lambda a, b: b == a.reversed_step()), None)
+        if backtrack is not None:
+            nonreduced.append((f"v{orbit_index}", backtrack[0]))
 
     folding = []
     for edge in sorted(pairs):

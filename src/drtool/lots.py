@@ -96,6 +96,11 @@ class Lot:
         """The presentation complex, built once per LOT."""
         return lot_complex(self)
 
+    @cached_property
+    def bi_forest(self):
+        """``bi_forest_orientation`` of the LOT, searched once per LOT."""
+        return bi_forest_orientation(self)
+
 
 def build_lot(vertices, edges) -> Lot:
     """The Lot on ``vertices`` and the ``(id, source, target, label)`` edges,
@@ -702,6 +707,7 @@ def _bi_forest(link, generators, signs):
 def bi_forest_orientation(lot: Lot):
     """First orientation choice (lexicographic over sorted generators, ``+``
     before ``-``) whose two spanned link subgraphs are both forests, or None.
+    ``Lot.bi_forest`` keeps it, so ``analyze`` and the decision share it.
 
     Found by ``_bi_forest``, which prunes each sign prefix whose angle-0 corners
     close a cycle and backjumps to the latest generator such a cycle depends on;
@@ -767,14 +773,15 @@ def _unknown(lot, reason, evidence, children=()):
     return _node(KIND_UNKNOWN, lot, {"reason": reason, **evidence}, children)
 
 
-def _dr2_certificate(lot: Lot, structure):
+def _dr2_certificate(lot: Lot):
     """The first DR(2) certificate of the LOT complex along ``dr2_routes``,
     or None; the zero/one route writes the certificate of the angles of the
-    bi-forest ``structure`` from its components when one is given.  Its two
-    disjoint forests guarantee the coloring test and the per-edge component
+    LOT's bi-forest from its components when it has one.  Its two disjoint
+    forests guarantee the coloring test and the per-edge component
     condition, so a failure of that route is an invariant violation.  A later
     route runs only when every earlier one fails."""
     angles = components = None
+    structure = lot.bi_forest
     if structure is not None:
         angles, components = structure.assignment, structure.components
     for method, check, args in dr2_routes(lot.complex, angles=angles, components=components):
@@ -845,10 +852,9 @@ def _decide(lot: Lot) -> LiCertificateTree:
 
     sub = maximal_proper_sub_lot(lot)
     if sub is None:
-        structure = bi_forest_orientation(lot)
-        if structure is None:
+        if lot.bi_forest is None:
             return _unknown(lot, BI_FOREST_SEARCH_FAILED, BASE_TRIGGER)
-        evidence = _base_evidence(structure, _dr2_certificate(lot, structure).to_jsonable())
+        evidence = _base_evidence(lot.bi_forest, _dr2_certificate(lot).to_jsonable())
         return _node(KIND_HUCK_ROSE_BASE, lot, evidence)
 
     evidence, quotient_lot = _collapse_evidence(lot, sub)
@@ -864,7 +870,7 @@ def _decide(lot: Lot) -> LiCertificateTree:
         children = (_decide(reduce_lot(sub)), _decide(reduce_lot(part2)))
         return _node(KIND_AMALGAM, lot, evidence, children)
 
-    dr2_cert = _dr2_certificate(quotient_lot, bi_forest_orientation(quotient_lot))
+    dr2_cert = _dr2_certificate(quotient_lot)
     child = _decide(reduce_lot(sub))
     if dr2_cert is None:
         return _unknown(lot, NO_QUOTIENT_CERTIFICATE, evidence, (child,))

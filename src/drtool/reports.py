@@ -30,7 +30,6 @@ from .diagrams import search_reduced_diagram
 from .errors import CapExceeded, DrtoolError, InvalidSearchCap
 from .lots import (
     Lot,
-    bi_forest_orientation,
     check_properties,
     decide_locally_indicable,
     reduce_lot_with_log,
@@ -176,8 +175,9 @@ def analyze_text(text, options: AnalyzeOptions = None, name=None) -> dict:
             "bi_forest": None,
         }
         if angles is None and lot.is_tree and reduced.is_injective:
+            # the decision, on the same reduced LOT, reads this search
             biforest = _attempt(
-                diagnostics, "bi_forest", bi_forest_orientation, reduced, failed=False
+                diagnostics, "bi_forest", lambda: reduced.bi_forest, failed=False
             )
             if biforest is False:
                 del lot_section["bi_forest"]  # the search raised: no claim either way
@@ -198,7 +198,7 @@ def analyze_text(text, options: AnalyzeOptions = None, name=None) -> dict:
     attempts = _dr2_attempts(X, weights, angles, components, diagnostics)
     li_tree = None
     if lot is not None and lot.is_tree and lot.is_injective:
-        tree = _attempt(diagnostics, "decide", decide_locally_indicable, lot)
+        tree = _attempt(diagnostics, "decide", decide_locally_indicable, reduced)
         if tree is not None:
             li_tree = tree.to_jsonable()
     report.update(

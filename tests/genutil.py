@@ -270,6 +270,25 @@ def is_reduced_walk(steps, G, cyclic=False):
 
 
 # ---------------------------------------------------------------------------
+# oracle: related cyclic neighbours, by trying every pair of positions
+
+
+def oracle_cyclic_pairs(sequence, related):
+    """Every position pair ``(i, j)`` of the cyclic ``sequence``, ``j`` the
+    position after ``i`` (the first after the last) and ``i != j``, whose
+    items ``related`` relates, in order of ``i``."""
+    n = len(sequence)
+    return [(i, j) for i in range(n) for j in range(n)
+            if i != j and j == (i + 1) % n and related(sequence[i], sequence[j])]
+
+
+def inverse_letter_texts(a, b):
+    """Whether the letter texts ``a`` and ``b``, such as ``x`` and ``x-``,
+    name one edge with opposite signs."""
+    return {a, b} == {a.rstrip("-"), a.rstrip("-") + "-"}
+
+
+# ---------------------------------------------------------------------------
 # oracle: the zero/one search by scanning every assignment
 
 

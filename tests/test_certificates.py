@@ -1,7 +1,10 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from drtool import (
     AngleAssignment,
@@ -26,7 +29,7 @@ from drtool.errors import (
 from drtool.lots import bi_forest_orientation, lot_complex
 
 from conftest import make_m2, make_torus, make_trefoil
-from genutil import oracle_min_pieces
+from genutil import inverse_letter_texts, oracle_cyclic_pairs, oracle_min_pieces
 
 
 def torus_good_zero_one():
@@ -241,6 +244,77 @@ class TestPieces:
                 assert dec.min_counts[cell.id] == oracle_min_pieces(X, cell.id)
                 checked += 1
         assert checked >= 40
+
+
+@st.composite
+def relator_lists(draw):
+    """One to three words of length 1-8 over 2 or 3 letters and their
+    inverses, as lists of letter texts; about half of them periodic."""
+    letters = ["a", "a-", "b", "b-", "c", "c-"][:2 * draw(st.sampled_from((2, 3)))]
+
+    def word():
+        if draw(st.booleans()):
+            base = draw(st.lists(st.sampled_from(letters), min_size=1, max_size=4))
+            return base * draw(st.integers(2, 8 // len(base)))
+        return draw(st.lists(st.sampled_from(letters), min_size=1, max_size=8))
+
+    return [word() for _ in range(draw(st.integers(1, 3)))]
+
+
+def neighbour_witness(cell, word):
+    """check_dr2_c4t4's witness for the first inverse pair of the cell's word
+    or, when it has none, for its first repeated letter; None without either."""
+    for reason, related in (("non_reduced_relator", inverse_letter_texts),
+                            ("edge_repeat", operator.eq)):
+        pairs = oracle_cyclic_pairs(word, related)
+        if pairs:
+            i, j = pairs[0]
+            edge = {"edge": word[i].rstrip("-")} if reason == "edge_repeat" else {}
+            return {"reason": reason, "cell": cell, **edge, "positions": [i + 1, j + 1]}
+    return None
+
+
+class TestNeighbourPairs:
+    @settings(max_examples=300)
+    @given(relator_lists())
+    @example([["a", "a-"]])
+    def test_flags_and_reduced_relator_witnesses_match_the_oracle(self, words):
+        cells = [(f"r{k}", word) for k, word in enumerate(words, 1)]
+
+        def one_vertex(cells):
+            return build_complex(edges=[(e, "*", "*") for e in "abc"], cells=cells,
+                                 vertices=["*"])
+
+        X = one_vertex(cells)
+        inverse = [(cell, oracle_cyclic_pairs(word, inverse_letter_texts))
+                   for cell, word in cells]
+        assert X.flags == tuple(
+            f"non-reduced boundary word at cell {cell} position ({i + 1},{j + 1})"
+            for cell, pairs in inverse for i, j in pairs)
+
+        first = next(((cell, pairs[0]) for cell, pairs in inverse if pairs), None)
+        if first is None:
+            compute_pieces(X)
+        else:
+            cell, (i, j) = first
+            with pytest.raises(NonReducedRelator) as caught:
+                compute_pieces(X)
+            assert str(caught.value) == f"cell {cell} has an inverse pair at positions ({i + 1},{j + 1})"
+
+        # cell by cell, and the whole complex's witness is its first cell's
+        witnesses = [neighbour_witness(cell, word) for cell, word in cells]
+        for (cell, word), witness in zip(cells, witnesses):
+            outcome = check_dr2_c4t4(one_vertex([(cell, word)]))
+            if witness is not None:
+                assert outcome.witness == witness
+            else:
+                assert outcome.ok or outcome.witness["reason"] == "c4t4"
+        first = next((w for w in witnesses if w is not None), None)
+        outcome = check_dr2_c4t4(X)
+        if first is not None:
+            assert outcome.witness == first
+        else:
+            assert outcome.ok or outcome.witness["reason"] == "c4t4"
 
 
 class TestC4T4:

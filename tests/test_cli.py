@@ -743,3 +743,70 @@ def test_json_nested_too_deeply_is_an_input_error(tmp_path, command):
     result = run_cli(*command, str(path))
     assert_one_error_line(result, "error: ")
     assert result.stderr.endswith("JSON nested too deeply\n")
+
+
+def corner_rows(X, weight):
+    return [{"cell": cell, "position": position, "weight": weight}
+            for cell, position in sorted(X.corners)]
+
+
+@pytest.mark.parametrize("command, repeated", [
+    (("complex", "weighttest", TORUS, "--weights"), {"cell": "r1", "position": 0, "weight": "7"}),
+    (("complex", "coloringtest", TORUS, "--angles"), {"cell": "r1", "position": "0", "weight": 0}),
+], ids=["weights", "angles"])
+def test_a_corner_given_twice_in_a_rows_file_is_an_input_error(tmp_path, command, repeated):
+    # read last-wins, the weights would give the corner the angle 7 and fail
+    # the weight test, and the angles would pass the coloring test
+    X = parse_presentation(fixture_text("torus.pres"))
+    rows = tmp_path / "rows.json"
+    rows.write_text(json.dumps(corner_rows(X, "1/2" if "--weights" in command else 1)
+                               + [repeated]), encoding="utf-8")
+    result = run_cli(*command, str(rows))
+    assert_one_error_line(result, "error: two angles for corner ('r1', 0)")
+
+
+def repeated_key_files():
+    """Files that give one key of an object twice, the last the value the
+    command would accept; by command."""
+    torus = parse_presentation(fixture_text("torus.pres"))
+    rows = corner_rows(torus, "1/2")
+    weights = json.dumps(rows).replace('"position": 0', '"position": 9, "position": 0')
+    angles = json.dumps([dict(row, weight=row["position"] % 2) for row in rows])
+    angles = angles.replace('"cell": "r1"', '"cell": "x", "cell": "r1"', 1)
+    diagram = (FIXTURES / "diagrams" / "m2_reduced.json").read_text(encoding="utf-8")
+    cert = canonical_json(check_dr2_c4t4(torus).to_jsonable())
+    return {
+        ("complex", "weighttest", TORUS, "--weights"): (weights, "position"),
+        ("complex", "coloringtest", TORUS, "--angles"): (angles, "cell"),
+        ("diagram", "verify", "--complex", str(CORPUS / "m2.pres")): (
+            diagram.replace('"orientation": -1', '"orientation": 1, "orientation": -1'),
+            "orientation"),
+        ("verify-cert",): (cert.replace('"method": "C4T4"', '"method": "X", "method": "C4T4"'),
+                           "method"),
+    }
+
+
+@pytest.mark.parametrize("command", list(repeated_key_files()),
+                         ids=["weights", "angles", "diagram-verify", "verify-cert"])
+def test_a_key_repeated_in_a_json_object_is_an_input_error(tmp_path, command):
+    text, key = repeated_key_files()[command]
+    path = tmp_path / "repeated.json"
+    path.write_text(text, encoding="utf-8")
+    result = run_cli(*command, str(path))
+    assert_one_error_line(result, f"error: {path}: key {key!r} repeated in a JSON object")
+
+
+@pytest.mark.parametrize("kind", ["dr2", "li"])
+def test_a_certificate_that_repeats_a_corner_does_not_re_check(tmp_path, kind):
+    tree = decide_locally_indicable(make_trefoil()).to_jsonable()
+    data = tree if kind == "li" else tree["evidence"]["dr2_certificate"]
+    angles = tree["evidence"]["dr2_certificate"]["hypotheses"]["angles"]
+    angles.append(dict(angles[0]))
+    path = tmp_path / "cert.json"
+    path.write_text(canonical_json(data), encoding="utf-8")
+    result = run_cli("verify-cert", str(path), "--json")
+    assert result.returncode == 0, result.stderr
+    corner = (angles[0]["cell"], angles[0]["position"])
+    where = "root: evidence does" if kind == "li" else "hypotheses do"
+    assert json.loads(result.stdout) == {"ok": False, "problems": [
+        f"{where} not re-check: ComplexError: two angles for corner {corner}"]}

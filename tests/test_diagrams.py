@@ -46,7 +46,9 @@ from conftest import (
     make_trefoil,
 )
 from genutil import (
+    is_reduced_walk,
     oracle_balanced_multisets,
+    oracle_cyclic_pairs,
     oracle_glue_faces,
     oracle_side_gluings,
     oracle_sphere_gluings,
@@ -136,6 +138,40 @@ class TestCheckDiagram:
             assert report.reduced == (not report.folding)
             count += 1
         assert count >= 2
+
+    @pytest.mark.parametrize("make, kinds", [
+        (make_torus, {True}), (lambda: lot_complex(make_trefoil()), {False, True}),
+    ], ids=["torus", "trefoil"])
+    def test_nonreduced_vertices_match_the_oracle(self, monkeypatch, make, kinds):
+        # each sphere vertex's walk in the link, as check_diagram scans it,
+        # is a closed walk there, one per vertex, over every face corner; the
+        # vertex is non-reduced at the oracle's first backtrack of its walk.
+        # Every torus vertex met backtracks; the trefoil's are of both kinds
+        X = make()
+        G = X.links[X.vertices[0]]
+        walks = []
+        scan = drtool.diagrams.cyclic_pairs
+        monkeypatch.setattr(drtool.diagrams, "cyclic_pairs",
+                            lambda steps, related: walks.append(steps) or scan(steps, related))
+        found = set()
+        diagrams = list(itertools.islice(enumerate_diagrams(X, 6, prune_isomorphs=False), 60))
+        assert len(diagrams) == 60
+        for S, dmap in diagrams:
+            walks.clear()
+            report = check_diagram(S, dmap, X)
+            corners = sum(len(face.word) for face in S.faces)
+            assert len(walks) == 2 - len(S.faces) + corners // 2  # V - E + F = 2
+            assert sum(map(len, walks)) == corners
+            want = []
+            for k, steps in enumerate(walks):
+                assert all(a.end == b.start for a, b in zip(steps, steps[1:] + steps[:1]))
+                backtracks = oracle_cyclic_pairs(steps, lambda a, b: b == a.reversed_step())
+                assert (not backtracks) == is_reduced_walk(steps, G, cyclic=True)
+                if backtracks:
+                    want.append((f"v{k}", backtracks[0][0]))
+                found.add(bool(backtracks))
+            assert report.nonreduced_vertices == tuple(want)
+        assert found == kinds
 
     def test_every_trefoil_diagram_folds(self):
         X = lot_complex(make_trefoil())

@@ -700,7 +700,7 @@ class TestBiForest:
                 structure = bi_forest_orientation(each)
                 if structure is None:
                     continue
-                written = lots._dr2_certificate(each, structure).to_jsonable()
+                written = lots._dr2_certificate(each).to_jsonable()
                 assert written == check_dr2_zero_one(
                     each.complex, structure.assignment).to_jsonable()["certificate"]
                 seen[kind] += 1
@@ -914,7 +914,7 @@ class TestDecide:
         structure = bi_forest_orientation(lot)
         if structure is not None:  # w5: evidence right in all but the trigger
             evidence.update(structure.to_jsonable())
-            evidence["dr2_certificate"] = lots._dr2_certificate(lot, structure).to_jsonable()
+            evidence["dr2_certificate"] = lots._dr2_certificate(lot).to_jsonable()
         forged = LiCertificateTree(
             kind=KIND_HUCK_ROSE_BASE,
             lot=lot,

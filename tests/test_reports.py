@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from drtool import AngleAssignment, ZeroOneAssignment, export_dot, link_graph
-from drtool import certificates, curvature, reports
+from drtool import certificates, curvature, lots, reports
 from drtool.certificates import check_dr2_zero_one
 from drtool.errors import ComplexError, DrtoolError, InvalidSearchCap, ParseError
 from drtool.lots import bi_forest_orientation, lot_complex
@@ -58,7 +58,7 @@ class TestAnalyze:
         def no_search(*args):
             raise AssertionError("searched before the weight was read")
 
-        monkeypatch.setattr(reports, "bi_forest_orientation", no_search)
+        monkeypatch.setattr(lots, "bi_forest_orientation", no_search)
         monkeypatch.setattr(reports, "find_zero_one_structure", no_search)
         with pytest.raises(ComplexError, match="zero denominator"):
             analyze(CORPUS / name, AnalyzeOptions(weights="1/0"))
@@ -106,6 +106,23 @@ class TestAnalyze:
         assert rep["diagnostics"] == [{
             "check": "diagram_search",
             "error": "CapExceeded: 9 faces exceeds the diagram search cap 8"}]
+
+    @pytest.mark.parametrize("path", [*sorted(CORPUS.glob("*.lot")),
+                                      *sorted((FIXTURES / "lots").glob("*.lot"))],
+                             ids=lambda path: path.name)
+    def test_each_lot_is_searched_for_a_bi_forest_once(self, monkeypatch, path):
+        # the report's search on the reduced LOT is the one its decision reads,
+        # so a base case searches once, and no search repeats on one LOT
+        searched = []
+        original = lots._bi_forest
+        monkeypatch.setattr(lots, "_bi_forest", lambda link, generators, signs: searched.append(
+            tuple(generators)) or original(link, generators, signs))
+        tree = analyze(path)["certificates"]["local_indicability"]
+        assert len(searched) == len(set(searched))
+        if path.name in ("trefoil.lot", "seed1201_13.lot"):
+            assert tree["kind"] == "HUCK_ROSE_BASE"
+        if tree is not None and tree["kind"] == "HUCK_ROSE_BASE":
+            assert len(searched) == 1
 
     @pytest.mark.parametrize("path", [CORPUS / "trefoil.lot",
                                       *sorted((FIXTURES / "lots").glob("*.lot"))],

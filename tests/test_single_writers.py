@@ -1,5 +1,7 @@
-"""drtool writes a link's numbering and a ZERO_ONE certificate's hypotheses
-each in one place.  ``complexes.link_graph`` is the only code that calls
+"""drtool writes a complex, a link's numbering and a ZERO_ONE certificate's
+hypotheses each in one place.  ``complexes.build_complex`` is the only code
+that calls ``TwoComplex(``, so every complex is validated and its flags come
+from its cells.  ``complexes.link_graph`` is the only code that calls
 ``LinkGraph(`` (by its plain or dotted name), so the nodes, their index and
 the corners' ends and keys come from the one pass that makes the corners.
 ``certificates.py`` is the only module that spells ``"edge_components"``,
@@ -11,13 +13,14 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "drtool"
-LINK_BUILDER = "complexes.py:link_graph"
+BUILDERS = {"TwoComplex(": "complexes.py:build_complex", "LinkGraph(": "complexes.py:link_graph"}
 HYPOTHESES_MODULE = "certificates.py"
 
 
 def writes(source):
-    """(line, enclosing qualified name, what) of each ``LinkGraph(`` call and
-    each ``"edge_components"`` string constant in ``source``."""
+    """(line, enclosing qualified name, what) of each ``TwoComplex(`` and
+    ``LinkGraph(`` call and each ``"edge_components"`` string constant in
+    ``source``."""
     found = []
 
     def visit(node, scope):
@@ -29,8 +32,8 @@ def writes(source):
             if isinstance(child, ast.Call):
                 func = child.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "LinkGraph":
-                    found.append((child.lineno, where, "LinkGraph("))
+                if name in ("TwoComplex", "LinkGraph"):
+                    found.append((child.lineno, where, f"{name}("))
             elif isinstance(child, ast.Constant) and child.value == "edge_components":
                 found.append((child.lineno, where, "'edge_components'"))
             visit(child, scope)
@@ -45,7 +48,7 @@ def writes_elsewhere(package):
     out = []
     for path in package.glob("*.py"):
         for line, scope, what in writes(path.read_text(encoding="utf-8")):
-            allowed = (f"{path.name}:{scope}" == LINK_BUILDER if what == "LinkGraph("
+            allowed = (f"{path.name}:{scope}" == BUILDERS[what] if what in BUILDERS
                        else path.name == HYPOTHESES_MODULE)
             if not allowed:
                 out.append(f"{path.name}:{line} {scope} {what}")
@@ -55,7 +58,7 @@ def writes_elsewhere(package):
 def test_one_link_builder_and_one_zero_one_writer():
     complexes = (PACKAGE / "complexes.py").read_text(encoding="utf-8")
     assert {(scope, what) for _, scope, what in writes(complexes)} == {
-        ("link_graph", "LinkGraph(")}
+        ("build_complex", "TwoComplex("), ("link_graph", "LinkGraph(")}
     certificates = (PACKAGE / "certificates.py").read_text(encoding="utf-8")
     assert {(scope, what) for _, scope, what in writes(certificates)} == {
         ("write_zero_one", "'edge_components'")}
@@ -80,3 +83,18 @@ def test_the_check_finds_a_second_link_builder_and_zero_one_writer(tmp_path):
         "complexes.py:10 quick_link LinkGraph(",
         "lots.py:8 certificate LinkGraph(",
         "lots.py:9 certificate 'edge_components'"]
+
+
+def test_the_check_finds_a_second_complex_builder(tmp_path):
+    (tmp_path / "complexes.py").write_text(
+        "class TwoComplex:\n    pass\n\n\n"
+        "def build_complex(edges, cells):\n    return TwoComplex(edges, cells)\n", encoding="utf-8")
+    (tmp_path / "diagrams.py").write_text(
+        "from . import complexes\nfrom .complexes import TwoComplex\n\n"
+        "# a TwoComplex( built here would skip the validation\n\n\n"
+        "def sphere_to_complex(S):\n    return TwoComplex(S.edges, S.faces)\n\n\n"
+        "class Quick:\n    def complex(self):\n"
+        "        return complexes.TwoComplex((), ())\n", encoding="utf-8")
+    assert writes_elsewhere(tmp_path) == [
+        "diagrams.py:13 Quick.complex TwoComplex(",
+        "diagrams.py:8 sphere_to_complex TwoComplex("]
