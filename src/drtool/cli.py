@@ -93,11 +93,11 @@ def _read_json(path):
     """The JSON value in the file ``path``; a key repeated in one object, or
     JSON nested too deeply for the parser, is an input error."""
     def unique_keys(pairs):
-        obj = dict(pairs)
-        if len(obj) < len(pairs):
-            keys = [key for key, _ in pairs]
-            repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
-            raise ParseError(f"{path}: key {repeated!r} repeated in a JSON object")
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ParseError(f"{path}: key {key!r} repeated in a JSON object")
+            obj[key] = value
         return obj
 
     try:
