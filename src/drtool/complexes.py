@@ -201,6 +201,11 @@ class TwoComplex:
         then link order: the complex's corner set, built once from ``links``."""
         return {k: (v, c) for v, G in self.links.items() for k, c in zip(G.keys, G.corners)}
 
+    @cached_property
+    def corner_keys(self):
+        """The keys of ``corners`` as a set view, built once with no ``Corner``."""
+        return dict.fromkeys(k for G in self.links.values() for k in G.keys).keys()
+
 
 def build_complex(edges, cells, vertices=None) -> TwoComplex:
     """Validate raw data and build a TwoComplex, the one place one is built."""
@@ -230,25 +235,26 @@ def build_complex(edges, cells, vertices=None) -> TwoComplex:
         raise ComplexError("duplicate vertex id")
 
     ends = {e.id: (e.source, e.target) for e in edge_list}
+    loops_only = len(seen_vertices) < 2  # every edge a loop at one vertex: every word closes
     cell_list = []
     for item in cells:
         cid = str(item[0])
         word = coerce_word(item[1])
         if not word:
             raise ComplexError(f"empty boundary word at cell {cid!r}")
-        path = []  # each letter's (departure, arrival) vertices
-        for edge, sign in word:
+        for edge, _ in word:
             if edge not in ends:
                 raise ComplexError(f"unknown edge id {edge!r} in cell {cid!r}")
-            source, target = ends[edge]
-            path.append((source, target) if sign > 0 else (target, source))
-        for u, w, (_, u_target), (w_source, _) in zip(
-                word, word[1:] + word[:1], path, path[1:] + path[:1]):
-            if u_target != w_source:
-                raise ComplexError(
-                    f"non-closed boundary path at cell {cid!r}: "
-                    f"letter {u} ends at {u_target!r} but {w} starts at {w_source!r}"
-                )
+        if not loops_only:
+            # each letter's (departure, arrival) vertices
+            path = [ends[edge] if sign > 0 else ends[edge][::-1] for edge, sign in word]
+            for u, w, (_, u_target), (w_source, _) in zip(
+                    word, word[1:] + word[:1], path, path[1:] + path[:1]):
+                if u_target != w_source:
+                    raise ComplexError(
+                        f"non-closed boundary path at cell {cid!r}: "
+                        f"letter {u} ends at {u_target!r} but {w} starts at {w_source!r}"
+                    )
         cell_list.append(Cell(cid, word))
     cell_ids = [c.id for c in cell_list]
     if len(set(cell_ids)) != len(cell_ids):
@@ -270,34 +276,31 @@ def euler_characteristic(X: TwoComplex) -> int:
 class LinkGraph:
     """The link at ``base``: a multigraph on edge-ends, whose edges are corners.
 
-    Its one numbering, built with the corners by ``link_graph``: node i is
-    ``nodes[i]`` and ``index`` maps it back to i, and corner k of ``corners``
-    joins the nodes ``ends[k]`` and has the key ``keys[k]``.  The coloring test,
-    the zero/one search and the bi-forest search build their angle-0 forests on them."""
+    Its one numbering, built by ``link_graph``: node i is ``nodes[i]`` and
+    ``index`` maps it back to i, and corner k joins the positions ``ends[k]``
+    and has the key ``keys[k]``.  The coloring test, the zero/one search and the
+    bi-forest search build their angle-0 forests on these integers; only the
+    walks read ``corners``, the same corners as ``Corner`` values, built the
+    first time they are read."""
 
     base: str
     nodes: tuple
-    corners: tuple
+    ends: tuple
+    keys: tuple
     index: dict = field(compare=False, repr=False)
-    ends: tuple = field(compare=False, repr=False)
-    keys: tuple = field(compare=False, repr=False)
+
+    @cached_property
+    def corners(self):
+        nodes = self.nodes
+        return tuple(Corner(cell, i, (nodes[a], nodes[b]))
+                     for (cell, i), (a, b) in zip(self.keys, self.ends))
 
     def euler_characteristic(self):
-        return len(self.nodes) - len(self.corners)
+        return len(self.nodes) - len(self.ends)
 
     def steps(self):
         """All directed corner traversals, forward before reverse, in corner order."""
-        out = []
-        for c in self.corners:
-            out.append(CornerStep(c, False))
-            out.append(CornerStep(c, True))
-        return out
-
-    def adjacency(self):
-        adj = {n: [] for n in self.nodes}
-        for step in self.steps():
-            adj[step.start].append(step)
-        return adj
+        return [CornerStep(c, reverse) for c in self.corners for reverse in (False, True)]
 
 
 def link_graph(X: TwoComplex, v) -> LinkGraph:
@@ -305,27 +308,19 @@ def link_graph(X: TwoComplex, v) -> LinkGraph:
     corner joining head(u), where u arrives, and tail(w), where w departs."""
     if v not in X.vertices:
         raise ComplexError(f"vertex {v!r} not in complex")
-    nodes = []
-    for e in X.edges:
-        if e.target == v:
-            nodes.append(LinkNode(e.id, 1))
-        if e.source == v:
-            nodes.append(LinkNode(e.id, -1))
-    nodes.sort()
+    nodes = sorted([LinkNode(e.id, 1) for e in X.edges if e.target == v]
+                   + [LinkNode(e.id, -1) for e in X.edges if e.source == v])
     index = {n: i for i, n in enumerate(nodes)}
     # a letter (edge, sign) arrives at its node (edge, sign), and departs from
     # (edge, -sign): the letter arrives at v when that node is here
-    corners, ends, keys = [], [], []
-    for cell in X.cells:
-        cid, word = cell
+    ends, keys = [], []
+    for cid, word in X.cells:
         for i, (u, (w_edge, w_sign)) in enumerate(zip(word, word[1:] + word[:1])):
             a = index.get(u)
             if a is not None:
-                b = index[w_edge, -w_sign]
-                corners.append(Corner(cid, i, (nodes[a], nodes[b])))
-                ends.append((a, b))
+                ends.append((a, index[w_edge, -w_sign]))
                 keys.append((cid, i))
-    return LinkGraph(v, tuple(nodes), tuple(corners), index, tuple(ends), tuple(keys))
+    return LinkGraph(v, tuple(nodes), tuple(ends), tuple(keys), index)
 
 
 class _Links(dict):

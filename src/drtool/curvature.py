@@ -97,7 +97,7 @@ class AngleAssignment:
 
     @classmethod
     def uniform(cls, X: TwoComplex, value):
-        table = dict.fromkeys(X.corners, _exact_weight(value))
+        table = dict.fromkeys(X.corner_keys, _exact_weight(value))
         # a subclass checks its own angle rule in its constructor
         return cls._of_table(table) if cls is AngleAssignment else cls(table)
 
@@ -125,7 +125,7 @@ class AngleAssignment:
 
     def validate_total(self, X: TwoComplex):
         """Domain must be exactly the corner set of X."""
-        need, have = X.corners.keys(), self._table.keys()
+        need, have = X.corner_keys, self._table.keys()
         if have != need:
             missing = need - have
             if missing:
@@ -195,8 +195,7 @@ class CurvatureReport:
 
 def vertex_curvature(X: TwoComplex, omega: AngleAssignment, v):
     G = X.links[v]
-    total = sum(omega.weight(c) for c in G.corners)
-    return 2 - G.euler_characteristic() - total
+    return 2 - G.euler_characteristic() - sum(map(omega.weight, G.keys))
 
 
 def _cell_curvature(cell, omega):
@@ -299,7 +298,7 @@ def min_reduced_cycle(G: LinkGraph, omega) -> tuple | None:
 
 def _shortest_reduced_cycle(G: LinkGraph):
     """The shortest reduced cycle as ``(length, steps)``, or None."""
-    found = min_reduced_cycle(G, AngleAssignment._of_table({c.key: 1 for c in G.corners}))
+    found = min_reduced_cycle(G, AngleAssignment._of_table(dict.fromkeys(G.keys, 1)))
     return None if found is None else (int(found[0]), found[1])
 
 
@@ -315,10 +314,9 @@ def min_reduced_path(G: LinkGraph, omega, source, target) -> tuple | None:
     if source not in G.nodes or target not in G.nodes:
         raise ComplexError(f"node not in link of {G.base!r}")
     weights = _corner_weights(G, omega)
-    adjacency = {
-        node: [(step, step.end, weights[step.corner]) for step in out]
-        for node, out in G.adjacency().items()
-    }
+    adjacency = {}  # node -> (step, its end, its weight) of each step leaving it
+    for step in G.steps():
+        adjacency.setdefault(step.start, []).append((step, step.end, weights[step.corner]))
     found = _least_walk(adjacency, source, 0, {target})
     if found is None:
         return None

@@ -645,27 +645,56 @@ class BiForestStructure:
     # numbered by least position; the ZERO_ONE certificate is written from it
     components: list = field(default=None, compare=False, repr=False)
 
-    def to_jsonable(self):
+    def to_jsonable(self, zero_one=None):
+        """The JSON; ``zero_one`` is its angles' rows, when written already."""
         return {
             "epsilon": {g: ("+" if s > 0 else "-") for g, s in sorted(self.epsilon.items())},
             "lambda1_nodes": [str(n) for n in self.lambda1_nodes],
             "lambda2_nodes": [str(n) for n in self.lambda2_nodes],
             "lambda1_corners": [list(k) for k in self.lambda1_corners],
             "lambda2_corners": [list(k) for k in self.lambda2_corners],
-            "zero_one": self.assignment.to_jsonable(),
+            "zero_one": self.assignment.to_jsonable() if zero_one is None else zero_one,
         }
 
 
-def _bi_forest(link, generators, signs):
-    """First bi-forest structure with epsilon[generators[i]] from ``signs[i]``, or None.
+def _bi_forest_of(link, epsilon):
+    """The bi-forest structure of the signs ``epsilon`` (generator -> +1 or -1)
+    on the LOT link ``link``, or None at the first angle-0 corner that closes
+    a cycle; the one writer of a ``BiForestStructure``.
 
     A node (x, end) lies in side 1 when epsilon[x] == end and in side 2
     otherwise.  A corner with both ends in one side gets angle 0, any other
     corner angle 1.  Angle-0 corners never join the two sides, so one
     union-find over all of them is a forest exactly when both sides are."""
+    side = [epsilon[n.edge] * n.end for n in link.nodes]
+    uf = UnionFind(range(len(link.nodes)))
+    zeros = {1: [], -1: []}
+    table = {}
+    for key, (a, b) in zip(link.keys, link.ends):
+        if side[a] != side[b]:
+            table[key] = 1
+        elif uf.union(a, b):
+            table[key] = 0
+            zeros[side[a]].append(key)
+        else:
+            return None
+    return BiForestStructure(
+        epsilon=dict(epsilon),
+        lambda1_nodes=tuple(n for n, s in zip(link.nodes, side) if s > 0),
+        lambda2_nodes=tuple(n for n, s in zip(link.nodes, side) if s < 0),
+        lambda1_corners=tuple(zeros[1]),
+        lambda2_corners=tuple(zeros[-1]),
+        assignment=ZeroOneAssignment._of_table(table),
+        components=uf.numbering(range(len(link.nodes))),
+    )
+
+
+def _bi_forest(link, generators, signs):
+    """First bi-forest structure with epsilon[generators[i]] from ``signs[i]``,
+    or None: ``first_acyclic_choices`` finds the signs, and ``_bi_forest_of``
+    writes their structure."""
     position = {g: i for i, g in enumerate(generators)}
     generator = [position[n.edge] for n in link.nodes]  # of each node position
-    end = [n.end for n in link.nodes]
     ready = [[] for _ in generators]  # corners by the later of their generators
     for a, b in link.ends:
         i, j = generator[a], generator[b]
@@ -673,7 +702,7 @@ def _bi_forest(link, generators, signs):
             i, j = j, i
         # angle 0 when the sign of node a's generator times a's end equals
         # that of b, which the signs of the corner's two generators decide
-        ready[j].append((i, end[a] * end[b], (a, b, 1 << i | 1 << j)))
+        ready[j].append((i, link.nodes[a].end * link.nodes[b].end, (a, b, 1 << i | 1 << j)))
     uf = UnionFind(range(len(link.nodes)))
 
     def options(level, chosen):
@@ -682,26 +711,7 @@ def _bi_forest(link, generators, signs):
                              if chosen[i] * parity == sign)
 
     found = first_acyclic_choices(len(generators), options, lambda chosen: True)
-    if found is None:
-        return None
-    side = [found[g] * e for g, e in zip(generator, end)]
-    zeros = {1: [], -1: []}
-    table = {}
-    for key, (a, b) in zip(link.keys, link.ends):
-        if side[a] != side[b]:
-            table[key] = 1
-        else:
-            table[key] = 0
-            zeros[side[a]].append(key)
-    return BiForestStructure(
-        epsilon=dict(zip(generators, found)),
-        lambda1_nodes=tuple(n for n, s in zip(link.nodes, side) if s > 0),
-        lambda2_nodes=tuple(n for n, s in zip(link.nodes, side) if s < 0),
-        lambda1_corners=tuple(zeros[1]),
-        lambda2_corners=tuple(zeros[-1]),
-        assignment=ZeroOneAssignment._of_table(table),
-        components=uf.numbering(range(len(link.nodes))),
-    )
+    return None if found is None else _bi_forest_of(link, dict(zip(generators, found)))
 
 
 def bi_forest_orientation(lot: Lot):
@@ -801,10 +811,11 @@ def _single_vertex_evidence(lot: Lot):
     return {"vertex": lot.vertices[0], "group": "Z"}
 
 
-def _base_evidence(structure, certificate):
-    """HUCK_ROSE_BASE evidence for the bi-forest ``structure`` and the JSON
-    ``certificate`` of DR(2) for the LOT complex."""
-    return {**BASE_TRIGGER, **structure.to_jsonable(), "dr2_certificate": certificate}
+def _base_evidence(structure, zero_one, certificate):
+    """HUCK_ROSE_BASE evidence for the bi-forest ``structure``, ``zero_one``
+    the JSON rows of its angles, and the JSON ``certificate`` of DR(2) for the
+    LOT complex."""
+    return {**BASE_TRIGGER, **structure.to_jsonable(zero_one), "dr2_certificate": certificate}
 
 
 def _collapse_evidence(lot: Lot, sub: Lot):
@@ -854,8 +865,10 @@ def _decide(lot: Lot) -> LiCertificateTree:
     if sub is None:
         if lot.bi_forest is None:
             return _unknown(lot, BI_FOREST_SEARCH_FAILED, BASE_TRIGGER)
-        evidence = _base_evidence(lot.bi_forest, _dr2_certificate(lot).to_jsonable())
-        return _node(KIND_HUCK_ROSE_BASE, lot, evidence)
+        certificate = _dr2_certificate(lot).to_jsonable()
+        # its ZERO_ONE angles are the structure's: the rows, each copied, are zero_one
+        rows = [dict(row) for row in certificate["hypotheses"]["angles"]]
+        return _node(KIND_HUCK_ROSE_BASE, lot, _base_evidence(lot.bi_forest, rows, certificate))
 
     evidence, quotient_lot = _collapse_evidence(lot, sub)
     qprops = check_properties(quotient_lot)
@@ -924,9 +937,9 @@ def _rebuild(tree: LiCertificateTree):
     """The node ``_decide`` writes for the kind and recorded choice of ``tree``
     over its recorded children, and the LOTs those children must have; a
     choice that builds no such node raises CertificateRefused.  Only the
-    maximal sub-LOT trigger and the bi-forest replay of the recorded signs
-    search again; ``rerun_dr2`` rebuilds an embedded DR(2) certificate on the
-    complex it must be about."""
+    maximal sub-LOT trigger searches again: ``_bi_forest_of`` writes the
+    bi-forest of the recorded signs, and ``rerun_dr2`` rebuilds an embedded
+    DR(2) certificate on the complex it must be about."""
     lot, evidence = tree.lot, tree.evidence
     if not lot.is_tree:
         raise CertificateRefused("node LOT is not a tree")
@@ -943,13 +956,13 @@ def _rebuild(tree: LiCertificateTree):
         signs = [evidence["epsilon"][g] for g in lot.vertices]
         if len(evidence["epsilon"]) != len(signs) or any(s not in ("+", "-") for s in signs):
             raise ValueError("recorded orientation must map exactly the LOT's vertices to + or -")
-        structure = _bi_forest(lot.complex.links[BASE_VERTEX], lot.vertices,
-                               [(1,) if s == "+" else (-1,) for s in signs])
+        structure = _bi_forest_of(lot.complex.links[BASE_VERTEX],
+                                  {g: 1 if s == "+" else -1 for g, s in zip(lot.vertices, signs)})
         if structure is None:
             raise CertificateRefused("recorded orientation does not give two forests")
         recorded = evidence["dr2_certificate"]
-        fresh = rerun_dr2(lot.complex, recorded["method"], recorded["hypotheses"])
-        rebuilt = _base_evidence(structure, fresh.to_jsonable())
+        fresh = rerun_dr2(lot.complex, recorded["method"], recorded["hypotheses"]).to_jsonable()
+        rebuilt = _base_evidence(structure, structure.assignment.to_jsonable(), fresh)
         return _node(tree.kind, lot, rebuilt, tree.children), ()
     if tree.kind == KIND_AMALGAM:
         sub = lot_from_jsonable(evidence["part1"])

@@ -242,18 +242,13 @@ def export_dot(obj, angles=None) -> str:
 
     if isinstance(obj, LinkGraph):
         lines = [f"graph {_dot_quote('lk(' + str(obj.base) + ')')} {{"]
-        for node in obj.nodes:
-            lines.append(f"  {_dot_quote(str(node))};")
+        lines += [f"  {_dot_quote(str(node))};" for node in obj.nodes]
         for corner in obj.corners:
-            attrs = [f"label={_dot_quote(f'{corner.cell}:{corner.position}')}"]
-            if angles is not None:
-                w = angles.get(corner.key)
-                if w is not None:
-                    attrs[0] = f"label={_dot_quote(f'{corner.cell}:{corner.position} w={w}')}"
-                    if w == 0:
-                        attrs.append("style=dashed")
-                    elif w == 1:
-                        attrs.append("style=bold")
+            w = None if angles is None else angles.get(corner.key)
+            label = f"{corner.cell}:{corner.position}" + ("" if w is None else f" w={w}")
+            attrs = [f"label={_dot_quote(label)}"]
+            if w in (0, 1):
+                attrs.append("style=dashed" if w == 0 else "style=bold")
             lines.append(
                 f"  {_dot_quote(str(corner.nodes[0]))} -- {_dot_quote(str(corner.nodes[1]))}"
                 f" [{', '.join(attrs)}];"
@@ -262,8 +257,7 @@ def export_dot(obj, angles=None) -> str:
         return "\n".join(lines) + "\n"
     if isinstance(obj, Lot):
         lines = ["digraph lot {"]
-        for v in obj.vertices:
-            lines.append(f"  {_dot_quote(v)};")
+        lines += [f"  {_dot_quote(v)};" for v in obj.vertices]
         for e in obj.edges:
             lines.append(
                 f"  {_dot_quote(e.source)} -> {_dot_quote(e.target)}"

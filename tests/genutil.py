@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from bench.generate import tree_shapes  # bench/generate.py imports only the standard library
 from drtool import Lot, TwoComplex, build_complex, build_lot
-from drtool.complexes import Letter, word_inverse
+from drtool.complexes import Corner, Letter, LinkNode, word_inverse
 from drtool.diagrams import _assemble, _side_position
 from drtool.unionfind import UnionFind
 
@@ -271,6 +271,33 @@ def is_reduced_walk(steps, G, cyclic=False):
 
 # ---------------------------------------------------------------------------
 # oracle: related cyclic neighbours, by trying every pair of positions
+
+
+def cell_corners(X, v):
+    """The corners of the link of X at ``v`` read straight off the cells, in
+    cell then position order: positions i and i + 1 of a word meet at the
+    vertex where letter i arrives, in a corner from that letter's arriving
+    end to the departing end of letter i + 1."""
+    ends = {e.id: (e.source, e.target) for e in X.edges}
+    out = []
+    for cell in X.cells:
+        word = cell.word
+        for i, (u, w) in enumerate(zip(word, word[1:] + word[:1])):
+            if ends[u.edge][u.sign > 0] == v:
+                out.append(Corner(cell.id, i, (LinkNode(u.edge, u.sign), LinkNode(w.edge, -w.sign))))
+    return out
+
+
+def lot_corners(lot):
+    """The link corners of the LOT complex read off the LOT edges, as
+    (corner key, (node, node)) pairs: the square ``s l t- l-`` of an edge
+    has its corners in that order."""
+    corners = []
+    for e in lot.edges:
+        s, l, t = e.source, e.label, e.target
+        ends = [((s, 1), (l, -1)), ((l, 1), (t, 1)), ((t, -1), (l, 1)), ((l, -1), (s, -1))]
+        corners += [((e.id, i), pair) for i, pair in enumerate(ends)]
+    return corners
 
 
 def oracle_cyclic_pairs(sequence, related):

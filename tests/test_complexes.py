@@ -23,10 +23,13 @@ from drtool.errors import ComplexError
 from conftest import make_m2, make_torus, make_trefoil
 from genutil import (
     WIDE_NAME_ALPHABET,
+    cell_corners,
     is_reduced_walk,
+    lot_corners,
     random_complex,
     random_multi_vertex_complex,
     random_one_vertex_complex,
+    random_reduced_injective_lot,
     readable_name,
 )
 from drtool.lots import lot_complex
@@ -54,6 +57,32 @@ class TestBuildComplex:
                 edges=[("a", "v", "w"), ("b", "v", "w")],
                 cells=[("r1", "a b")],
             )
+
+    @pytest.mark.parametrize("edges, cells, vertices, message", [
+        ([("a", "v", "w"), ("b", "w", "v")], [("r1", "a b"), ("r2", "a a")], None,
+         "non-closed boundary path at cell 'r2': letter a ends at 'w' but a starts at 'v'"),
+        ([("a", "v", "w"), ("b", "w", "v")], [("r1", "a c")], None,
+         "unknown edge id 'c' in cell 'r1'"),
+        ([("a", "*", "*")], [("r1", "a a- c a")], ["*"], "unknown edge id 'c' in cell 'r1'"),
+        ([("a", "*", "*")], [("r1", "a"), ("r2", "")], None, "empty boundary word at cell 'r2'"),
+        ([("a", "*", "*")], [("r1", "a"), ("r1", "a a")], ["*"], "duplicate cell id 'r1'"),
+        ([("a", "v", "w")], [("r1", "a"), ("r1", "a a-")], None,
+         "non-closed boundary path at cell 'r1': letter a ends at 'w' but a starts at 'v'"),
+    ], ids=["not-closed", "unknown-multi", "unknown-one", "empty", "duplicate-cell",
+            "closure-before-duplicate"])
+    def test_each_word_is_checked_whether_or_not_it_must_close(self, edges, cells, vertices,
+                                                               message):
+        # with every edge a loop at one vertex build_complex skips the closure
+        # table, and every other check keeps its message
+        with pytest.raises(ComplexError) as caught:
+            build_complex(edges=edges, cells=cells, vertices=vertices)
+        assert str(caught.value) == message
+
+    def test_loops_at_one_vertex_close_beside_an_isolated_vertex(self):
+        X = build_complex(edges=[("a", "v", "v"), ("b", "v", "v")],
+                          cells=[("r1", "a b a- b-")], vertices=["v", "w"])
+        assert X.vertices == ("v", "w") and [c.id for c in X.cells] == ["r1"]
+        assert len(X.links["v"].ends) == 4 and X.links["w"].ends == ()
 
     def test_duplicate_edge_id(self):
         with pytest.raises(ComplexError, match="duplicate edge"):
@@ -216,6 +245,57 @@ class TestCornerTable:
     def test_built_once(self):
         X = make_torus()
         assert X.corners is X.corners
+
+
+class TestLazyCorners:
+    """A link keeps its integer tables; its ``Corner`` values are a view built
+    the first time they are read, and equal the corners read off the cells."""
+
+    @staticmethod
+    def complexes_and_lots():
+        rng = random.Random(3501)
+        out = [(random_one_vertex_complex(rng), None) for _ in range(25)]
+        out += [(random_multi_vertex_complex(rng, n_vertices=rng.randint(2, 4)), None)
+                for _ in range(25)]
+        for _ in range(15):
+            lot = random_reduced_injective_lot(rng, rng.randint(3, 9))
+            out.append((lot_complex(lot), lot))
+        return out
+
+    def test_corners_are_those_of_the_cells(self):
+        for X, lot in self.complexes_and_lots():
+            expected = {v: cell_corners(X, v) for v in X.vertices}
+            for v, G in X.links.items():
+                assert G.euler_characteristic() == len(G.nodes) - len(expected[v])
+                assert "corners" not in vars(G)  # euler_characteristic counts ends
+                assert list(G.corners) == expected[v] and G.corners is G.corners
+            assert "corners" not in vars(X)
+            assert set(X.corner_keys) == {(c.id, i) for c in X.cells for i in range(len(c.word))}
+            assert list(X.corners.items()) == [
+                (c.key, (v, c)) for v in X.vertices for c in expected[v]]
+            if lot is not None:
+                assert [(c.key, c.nodes) for c in X.links[X.vertices[0]].corners] == lot_corners(lot)
+
+    def test_equality_is_that_of_base_nodes_and_corners(self):
+        # each link beside a copy, which equals it, and the link of its words
+        # rotated, which has its nodes and corner keys but moves its corners
+        rng = random.Random(3502)
+        graphs = []
+        for X, _ in self.complexes_and_lots():
+            again = complex_from_jsonable(complex_to_jsonable(X))
+            rotated = build_complex([(e.id, e.source, e.target) for e in X.edges],
+                                    [(c.id, rotate_word(c.word, rng.randrange(len(c.word))))
+                                     for c in X.cells], X.vertices)
+            graphs += [*X.links.values(), *again.links.values(), *rotated.links.values()]
+        equal = 0
+        for G in graphs:
+            for H in graphs:
+                same = (G.base, G.nodes, G.corners) == (H.base, H.nodes, H.corners)
+                assert (G == H) == same
+                if same:
+                    assert hash(G) == hash(H)
+                    equal += G is not H
+        assert equal >= len(graphs)  # each link equals its copy, and some others
 
 
 class TestReducedPaths:

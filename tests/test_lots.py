@@ -59,6 +59,7 @@ from drtool.unionfind import UnionFind
 from conftest import FIXTURES, make_chain6, make_trefoil, make_w5
 from genutil import (
     WIDE_NAME_ALPHABET,
+    lot_corners,
     lot_relabellings,
     oracle_lot_key,
     oracle_pruned_components,
@@ -255,40 +256,36 @@ class TestCanonicalKey:
         assert key == (13, tuple((0, i, 0) for i in range(1, 13)))
 
 
-def lot_corners(lot):
-    """The link corners of the LOT complex read off the LOT edges, as
-    (corner key, (node, node)) pairs: the square ``s l t- l-`` of an edge
-    has its corners in that order."""
-    corners = []
-    for e in lot.edges:
-        s, l, t = e.source, e.label, e.target
-        ends = [((s, 1), (l, -1)), ((l, 1), (t, 1)), ((t, -1), (l, 1)), ((l, -1), (s, -1))]
-        corners += [((e.id, i), pair) for i, pair in enumerate(ends)]
-    return corners
+def oracle_sides(lot, epsilon):
+    """The two sides of the signs ``epsilon`` (vertex -> +1 or -1) as
+    ``(nodes, angle-0 corner keys)`` pairs when each side's angle-0 subgraph
+    is a forest, else None; independent of the library's link code.
+
+    The corners are read off the LOT (``lot_corners``), and each side's
+    angle-0 subgraph is checked with its own union-find."""
+    corners = lot_corners(lot)
+    nodes = sorted((x, end) for x in lot.vertices for end in (1, -1))
+    sides = []
+    for in_side_1 in (True, False):
+        members = [n for n in nodes if (epsilon[n[0]] == n[1]) == in_side_1]
+        inside = [(key, (a, b)) for key, (a, b) in corners if a in members and b in members]
+        uf = UnionFind(members)
+        if not all(a != b and uf.union(a, b) for _, (a, b) in inside):
+            return None
+        sides.append((tuple(members), tuple(key for key, _ in inside)))
+    return sides
 
 
 def oracle_bi_forest(lot):
-    """Brute-force bi-forest search, independent of the library's link code.
-
-    The corners are read off the LOT (``lot_corners``), and each side's
-    angle-0 subgraph is checked with its own union-find.  Returns (epsilon,
-    side1 nodes, side2 nodes, side1 corners, side2 corners, angle table)
-    for the first orientation, or None."""
-    corners = lot_corners(lot)
-    nodes = sorted((x, end) for x in lot.vertices for end in (1, -1))
+    """Brute-force bi-forest search: the first sign vector whose
+    ``oracle_sides`` are two forests.  Returns (epsilon, side1 nodes, side2
+    nodes, side1 corners, side2 corners, angle table) for it, or None."""
     for signs in itertools.product((1, -1), repeat=len(lot.vertices)):
         epsilon = dict(zip(lot.vertices, signs))
-        sides = []
-        for in_side_1 in (True, False):
-            members = [n for n in nodes if (epsilon[n[0]] == n[1]) == in_side_1]
-            inside = [(key, (a, b)) for key, (a, b) in corners if a in members and b in members]
-            uf = UnionFind(members)
-            if not all(a != b and uf.union(a, b) for _, (a, b) in inside):
-                break
-            sides.append((tuple(members), tuple(key for key, _ in inside)))
-        else:
+        sides = oracle_sides(lot, epsilon)
+        if sides is not None:
             zeros = set(sides[0][1] + sides[1][1])
-            table = {key: 0 if key in zeros else 1 for key, _ in corners}
+            table = {key: 0 if key in zeros else 1 for key, _ in lot_corners(lot)}
             return epsilon, sides[0][0], sides[1][0], sides[0][1], sides[1][1], table
     return None
 
@@ -654,9 +651,10 @@ class TestBiForest:
             bf = bi_forest_orientation(lot)
         assert (bf and bf.epsilon) == reference_bi_forest_signs(link, list(lot.vertices))
         if bf is not None:
-            # the verifier's call, one recorded sign a level, gives the same structure
-            recorded = _bi_forest(link, lot.vertices, [(s,) for s in bf.epsilon.values()])
+            # the verifier's call, on the recorded signs, gives the same structure
+            recorded = lots._bi_forest_of(link, bf.epsilon)
             assert recorded.to_jsonable() == bf.to_jsonable()
+            assert recorded.components == bf.components
 
     def test_search_matches_sign_scan_up_to_12_generators(self):
         rng = random.Random(4242)
@@ -672,6 +670,55 @@ class TestBiForest:
             else:
                 assert bf.to_jsonable() == expected.to_jsonable()
         assert 0 < missing < len(lots_)
+
+    def test_the_structure_of_given_signs_matches_the_two_forest_oracle(self):
+        # _bi_forest_of writes the structure of given signs with no search: it
+        # is None exactly when a side's angle-0 subgraph is not a forest, it is
+        # the search's own structure at the signs the search finds, and
+        # verify_li_tree refuses a base node recording signs that close a cycle
+        rng = random.Random(3503)
+        seen = {"forest": 0, "cycle": 0, "refused": 0}
+        for k in range(63):
+            lot = random_reduced_injective_lot(rng, 6 + k % 9)
+            link = lot.complex.links[BASE_VERTEX]
+            found = bi_forest_orientation(lot)
+            tried = [{g: rng.choice((1, -1)) for g in lot.vertices} for _ in range(8)]
+            cycle = None
+            for epsilon in tried + ([found.epsilon] if found else []):
+                structure = lots._bi_forest_of(link, epsilon)
+                sides = oracle_sides(lot, epsilon)
+                assert (structure is None) == (sides is None)
+                if structure is None:
+                    seen["cycle"] += 1
+                    cycle = epsilon
+                    continue
+                seen["forest"] += 1
+                (nodes1, corners1), (nodes2, corners2) = sides
+                assert structure.epsilon == epsilon
+                assert structure.lambda1_nodes == nodes1 and structure.lambda2_nodes == nodes2
+                assert structure.lambda1_corners == corners1
+                assert structure.lambda2_corners == corners2
+                uf = UnionFind(link.nodes)
+                for key, (a, b) in lot_corners(lot):
+                    assert structure.assignment.weight(key) == (key not in corners1 + corners2)
+                    if key in corners1 + corners2:
+                        uf.union(a, b)
+                roots = {}  # each class numbered by its least node
+                assert structure.components == [roots.setdefault(uf.find(n), len(roots))
+                                                for n in link.nodes]
+            if found is not None:
+                at_found = lots._bi_forest_of(link, found.epsilon)
+                assert at_found.to_jsonable() == found.to_jsonable()
+                assert at_found.components == found.components
+            tree = decide_locally_indicable(lot)
+            if tree.kind == KIND_HUCK_ROSE_BASE and cycle is not None:
+                recorded = {g: "+" if s > 0 else "-" for g, s in cycle.items()}
+                forged = LiCertificateTree(tree.kind, tree.lot, {**tree.evidence, "epsilon": recorded},
+                                           tree.children, tree.conclusion)
+                assert verify_li_tree(forged) == (
+                    False, ["root: recorded orientation does not give two forests"])
+                seen["refused"] += 1
+        assert min(seen.values()) >= 30, seen
 
     def test_zero_one_from_biforest_passes_everything(self):
         lot = make_trefoil()
@@ -725,6 +772,22 @@ class TestDecide:
         assert tree.evidence["trigger"] == "no_proper_sub_lot"
         ok, problems = verify_li_tree(tree)
         assert ok, problems
+
+    @pytest.mark.parametrize("lot", [make_trefoil(), parse_lot(
+        (FIXTURES / "lots" / "seed1201_13.lot").read_text())], ids=["trefoil", "seed1201_13"])
+    def test_a_base_node_turns_its_angles_into_rows_once(self, monkeypatch, lot):
+        # the certificate's angle rows, each copied, are the evidence's
+        # zero_one: equal, and sharing no list or row with them
+        calls = []
+        to_jsonable = ZeroOneAssignment.to_jsonable
+        monkeypatch.setattr(ZeroOneAssignment, "to_jsonable",
+                            lambda self: calls.append(self) or to_jsonable(self))
+        tree = decide_locally_indicable(lot)
+        assert tree.kind == KIND_HUCK_ROSE_BASE and len(calls) == 1
+        rows, angles = tree.evidence["zero_one"], tree.evidence["dr2_certificate"]["hypotheses"]["angles"]
+        assert rows == angles and rows is not angles
+        assert not {id(row) for row in rows} & {id(row) for row in angles}
+        assert verify_li_tree(tree) == (True, [])
 
     def test_w5_quotient_step(self):
         tree = decide_locally_indicable(make_w5())
